@@ -13,7 +13,7 @@ from lpnqrng import (
     output_bits_for,
     runs_test,
 )
-from lpnqrng import _gf2_fallback
+from lpnqrng import extractor
 from lpnqrng.errors import (
     InvalidParameterError,
     LengthMismatchError,
@@ -26,11 +26,6 @@ from lpnqrng.extractor import (
     unpack_bytes_to_bits,
 )
 from lpnqrng.rng import bit_stream
-
-try:
-    from lpnqrng import _gf2
-except ImportError:
-    _gf2 = None
 
 
 def random_spec(rng, max_n=64):
@@ -161,27 +156,43 @@ class TestExtractBlock:
         assert np.array_equal(extract_block(x, spec), extract_block(x, spec))
 
 
-class TestBackends:
-    def test_fallback_matches_dense_oracle(self):
+class TestKernel:
+    def test_kernel_matches_dense_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             spec = random_spec(rng)
             x = rng.integers(0, 2, spec.input_bits).astype(np.uint8)
-            got = _gf2_fallback.toeplitz_apply_packed(
-                pack_bits_to_words(spec.matrix()),
-                pack_bits_to_words(x)[None, :])[0]
+            got = extractor._toeplitz_apply(spec, x[None, :])[0]
             assert np.array_equal(got, dense_oracle(spec, x).astype(np.uint8))
 
-    @pytest.mark.skipif(_gf2 is None, reason="compiled core not built")
-    def test_compiled_matches_fallback(self):
+    def test_block_counts_straddling_the_chunk_edge(self):
         rng = np.random.default_rng(14)
-        spec = ToeplitzSpec(512, 300, rng.integers(0, 2, 811).astype(np.uint8))
-        blocks = rng.integers(0, 2, (40, 512)).astype(np.uint8)
-        rows = pack_bits_to_words(spec.matrix())
-        packed = pack_bits_to_words(blocks)
-        a = _gf2.toeplitz_apply_packed(rows, packed)
-        b = _gf2_fallback.toeplitz_apply_packed(rows, packed)
-        assert np.array_equal(a, b)
+        spec = ToeplitzSpec(2048, 1800, rng.integers(0, 2, 3847).astype(np.uint8))
+        chunk = extractor._BATCH_SAMPLES // spec._fft_length
+        dense = spec.matrix().astype(np.float64)
+        for n_blocks in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
+            want = (blocks @ dense.T).astype(np.int64) % 2
+            assert np.array_equal(extractor._toeplitz_apply(spec, blocks), want)
+
+    def test_sampled_rows_at_large_geometry(self):
+        # too large for the dense matrix: rows come from the T[r][c] definition
+        n_in, n_out = 2**17, 2**17 - 5
+        spec = ToeplitzSpec(n_in, n_out, bit_stream(15, n_in + n_out - 1))
+        x = bit_stream(16, 2 * n_in).reshape(2, n_in)
+        out = extractor._toeplitz_apply(spec, x)
+        c = np.arange(n_in)
+        for r in (0, n_out // 2, n_out - 1):
+            row = spec.seed_bits[np.where(r >= c, r - c, n_out - 1 + c - r)]
+            for b in range(2):
+                assert out[b, r] == int(row @ x[b].astype(np.int64)) % 2
+
+    def test_one_by_one(self):
+        for s in (0, 1):
+            spec = ToeplitzSpec(1, 1, np.array([s], dtype=np.uint8))
+            for x in (0, 1):
+                block = np.array([x], dtype=np.uint8)
+                assert extract_block(block, spec).tolist() == [s & x]
 
 
 class TestExtractStream:
