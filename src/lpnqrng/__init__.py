@@ -40,7 +40,6 @@ from .optimizer import (
     SweepPoint,
     SweepResult,
     evaluate_point,
-    recommended_sampling_rate,
     sweep,
 )
 from .params import AdcSpec, SystemParams
@@ -99,7 +98,6 @@ __all__ = [
     "quantize",
     "quantum_noise",
     "quantum_variance_from_measurement",
-    "recommended_sampling_rate",
     "runs_test",
     "sample_phase_path",
     "sweep",

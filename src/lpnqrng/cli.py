@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: simulate, psd, entropy, sweep, extract, invert-variance.
-Every run resolves its configuration (defaults, then --config JSON,
-then flags), echoes the resolved form in a JSON report, and derives
-all stream seeds from one master seed, so re-running a report's
+Each registers only the flags it reads. The four that take --config
+resolve it in one place (defaults, then --config JSON, then flags);
+every run echoes its resolved form in a JSON report and derives all
+stream seeds from one master seed, so re-running a report's
 configuration reproduces the primary outputs byte for byte.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 domain error
@@ -49,13 +50,7 @@ from .extractor import (
     unpack_bytes_to_bits,
 )
 from .optimizer import SimSettings, SweepGrid, sweep
-from .params import (
-    AdcSpec,
-    DEFAULT_N_SAMPLES,
-    DEFAULT_SAMPLE_PERIOD_S,
-    DEFAULT_SIGMA_ELE,
-    SystemParams,
-)
+from .params import DEFAULT_N_SAMPLES, AdcSpec, SystemParams
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -64,6 +59,7 @@ from .rng import (
     derive_seed,
 )
 from .simulate import (
+    TWO_PI,
     add_electronic_noise,
     delay_index,
     quantize,
@@ -84,10 +80,50 @@ from .traceio import (
     write_quantized_trace,
 )
 
-TWO_PI = 2.0 * np.pi
-
-
 # ---------------------------------------------------------------- config
+
+#: Every config key a command reads, by dotted path: the flag that
+#: overrides it (its argparse dest is the path), the type its value is
+#: read as, and the flag's help.
+_KEYS = {
+    "system.linewidth_hz": ("--linewidth-hz", float, "laser linewidth (Hz)"),
+    "system.delay_s": ("--delay-s", float, "interferometer delay (s)"),
+    "system.amplitude": ("--amplitude", float, "signal peak (V)"),
+    "system.sigma_ele": ("--sigma-ele", float, "electronic noise std (V)"),
+    "system.sample_period_s": ("--sample-period-s", float,
+                               "sampling period (s)"),
+    "system.adc.bits": ("--adc-bits", int, "ADC resolution (bits)"),
+    "system.adc.range": ("--adc-range", float, "ADC range (V)"),
+    "sim.n_samples": ("--n-samples", int, "phase path length"),
+    "sim.master_seed": ("--seed", int, "master seed (64-bit)"),
+    "spectral.nfft": ("--nfft", int, "Welch segment length"),
+    "spectral.overlap_fraction": ("--overlap", float,
+                                  "segment overlap fraction"),
+    "spectral.plateau_bins": ("--plateau-bins", int,
+                              "bins averaged for the plateau reference"),
+    "sweep.linewidths_hz": ("--linewidths-hz", list, "grid linewidths (Hz)"),
+    "sweep.delays_s": ("--delays-s", list, "grid delays (s)"),
+    "quantize_source": ("--quantize-source", str,
+                        "trace fed to the ADC model: quantum (default) "
+                        "or measured"),
+    "entropy_method": ("--entropy-method", str,
+                       f"min-entropy route: {METHOD_ANALYTIC} (default) "
+                       f"or {METHOD_EMPIRICAL}"),
+}
+
+
+def _defaults() -> dict:
+    # system defaults other than the converter live in SystemParams.from_dict
+    return {
+        "system": {"adc": AdcSpec().to_dict()},
+        "sim": {"n_samples": DEFAULT_N_SAMPLES, "master_seed": 1},
+        "spectral": {"nfft": DEFAULT_NFFT, "overlap_fraction": DEFAULT_OVERLAP,
+                     "plateau_bins": DEFAULT_PLATEAU_BINS},
+        "sweep": {},
+        "quantize_source": "quantum",
+        "entropy_method": METHOD_ANALYTIC,
+    }
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -97,70 +133,71 @@ def _load_config(path: str | None) -> dict:
         raise FileNotFoundError(f"config file {p} does not exist")
     try:
         cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
         raise InvalidParameterError(f"config {p} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidParameterError(f"config {p} must hold a JSON object")
     return cfg
 
 
-def _resolve_system(cfg: dict, args: argparse.Namespace) -> SystemParams:
-    sys_cfg = dict(cfg.get("system", {}))
-    adc_cfg = dict(sys_cfg.get("adc", {}))
-    for flag, key in (("adc_bits", "bits"), ("adc_range", "range")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            adc_cfg[key] = v
-    for flag in ("linewidth_hz", "delay_s", "amplitude", "sigma_ele",
-                 "sample_period_s"):
-        v = getattr(args, flag, None)
-        if v is not None:
-            sys_cfg[flag] = v
-    if "linewidth_hz" not in sys_cfg or "delay_s" not in sys_cfg:
+def _lookup(cfg: dict, path: str):
+    *sections, key = path.split(".")
+    node = cfg
+    for depth, name in enumerate(sections, 1):
+        node = node.get(name, {})
+        if not isinstance(node, dict):
+            raise InvalidParameterError(
+                f"config section {'.'.join(sections[:depth])} must be a "
+                f"JSON object, got {node!r}")
+    return node.get(key)
+
+
+def _coerce(path: str, value):
+    kind = _KEYS[path][1]
+    try:
+        if kind in (str, list) and not isinstance(value, kind):
+            raise TypeError
+        return [float(v) for v in value] if kind is list else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(
+            f"{path} must be {kind.__name__}, got {value!r}") from None
+
+
+def _resolve(args: argparse.Namespace, *sections: str) -> dict:
+    """The configuration of one command run.
+
+    For every key under ``sections``: the default, then the --config
+    value, then the flag if the user gave it. A JSON null counts as
+    absent. Config values are coerced to the key's type (flags already
+    are); a section that is not a JSON object, or a value of the wrong
+    type, raises InvalidParameterError naming the key.
+    """
+    cfg = _load_config(args.config)
+    conf = {name: value for name, value in _defaults().items()
+            if name in sections}
+    for path in _KEYS:
+        if path.split(".")[0] not in sections:
+            continue
+        *parents, key = path.split(".")
+        value = _lookup(cfg, path)
+        if value is not None:
+            value = _coerce(path, value)
+        if getattr(args, path, None) is not None:
+            value = getattr(args, path)
+        if value is None:
+            continue
+        node = conf
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return conf
+
+
+def _system(system: dict) -> SystemParams:
+    if "linewidth_hz" not in system or "delay_s" not in system:
         raise InvalidParameterError(
             "linewidth_hz and delay_s are required (flags or config)")
-    adc = AdcSpec(bits=int(adc_cfg.get("bits", 8)),
-                  range=float(adc_cfg.get("range", 1.0)))
-    return SystemParams(
-        linewidth_hz=float(sys_cfg["linewidth_hz"]),
-        delay_s=float(sys_cfg["delay_s"]),
-        amplitude=(None if sys_cfg.get("amplitude") is None
-                   else float(sys_cfg["amplitude"])),
-        sigma_ele=float(sys_cfg.get("sigma_ele", DEFAULT_SIGMA_ELE)),
-        sample_period_s=float(sys_cfg.get("sample_period_s",
-                                          DEFAULT_SAMPLE_PERIOD_S)),
-        adc=adc,
-    )
-
-
-def _first(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
-
-
-def _resolve_sim(cfg: dict, args: argparse.Namespace) -> tuple[int, int]:
-    sim_cfg = dict(cfg.get("sim", {}))
-    n_samples = int(_first(getattr(args, "n_samples", None),
-                           sim_cfg.get("n_samples"), DEFAULT_N_SAMPLES))
-    seed = int(_first(getattr(args, "seed", None),
-                      sim_cfg.get("master_seed"), 1))
-    return n_samples, seed
-
-
-def _resolve_spectral(cfg: dict, args: argparse.Namespace) -> dict:
-    sp = dict(cfg.get("spectral", {}))
-    return {
-        "nfft": int(_first(getattr(args, "nfft", None), sp.get("nfft"),
-                           DEFAULT_NFFT)),
-        "overlap_fraction": float(_first(getattr(args, "overlap", None),
-                                         sp.get("overlap_fraction"),
-                                         DEFAULT_OVERLAP)),
-        "plateau_bins": int(_first(getattr(args, "plateau_bins", None),
-                                   sp.get("plateau_bins"),
-                                   DEFAULT_PLATEAU_BINS)),
-    }
+    return SystemParams.from_dict(system)
 
 
 # ---------------------------------------------------------------- output
@@ -212,11 +249,10 @@ def _fmt(x: float) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    system = _resolve_system(cfg, args)
-    n_samples, master_seed = _resolve_sim(cfg, args)
-    quantize_source = _first(args.quantize_source,
-                             cfg.get("quantize_source"), "quantum")
+    conf = _resolve(args, "system", "sim", "quantize_source")
+    system = _system(conf["system"])
+    n_samples, master_seed = conf["sim"]["n_samples"], conf["sim"]["master_seed"]
+    quantize_source = conf["quantize_source"]
     if quantize_source not in ("quantum", "measured"):
         raise InvalidParameterError(
             f"quantize_source must be 'quantum' or 'measured', "
@@ -240,11 +276,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_analog_trace(m_path, m, system=system, seed=master_seed)
     write_quantized_trace(c_path, codes, system=system, seed=master_seed)
 
-    resolved = {
-        "system": system.to_dict(),
-        "sim": {"n_samples": n_samples, "master_seed": master_seed},
-        "quantize_source": quantize_source,
-    }
+    resolved = {**conf, "system": system.to_dict()}
     report = _report_skeleton("simulate", resolved)
     report["seeds"] = {"master": master_seed, "phase": phase_seed,
                        "electronic": ele_seed}
@@ -262,8 +294,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_psd(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    spectral_cfg = _resolve_spectral(cfg, args)
+    spectral_cfg = _resolve(args, "spectral")["spectral"]
     out = _out_dir(args)
     trace, meta = read_analog_trace(args.trace)
     psd = estimate_psd(trace, spectral_cfg["nfft"],
@@ -293,38 +324,16 @@ def cmd_psd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _degenerate_report(sigma2: float) -> EntropyReport:
-    # zero variance: all mass in the center code
-    return EntropyReport(p_c=1.0, p_r=0.0, p_max=1.0, h_min=0.0,
-                         sigma2=sigma2, method=METHOD_ANALYTIC)
-
-
 def cmd_entropy(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    sys_cfg = dict(cfg.get("system", {}))
-    # config may carry the design point and converter like any other command
-    for flag, key in (("linewidth_hz", "linewidth_hz"), ("delay_s", "delay_s"),
-                      ("amplitude", "amplitude")):
-        if getattr(args, flag) is None and sys_cfg.get(key) is not None:
-            setattr(args, flag, float(sys_cfg[key]))
-    adc_cfg = dict(sys_cfg.get("adc", {}))
-    if args.adc_bits is None and "bits" in adc_cfg:
-        args.adc_bits = int(adc_cfg["bits"])
-    if args.adc_range is None and "range" in adc_cfg:
-        args.adc_range = float(adc_cfg["range"])
-    modes = [args.codes is not None,
-             args.sigma_q2 is not None,
-             args.linewidth_hz is not None or args.delay_s is not None]
-    if sum(modes) > 1:
+    system = _resolve(args, "system")["system"]
+    # a design point in the config is the default mode; only flags can clash
+    design_flags = (getattr(args, "system.linewidth_hz") is not None
+                    or getattr(args, "system.delay_s") is not None)
+    if (args.codes is not None) + (args.sigma_q2 is not None) + design_flags > 1:
         raise AmbiguousInputError(
             "give exactly one of: --codes, --sigma-q2, or --linewidth-hz/--delay-s")
-    if sum(modes) == 0:
-        raise InvalidParameterError(
-            "one input mode is required: --codes, --sigma-q2, "
-            "or --linewidth-hz with --delay-s")
 
-    resolved: dict = {}
     histogram = None
     if args.codes is not None:
         qt, meta = read_quantized_trace(args.codes)
@@ -340,22 +349,21 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             Path(args.histogram_csv).write_text("\n".join(lines) + "\n")
             histogram = str(args.histogram_csv)
     else:
-        adc = AdcSpec(bits=args.adc_bits or 8, range=args.adc_range or 1.0)
-        amplitude = args.amplitude if args.amplitude is not None \
-            else adc.default_amplitude()
+        adc = AdcSpec.from_dict(system["adc"])
+        amplitude = system.get("amplitude", adc.default_amplitude())
         if args.sigma_q2 is not None:
             sigma2 = invert_variance(args.sigma_q2, amplitude)
             resolved = {"mode": "variance", "sigma_q2": args.sigma_q2}
+        elif "linewidth_hz" in system and "delay_s" in system:
+            sigma2 = phase_variance(system["linewidth_hz"], system["delay_s"])
+            resolved = {"mode": "design", "linewidth_hz": system["linewidth_hz"],
+                        "delay_s": system["delay_s"]}
         else:
-            if args.linewidth_hz is None or args.delay_s is None:
-                raise InvalidParameterError(
-                    "design mode needs both --linewidth-hz and --delay-s")
-            sigma2 = phase_variance(args.linewidth_hz, args.delay_s)
-            resolved = {"mode": "design", "linewidth_hz": args.linewidth_hz,
-                        "delay_s": args.delay_s}
+            raise InvalidParameterError(
+                "one input mode is required: --codes, --sigma-q2, "
+                "or --linewidth-hz with --delay-s")
         resolved.update({"amplitude": amplitude, "adc": adc.to_dict()})
-        rep = (_degenerate_report(sigma2) if sigma2 == 0.0
-               else analytic_min_entropy(sigma2, amplitude, adc))
+        rep = analytic_min_entropy(sigma2, amplitude, adc)
 
     report = _report_skeleton("entropy", resolved)
     report["results"] = _entropy_dict(rep)
@@ -376,42 +384,32 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    sweep_cfg = dict(cfg.get("sweep", {}))
-    linewidths = (args.linewidths_hz if args.linewidths_hz
-                  else sweep_cfg.get("linewidths_hz"))
-    delays = args.delays_s if args.delays_s else sweep_cfg.get("delays_s")
+    conf = _resolve(args, "system", "sim", "spectral", "sweep",
+                    "entropy_method")
+    linewidths = conf["sweep"].get("linewidths_hz")
+    delays = conf["sweep"].get("delays_s")
     if not linewidths or not delays:
         raise InvalidParameterError(
             "sweep needs linewidths_hz and delays_s (flags or config)")
     # grids are index sets, not sequences: accept any order, sort once
-    linewidths = tuple(sorted(float(x) for x in linewidths))
-    delays = tuple(sorted(float(x) for x in delays))
+    linewidths = tuple(sorted(linewidths))
+    delays = tuple(sorted(delays))
 
     # the base template carries everything but the design point; it is
     # instantiated with the most forgiving grid corner so that a single
     # too-small delay fails per point instead of failing the whole grid
-    ns = argparse.Namespace(**{**vars(args), "linewidth_hz": None,
-                               "delay_s": None})
-    base_cfg = dict(cfg)
-    base_cfg["system"] = {**base_cfg.get("system", {}),
-                          "linewidth_hz": linewidths[0], "delay_s": delays[-1]}
     try:
-        system = _resolve_system(base_cfg, ns)
+        system = _system({**conf["system"], "linewidth_hz": linewidths[0],
+                          "delay_s": delays[-1]})
     except DelayTooSmallError as exc:
         raise AllPointsFailedError(
             f"every grid delay rounds below one sample: {exc}") from exc
-    n_samples, master_seed = _resolve_sim(cfg, args)
-    spectral_cfg = _resolve_spectral(cfg, args)
-    method = args.entropy_method or cfg.get("entropy_method", METHOD_ANALYTIC)
-
+    sim, spectral_cfg = conf["sim"], conf["spectral"]
     grid = SweepGrid(
         linewidths_hz=linewidths, delays_s=delays, base=system,
-        sim=SimSettings(n_samples=n_samples, nfft=spectral_cfg["nfft"],
-                        overlap_fraction=spectral_cfg["overlap_fraction"],
-                        plateau_bins=spectral_cfg["plateau_bins"],
-                        seed=master_seed),
-        entropy_method=method)
+        sim=SimSettings(n_samples=sim["n_samples"], seed=sim["master_seed"],
+                        **spectral_cfg),
+        entropy_method=conf["entropy_method"])
     result = sweep(grid)
     if result.best is None:
         raise AllPointsFailedError(
@@ -428,18 +426,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     csv_path.write_text("\n".join(lines) + "\n")
 
     resolved = {
+        **conf,
         "system": system.to_dict(),
-        "sim": {"n_samples": n_samples, "master_seed": master_seed},
-        "spectral": spectral_cfg,
-        "entropy_method": method,
         "sweep": {"linewidths_hz": list(linewidths), "delays_s": list(delays)},
     }
     report = _report_skeleton("sweep", resolved)
     report["seeds"] = {
-        "master": master_seed,
+        "master": sim["master_seed"],
         "per_point": [
             {"linewidth_hz": lw, "delay_s": d,
-             "seed": derive_seed(master_seed, i, j)}
+             "seed": derive_seed(sim["master_seed"], i, j)}
             for i, lw in enumerate(linewidths) for j, d in enumerate(delays)],
     }
     report["results"] = {
@@ -516,7 +512,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_invert_variance(args: argparse.Namespace) -> int:
     sigma_q2 = quantum_variance_from_measurement(args.sigma_m2, args.sigma_c2)
     amplitude = args.amplitude
-    sigma2 = 0.0 if sigma_q2 == 0.0 else invert_variance(sigma_q2, amplitude)
+    sigma2 = invert_variance(sigma_q2, amplitude)
     product = sigma2 / TWO_PI
     resolved = {"sigma_m2": args.sigma_m2, "sigma_c2": args.sigma_c2,
                 "amplitude": amplitude}
@@ -535,31 +531,19 @@ def cmd_invert_variance(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser, out_default: str | None = ".") -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="master seed (64-bit)")
-    p.add_argument("--out-dir", default=out_default, help="output directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="stdout format for result summaries")
+def _add_keys(p: argparse.ArgumentParser, *paths: str) -> None:
+    """Register the flag of each config key; its dest is the key's path."""
+    for path in paths:
+        flag, kind, text = _KEYS[path]
+        if kind is list:
+            p.add_argument(flag, dest=path, type=float, nargs="+", help=text)
+        else:
+            p.add_argument(flag, dest=path, type=kind, help=text)
 
 
-def _add_system_flags(p: argparse.ArgumentParser,
-                      design_point: bool = True) -> None:
-    if design_point:
-        p.add_argument("--linewidth-hz", type=float, help="laser linewidth (Hz)")
-        p.add_argument("--delay-s", type=float, help="interferometer delay (s)")
-    p.add_argument("--amplitude", type=float, help="signal peak (V)")
-    p.add_argument("--sigma-ele", type=float, help="electronic noise std (V)")
-    p.add_argument("--sample-period-s", type=float, help="sampling period (s)")
-    p.add_argument("--adc-bits", type=int, help="ADC resolution (bits)")
-    p.add_argument("--adc-range", type=float, help="ADC range (V)")
-
-
-def _add_spectral_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nfft", type=int, help="Welch segment length")
-    p.add_argument("--overlap", type=float, help="segment overlap fraction")
-    p.add_argument("--plateau-bins", type=int,
-                   help="bins averaged for the plateau reference")
+_ADC = ("system.amplitude", "system.adc.bits", "system.adc.range")
+_SPECTRAL = ("spectral.nfft", "spectral.overlap_fraction",
+             "spectral.plateau_bins")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,57 +555,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate and store one trace set")
-    _add_common(p)
-    _add_system_flags(p)
-    p.add_argument("--n-samples", type=int, help="phase path length")
-    p.add_argument("--quantize-source", choices=("quantum", "measured"),
-                   help="which trace feeds the ADC model (default quantum)")
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--out-dir", default=".", help="output directory")
+    _add_keys(p, "system.linewidth_hz", "system.delay_s", *_ADC,
+              "system.sigma_ele", "system.sample_period_s", "sim.n_samples",
+              "sim.master_seed", "quantize_source")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("psd", help="spectrum and 3-dB bandwidth of a trace")
-    _add_common(p)
-    _add_spectral_flags(p)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--out-dir", default=".", help="output directory")
+    _add_keys(p, *_SPECTRAL)
     p.add_argument("--trace", required=True, help="analog trace file")
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("entropy", help="min-entropy, analytic or empirical")
-    _add_common(p, out_default=None)
-    p.add_argument("--linewidth-hz", type=float, help="design mode: linewidth")
-    p.add_argument("--delay-s", type=float, help="design mode: delay")
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--out-dir", help="also write the report here")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="stdout format")
+    _add_keys(p, "system.linewidth_hz", "system.delay_s", *_ADC)
     p.add_argument("--sigma-q2", type=float,
                    help="variance mode: measured quantum-noise variance (V^2)")
     p.add_argument("--codes", help="empirical mode: code trace file")
-    p.add_argument("--amplitude", type=float, help="signal peak (V)")
-    p.add_argument("--adc-bits", type=int, help="ADC resolution (bits)")
-    p.add_argument("--adc-range", type=float, help="ADC range (V)")
     p.add_argument("--histogram-csv", help="also write a code histogram CSV")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("sweep", help="grid search over (linewidth, delay)")
-    _add_common(p)
-    _add_system_flags(p, design_point=False)
-    _add_spectral_flags(p)
-    p.add_argument("--n-samples", type=int, help="phase path length per point")
-    p.add_argument("--linewidths-hz", type=float, nargs="+",
-                   help="grid linewidths (Hz)")
-    p.add_argument("--delays-s", type=float, nargs="+", help="grid delays (s)")
-    p.add_argument("--entropy-method", choices=(METHOD_ANALYTIC, METHOD_EMPIRICAL),
-                   help="min-entropy route (default analytic)")
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--out-dir", default=".", help="output directory")
+    _add_keys(p, *_ADC, "system.sample_period_s", *_SPECTRAL, "sim.n_samples",
+              "sim.master_seed", "sweep.linewidths_hz", "sweep.delays_s",
+              "entropy_method")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("extract", help="Toeplitz-hash a code trace to bits")
-    _add_common(p)
+    p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--codes", required=True, help="code trace file")
     p.add_argument("--n-in", type=int, required=True, help="input block bits")
     p.add_argument("--n-out", type=int, help="output block bits")
     p.add_argument("--h-min", type=float,
                    help="derive output bits from this min-entropy")
+    p.add_argument("--seed", type=int,
+                   help="master seed of the extractor seed (64-bit)")
     p.add_argument("--seed-file", help="raw binary extractor seed")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("invert-variance",
                        help="phase-noise variance from measured variances")
-    _add_common(p, out_default=None)
+    p.add_argument("--out-dir", help="also write the report here")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="stdout format")
     p.add_argument("--sigma-m2", type=float, required=True,
                    help="measured signal variance (V^2)")
     p.add_argument("--sigma-c2", type=float, required=True,

@@ -28,15 +28,11 @@ from .errors import (
     VarianceOutOfRangeError,
 )
 from .params import AdcSpec
-from .rng import gaussian_stream
+from .rng import derive_seed, gaussian_stream
 from .simulate import QuantizedTrace, TWO_PI
 
 METHOD_ANALYTIC = "analytic"
 METHOD_EMPIRICAL = "empirical"
-
-#: Phase-noise variance in rad^2. Kept as a plain float; the name exists
-#: so signatures can say what the number means.
-PhaseNoiseVariance = float
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class EntropyReport:
     method: str
 
 
-def phase_variance(linewidth_hz: float, delay_s: float) -> PhaseNoiseVariance:
+def phase_variance(linewidth_hz: float, delay_s: float) -> float:
     """Phase-difference variance 2*pi*linewidth*delay in rad^2."""
     if linewidth_hz < 0 or delay_s < 0:
         raise InvalidParameterError("linewidth and delay must be >= 0")
@@ -61,6 +57,10 @@ def phase_variance(linewidth_hz: float, delay_s: float) -> PhaseNoiseVariance:
 def _validate_model(sigma2: float, amplitude: float, adc: AdcSpec) -> None:
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2!r}")
+    _validate_amplitude(amplitude, adc)
+
+
+def _validate_amplitude(amplitude: float, adc: AdcSpec) -> None:
     if not (0 < amplitude <= adc.range - adc.delta / 2):
         raise InvalidParameterError(
             f"amplitude must be in (0, range - delta/2] = (0, "
@@ -149,7 +149,14 @@ def analytic_min_entropy(sigma2: float, amplitude: float,
     The distribution is symmetric and unimodal-to-bimodal, so its peak
     is either the center bin or one of the two boundary bins; the
     boundary pair has equal probability, leaving h = -log2(max(P_C, P_R)).
+    Zero variance means no phase diffusion: all mass sits in the center
+    code, so P_C = 1, P_R = 0 and h = 0. Negative or NaN variance raises
+    NonPositiveVarianceError.
     """
+    if sigma2 == 0.0:
+        _validate_amplitude(amplitude, adc)
+        return EntropyReport(p_c=1.0, p_r=0.0, p_max=1.0, h_min=0.0,
+                             sigma2=sigma2, method=METHOD_ANALYTIC)
     pc = p_center(sigma2, amplitude, adc)
     pr = p_boundary(sigma2, amplitude, adc)
     p_max = max(pc, pr)
@@ -185,7 +192,9 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
     """Histogram of quantized A*sin(dtheta) for i.i.d. dtheta ~ N(0, sigma2).
 
     Brute-force sampler used as an independent check of the analytic
-    bin probabilities; processes in chunks to bound memory.
+    bin probabilities; processes in chunks to bound memory. Chunk p
+    draws from derive_seed(seed, p), so runs with nearby seeds share no
+    chunk.
     """
     _validate_model(sigma2, amplitude, adc)
     if n_samples < 1:
@@ -196,7 +205,7 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
     part = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        theta = gaussian_stream(seed + part, m) * sigma
+        theta = gaussian_stream(derive_seed(seed, part), m) * sigma
         q = amplitude * np.sin(theta)
         codes = np.ceil(q / adc.delta - 0.5)
         np.clip(codes, adc.code_min, adc.code_max, out=codes)
@@ -216,7 +225,7 @@ def forward_variance(sigma2: float, amplitude: float) -> float:
     return 0.5 * amplitude * amplitude * -math.expm1(-2.0 * sigma2)
 
 
-def invert_variance(sigma_q2: float, amplitude: float) -> PhaseNoiseVariance:
+def invert_variance(sigma_q2: float, amplitude: float) -> float:
     """Phase-noise variance from quantum-noise variance.
 
     Inverts :func:`forward_variance`; defined for

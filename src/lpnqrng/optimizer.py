@@ -131,10 +131,8 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
     bw = bandwidth_3db(estimate_psd(q, sim.nfft, sim.overlap_fraction),
                        sim.plateau_bins)
     if entropy_method == METHOD_ANALYTIC:
-        sigma2 = phase_variance(linewidth_hz, delay_s)
-        # zero linewidth carries no phase diffusion and no entropy
-        h = 0.0 if sigma2 == 0.0 else analytic_min_entropy(
-            sigma2, params.amplitude, params.adc).h_min
+        h = analytic_min_entropy(phase_variance(linewidth_hz, delay_s),
+                                 params.amplitude, params.adc).h_min
     elif entropy_method == METHOD_EMPIRICAL:
         h = empirical_min_entropy(quantize(q, params.adc)).h_min
     else:
@@ -145,11 +143,6 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
     return SweepPoint(linewidth_hz=linewidth_hz, delay_s=delay_s, b_es_hz=b,
                       h_min_bits=h, k_bits_per_s=2.0 * b * h, f_s_hz=2.0 * b,
                       saturated=bw.saturated)
-
-
-def recommended_sampling_rate(point: SweepPoint) -> float:
-    """Highest useful sampling rate, 2 * B_ES, in Hz."""
-    return 2.0 * point.b_es_hz
 
 
 def _pick_best(points: list[SweepPoint]) -> tuple[SweepPoint | None,

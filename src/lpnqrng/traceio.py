@@ -35,11 +35,31 @@ def _read_meta(path: Path) -> dict:
     side = _sidecar(path)
     if not side.exists():
         raise MissingMetadataError(f"no metadata sidecar at {side}")
-    meta = json.loads(side.read_text())
-    if meta.get("format") != FORMAT_TAG:
+    try:
+        meta = json.loads(side.read_text())
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
+        raise MissingMetadataError(f"{side} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or meta.get("format") != FORMAT_TAG:
         raise MissingMetadataError(
             f"{side} is not a {FORMAT_TAG} sidecar")
     return meta
+
+
+def _fields(path: Path, meta: dict, **converters) -> list:
+    """Each named sidecar value passed through its converter, in order.
+
+    A missing key, or a value its converter rejects, means the sidecar
+    does not describe the trace and raises MissingMetadataError.
+    """
+    values = []
+    for key, convert in converters.items():
+        try:
+            values.append(convert(meta[key]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MissingMetadataError(
+                f"{_sidecar(path)}: {key!r} is missing or malformed "
+                f"({exc!r})") from exc
+    return values
 
 
 def write_analog_trace(path: str | Path, trace: AnalogTrace,
@@ -64,11 +84,13 @@ def read_analog_trace(path: str | Path) -> tuple[AnalogTrace, dict]:
     meta = _read_meta(path)
     if meta.get("kind") != "analog":
         raise InvalidParameterError(f"{path} is not an analog trace")
+    n_samples, sample_period_s, label = _fields(
+        path, meta, n_samples=int, sample_period_s=float, label=str)
     samples = np.fromfile(path, dtype=_ANALOG_DTYPE).astype(np.float64)
-    if len(samples) != meta["n_samples"]:
+    if len(samples) != n_samples:
         raise InvalidParameterError(
-            f"{path}: expected {meta['n_samples']} samples, found {len(samples)}")
-    trace = AnalogTrace(samples, float(meta["sample_period_s"]), meta["label"])
+            f"{path}: expected {n_samples} samples, found {len(samples)}")
+    trace = AnalogTrace(samples, sample_period_s, label)
     return trace, meta
 
 
@@ -94,10 +116,12 @@ def read_quantized_trace(path: str | Path) -> tuple[QuantizedTrace, dict]:
     meta = _read_meta(path)
     if meta.get("kind") != "codes":
         raise InvalidParameterError(f"{path} is not a code trace")
+    n_samples, sample_period_s, adc = _fields(
+        path, meta, n_samples=int, sample_period_s=float,
+        adc=AdcSpec.from_dict)
     codes = np.fromfile(path, dtype=_CODES_DTYPE).astype(np.int16)
-    if len(codes) != meta["n_samples"]:
+    if len(codes) != n_samples:
         raise InvalidParameterError(
-            f"{path}: expected {meta['n_samples']} samples, found {len(codes)}")
-    trace = QuantizedTrace(codes, AdcSpec.from_dict(meta["adc"]),
-                           float(meta["sample_period_s"]))
+            f"{path}: expected {n_samples} samples, found {len(codes)}")
+    trace = QuantizedTrace(codes, adc, sample_period_s)
     return trace, meta

@@ -19,6 +19,12 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def one_error_line(capsys, code):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"lpnqrng: error: {code}:"), err
+    return err[0]
+
+
 class TestSimulate:
     def test_writes_consistent_files(self, tmp_path):
         out = tmp_path / "run"
@@ -85,6 +91,14 @@ class TestSimulate:
         cfg.write_text("{nope")
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100_000],
+                             ids=["not-utf8", "too-deep"])
+    def test_undecodable_config(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(raw)
+        assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
+        one_error_line(capsys, "invalid-parameter")
+
 
 class TestPsd:
     def test_on_simulated_trace(self, tmp_path):
@@ -118,6 +132,23 @@ class TestPsd:
     def test_missing_file_exit_code(self, tmp_path):
         assert run("psd", "--trace", tmp_path / "nope.f64",
                    "--out-dir", tmp_path) == 3
+
+    @pytest.mark.parametrize("corrupt", [b"{nope", b"\xff\xfe{", b"[" * 100_000,
+                                         "no-n-samples"],
+                             ids=["invalid-json", "not-utf8", "too-deep",
+                                  "no-n-samples"])
+    def test_malformed_sidecar_exit_code(self, tmp_path, capsys, corrupt):
+        path = tmp_path / "q.f64"
+        write_analog_trace(path, AnalogTrace(np.zeros(8), 1e-10, "quantum"))
+        side = tmp_path / "q.f64.meta.json"
+        if corrupt == "no-n-samples":
+            meta = json.loads(side.read_text())
+            del meta["n_samples"]
+            side.write_text(json.dumps(meta))
+        else:
+            side.write_bytes(corrupt)
+        assert run("psd", "--trace", path, "--out-dir", tmp_path) == 3
+        one_error_line(capsys, "missing-metadata")
 
 
 class TestEntropy:
@@ -182,6 +213,25 @@ class TestEntropy:
         assert run("entropy", "--config", cfg) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["h_min_bits"] == pytest.approx(7.035, abs=1e-3)
+
+    @pytest.mark.parametrize("flag", ["--adc-bits", "--adc-range"])
+    def test_zero_converter_flag_rejected(self, capsys, flag):
+        assert run("entropy", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                   flag, 0) == 2
+        one_error_line(capsys, "invalid-parameter")
+
+    def test_codes_override_config_design_point(self, tmp_path, capsys):
+        # a report's resolved config carries a design point; --codes wins
+        out = tmp_path / "run"
+        assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                   "--n-samples", 4096, "--out-dir", out) == 0
+        cfg = tmp_path / "replay.json"
+        report = json.loads((out / "report.json").read_text())
+        cfg.write_text(json.dumps(report["resolved_config"]))
+        capsys.readouterr()
+        assert run("entropy", "--config", cfg, "--codes", out / "codes.i16") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["resolved_config"]["mode"] == "empirical"
 
 
 NFFT_FAST = ["--nfft", 1024, "--n-samples", 2**15]
@@ -309,3 +359,58 @@ class TestInvertVariance:
                    "--amplitude", 1.0, "--format", "csv") == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "sigma_q2,sigma2_rad2,linewidth_delay_product"
+
+
+class TestResolver:
+    # per command: the flags of one valid run, a config section it reads
+    # that is not an object, and a mistyped value it reads, with its key
+    CASES = {
+        "simulate": (["--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                      "--n-samples", 4096],
+                     {"system": 5}, {"sim": {"n_samples": "abc"}},
+                     "sim.n_samples"),
+        "psd": ([], {"spectral": [1024]}, {"spectral": {"nfft": "abc"}},
+                "spectral.nfft"),
+        "entropy": (["--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9],
+                    {"system": {"adc": 8}},
+                    {"system": {"adc": {"bits": [8]}}}, "system.adc.bits"),
+        # the mistyped value is rejected even where a flag overrides it
+        "sweep": (["--linewidths-hz", 9.5e6, "--delays-s", 2.5e-9,
+                   *NFFT_FAST],
+                  {"sweep": 5}, {"sim": {"n_samples": "abc"}},
+                  "sim.n_samples"),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    @pytest.mark.parametrize("fault", ["non-object-section", "mistyped-value"])
+    def test_malformed_config(self, tmp_path, capsys, command, fault):
+        flags, section, value, key = self.CASES[command]
+        if command == "psd":
+            trace = tmp_path / "q.f64"
+            write_analog_trace(trace, AnalogTrace(0.1 * gaussian_stream(8, 2**12),
+                                                  1e-10, "measured"))
+            flags = ["--trace", trace, "--nfft", 256]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section if fault == "non-object-section"
+                                  else value))
+        assert run(command, *flags, "--config", cfg,
+                   "--out-dir", tmp_path / "out") == 2
+        line = one_error_line(capsys, "invalid-parameter")
+        if fault == "mistyped-value":
+            assert key in line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", "--format"), ("psd", "--format"), ("sweep", "--format"),
+        ("extract", "--format"), ("psd", "--seed"), ("entropy", "--seed"),
+        ("invert-variance", "--seed"), ("extract", "--config"),
+        ("invert-variance", "--config"), ("sweep", "--sigma-ele")])
+    def test_flags_a_command_ignores_are_rejected(self, capsys, command, flag):
+        required = {"psd": ["--trace", "t.f64"],
+                    "extract": ["--codes", "c.i16", "--n-in", 8],
+                    "invert-variance": ["--sigma-m2", 1, "--sigma-c2", 0,
+                                        "--amplitude", 1]}
+        with pytest.raises(SystemExit) as exc:
+            run(command, *required.get(command, []), flag, "1")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -154,9 +154,14 @@ class TestAnalyticMinEntropy:
     def test_vanishing_variance_limit(self, adc8, default_amplitude):
         assert analytic_min_entropy(1e-6, default_amplitude, adc8).h_min < 1e-6
 
-    def test_zero_variance_rejected(self, adc8, default_amplitude):
-        with pytest.raises(NonPositiveVarianceError):
-            analytic_min_entropy(0.0, default_amplitude, adc8)
+    def test_zero_variance_is_degenerate(self, adc8, default_amplitude):
+        rep = analytic_min_entropy(0.0, default_amplitude, adc8)
+        assert (rep.p_c, rep.p_r, rep.p_max) == (1.0, 0.0, 1.0)
+        assert math.copysign(1.0, rep.h_min) == 1.0 and rep.h_min == 0.0
+        assert rep.sigma2 == 0.0 and rep.method == "analytic"
+        for sigma2 in (-1e-9, -1.0, math.nan):
+            with pytest.raises(NonPositiveVarianceError):
+                analytic_min_entropy(sigma2, default_amplitude, adc8)
 
     def test_product_invariance_exact(self, adc8, default_amplitude):
         for dv, tl in [(9.5e6, 6.5e-9), (9.5e6, 2.5e-9)]:

@@ -7,7 +7,6 @@ from lpnqrng import (
     SweepPoint,
     derive_seed,
     evaluate_point,
-    recommended_sampling_rate,
     sweep,
 )
 from lpnqrng.errors import InvalidParameterError
@@ -148,11 +147,3 @@ class TestEntropyTrendAlongScenarioAxes:
         assert changes == 1 and nz[0] > 0 and nz[-1] < 0
         assert max(h) > h[0] and max(h) > h[-1]
 
-
-class TestRecommendedRate:
-    @pytest.mark.parametrize("b_es,f_s", [
-        (185.18e6, 370.36e6), (68.24e6, 136.48e6), (0.5, 1.0)])
-    def test_values(self, b_es, f_s):
-        p = mk_point(1.0, 1e-9)
-        p = SweepPoint(**{**p.to_dict(), "b_es_hz": b_es})
-        assert recommended_sampling_rate(p) == pytest.approx(f_s)

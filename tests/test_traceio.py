@@ -1,9 +1,13 @@
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpnqrng import AdcSpec, SystemParams
+from lpnqrng import AdcSpec, LpnError, SystemParams
 from lpnqrng.errors import InvalidParameterError, MissingMetadataError
 from lpnqrng.simulate import AnalogTrace, QuantizedTrace
 from lpnqrng.traceio import (
@@ -78,3 +82,45 @@ def test_truncated_data_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(InvalidParameterError):
         read_analog_trace(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+def _sidecar_bytes(valid: dict):
+    """Raw bytes, any JSON value, or the valid sidecar with keys dropped or
+    replaced by arbitrary JSON."""
+    edited = st.fixed_dictionaries(
+        {}, optional={k: st.just(v) | _JSON for k, v in valid.items()})
+    return st.one_of(st.binary(max_size=64),
+                     _JSON.map(lambda v: json.dumps(v).encode()),
+                     edited.map(lambda v: json.dumps(v).encode()))
+
+
+@pytest.mark.parametrize("kind", ["analog", "codes"])
+def test_fuzzed_sidecar_raises_only_package_errors(tmp_path_factory, kind):
+    path = tmp_path_factory.mktemp(kind) / "trace"
+    if kind == "analog":
+        write_analog_trace(path, AnalogTrace(np.zeros(3), 1e-10, "quantum"))
+        read = read_analog_trace
+    else:
+        write_quantized_trace(path, QuantizedTrace(np.zeros(3, np.int16),
+                                                   AdcSpec(), 1e-10))
+        read = read_quantized_trace
+    side = Path(str(path) + ".meta.json")
+    valid = json.loads(side.read_text())
+
+    @given(_sidecar_bytes(valid))
+    @settings(max_examples=300, deadline=None)
+    def check(raw):
+        side.write_bytes(raw)
+        try:
+            read(path)
+        except LpnError:
+            pass
+
+    check()
