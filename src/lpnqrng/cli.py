@@ -50,7 +50,7 @@ from .extractor import (
     unpack_bytes_to_bits,
 )
 from .optimizer import SimSettings, SweepGrid, sweep
-from .params import DEFAULT_N_SAMPLES, AdcSpec, SystemParams
+from .params import DEFAULT_N_SAMPLES, AdcSpec, SystemParams, as_int
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -155,6 +155,8 @@ def _lookup(cfg: dict, path: str):
 def _coerce(path: str, value):
     kind = _KEYS[path][1]
     try:
+        if kind is int:
+            return as_int(value)
         if kind in (str, list) and not isinstance(value, kind):
             raise TypeError
         return [float(v) for v in value] if kind is list else kind(value)
@@ -333,6 +335,11 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     if (args.codes is not None) + (args.sigma_q2 is not None) + design_flags > 1:
         raise AmbiguousInputError(
             "give exactly one of: --codes, --sigma-q2, or --linewidth-hz/--delay-s")
+    if args.codes is not None and any(getattr(args, path) is not None
+                                      for path in _ADC):
+        raise AmbiguousInputError(
+            "--codes reads the converter from the code trace; it takes no "
+            "--amplitude, --adc-bits or --adc-range")
 
     histogram = None
     if args.codes is not None:
@@ -531,6 +538,20 @@ def cmd_invert_variance(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose command-line errors end in one error line.
+
+    A malformed, unknown or missing flag prints ``lpnqrng: error:
+    invalid-parameter: ...`` and exits 2, as every other validation
+    error does, instead of argparse's usage block.
+    """
+
+    def error(self, message: str):
+        err = InvalidParameterError
+        message = " ".join(message.splitlines())
+        self.exit(err.exit_code, f"lpnqrng: error: {err.code}: {message}\n")
+
+
 def _add_keys(p: argparse.ArgumentParser, *paths: str) -> None:
     """Register the flag of each config key; its dest is the key's path."""
     for path in paths:
@@ -547,7 +568,8 @@ _SPECTRAL = ("spectral.nfft", "spectral.overlap_fraction",
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers are built with the parser's own class
+    parser = _Parser(
         prog="lpnqrng",
         description="Simulate, analyze and optimize a laser-phase-noise "
                     "quantum random number generator design.")

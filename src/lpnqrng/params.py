@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .errors import InvalidParameterError
@@ -15,6 +16,21 @@ DEFAULT_AMPLITUDE_FRACTION = 21.0 / 32.0
 DEFAULT_SAMPLE_PERIOD_S = 1e-10
 DEFAULT_SIGMA_ELE = 0.01
 DEFAULT_N_SAMPLES = 2**22
+
+
+def as_int(value) -> int:
+    """An integer read from JSON: an int, or a float with no fraction.
+
+    Raises TypeError for a boolean or any other type and ValueError for
+    a float with a fractional part or no finite value, where ``int()``
+    would truncate ``4096.7`` or accept ``true``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral,
+                                                         float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -62,7 +78,7 @@ class AdcSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdcSpec":
-        return cls(bits=int(d["bits"]), range=float(d["range"]))
+        return cls(bits=as_int(d["bits"]), range=float(d["range"]))
 
 
 @dataclass(frozen=True)

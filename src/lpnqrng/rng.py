@@ -9,6 +9,9 @@ stream to variates simple enough to restate in one sentence:
 
     u_i = ((raw_i >> 11) + 0.5) * 2**-53,  z_i = ndtri(u_i)
 
+The variates are computed in cache-sized blocks of the stream, in place
+in the output array; the formula, and so every variate, is unchanged.
+
 Sub-stream seeds are derived with a SplitMix64 chain, so grid sweeps
 and multi-stage pipelines get independent, order-free seeds.
 """
@@ -19,6 +22,10 @@ from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# variates per block of gaussian_stream: the raw words and the output
+# block (256 KiB each) stay in cache through the four passes over them
+_GAUSS_BLOCK = 2**15
 
 # fixed stream tags for the CLI pipeline stages
 STREAM_PHASE = 1
@@ -48,9 +55,13 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     return s
 
 
+def _philox(seed: int) -> np.random.Philox:
+    return np.random.Philox(key=int(seed) & _MASK64)
+
+
 def raw_stream(seed: int, n: int) -> np.ndarray:
     """n raw 64-bit words from Philox keyed with ``seed``."""
-    return np.random.Philox(key=int(seed) & _MASK64).random_raw(n)
+    return _philox(seed).random_raw(n)
 
 
 def gaussian_stream(seed: int, n: int) -> np.ndarray:
@@ -61,11 +72,16 @@ def gaussian_stream(seed: int, n: int) -> np.ndarray:
     uniforms); the effect on moments is far below statistical
     resolution at any practical sample count.
     """
-    if n == 0:
-        return np.empty(0)
-    raw = raw_stream(seed, n)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    out = np.empty(n)
+    bitgen = _philox(seed)
+    for i in range(0, n, _GAUSS_BLOCK):
+        raw = bitgen.random_raw(min(_GAUSS_BLOCK, n - i))
+        raw >>= np.uint64(11)
+        u = out[i:i + len(raw)]
+        np.add(raw, 0.5, out=u)
+        u *= 2.0**-53
+        ndtri(u, out=u)
+    return out
 
 
 def bit_stream(seed: int, n_bits: int) -> np.ndarray:

@@ -119,7 +119,9 @@ def sample_phase_path(linewidth_hz: float, sample_period_s: float,
     if std == 0.0:
         out[1:] = 0.0
     else:
-        np.cumsum(gaussian_stream(seed, n_samples - 1) * std, out=out[1:])
+        steps = gaussian_stream(seed, n_samples - 1)
+        steps *= std
+        np.cumsum(steps, out=out[1:])
     return PhasePath(out, sample_period_s)
 
 
@@ -154,7 +156,9 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     if len(theta) <= k:
         raise PathTooShortError(
             f"path of {len(theta)} samples cannot support delay index {k}")
-    q = amplitude * np.sin(theta[k:] - theta[:-k])
+    q = np.subtract(theta[k:], theta[:-k])
+    np.sin(q, out=q)
+    q *= amplitude
     return AnalogTrace(q, path.sample_period_s, LABEL_QUANTUM)
 
 
@@ -166,7 +170,9 @@ def add_electronic_noise(trace: AnalogTrace, sigma_ele: float,
     if sigma_ele == 0.0:
         m = trace.samples.copy()
     else:
-        m = trace.samples + sigma_ele * gaussian_stream(seed, len(trace))
+        m = gaussian_stream(seed, len(trace))
+        m *= sigma_ele
+        m += trace.samples
     return AnalogTrace(m, trace.sample_period_s, LABEL_MEASURED)
 
 
@@ -177,8 +183,9 @@ def quantize(trace: AnalogTrace, adc: AdcSpec) -> QuantizedTrace:
     realizes half-open bins (i*delta - delta/2, i*delta + delta/2] with
     out-of-range inputs saturating to the end codes.
     """
-    x = trace.samples
-    codes = np.ceil(x / adc.delta - 0.5)
+    codes = trace.samples / adc.delta
+    codes -= 0.5
+    np.ceil(codes, out=codes)
     np.clip(codes, adc.code_min, adc.code_max, out=codes)
     return QuantizedTrace(codes.astype(np.int16), adc, trace.sample_period_s)
 

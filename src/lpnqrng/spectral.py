@@ -6,13 +6,26 @@ bandwidth is where the smoothed spectrum first drops below half of the
 low-frequency plateau level and stays there; a persistence rule keeps
 the sinc-like interference nulls of delayed self-interference from
 triggering early.
+
+``estimate_psd`` reproduces ``scipy.signal.welch`` (mean-removed input,
+``detrend=False``, density scaling) bit for bit, but does not call it.
+SciPy's Welch goes through ``ShortTimeFFT.spectrogram``, which runs one
+FFT per segment in a Python loop and keeps every segment's complex
+spectrum, twice the size of the trace at the default overlap.
+Here the segments are a strided view of the trace, transformed a few
+rows at a time so each block stays in cache, and only their squared
+magnitudes are kept. The window and frequency axis come from the same
+``ShortTimeFFT`` that ``welch`` builds. The segment mean is taken as
+``welch`` takes it, a pairwise sum along the contiguous segment axis,
+so every bin is the same float64 value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft, signal
 from scipy.ndimage import uniform_filter1d
 
 from .errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
@@ -26,6 +39,11 @@ DEFAULT_PLATEAU_BINS = 16
 # so two disjoint seeds at 2**22 samples agree within a few percent
 SMOOTH_BINS = 9
 PERSIST_BINS = 3
+
+# samples per block of Welch segments (a 1 MiB float64 working set):
+# large enough to amortize the per-call FFT overhead, small enough that
+# a block's windowed rows and spectra stay in cache
+_WELCH_BLOCK_SAMPLES = 2**17
 
 
 @dataclass(frozen=True)
@@ -97,12 +115,24 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
             f"need at least {2 * nfft} samples for nfft={nfft}, got {len(x)}")
     fs = 1.0 / trace.sample_period_s
     noverlap = int(overlap_fraction * nfft)
-    freqs, power = signal.welch(
-        x - x.mean(), fs=fs, window="hann", nperseg=nfft, noverlap=noverlap,
-        nfft=nfft, detrend=False, return_onesided=True, scaling="density")
     step = nfft - noverlap
     n_segments = (len(x) - noverlap) // step
-    return PsdEstimate(freqs, power, n_segments, nfft)
+    stft = signal.ShortTimeFFT(signal.get_window("hann", nfft), step, fs,
+                               fft_mode="onesided", mfft=nfft,
+                               scale_to="psd", phase_shift=None)
+    mean = x.mean()
+    segments = sliding_window_view(x, nfft)[::step][:n_segments]
+    rows = max(1, _WELCH_BLOCK_SAMPLES // nfft)
+    # bins x segments, so the mean below is welch's pairwise sum
+    power = np.empty((nfft // 2 + 1, n_segments))
+    for s0 in range(0, n_segments, rows):
+        block = segments[s0:s0 + rows] - mean
+        block *= stft.win
+        spectra = fft.rfft(block)
+        out = power[:, s0:s0 + rows].T
+        np.add(spectra.real**2, spectra.imag**2, out=out)
+        out[:, 1:-1] *= 2  # one-sided: fold in the negative frequencies
+    return PsdEstimate(stft.f, power.mean(axis=-1), n_segments, nfft)
 
 
 def bandwidth_3db(psd: PsdEstimate,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, MissingMetadataError
-from .params import AdcSpec, SystemParams
+from .params import AdcSpec, SystemParams, as_int
 from .simulate import AnalogTrace, QuantizedTrace
 
 FORMAT_TAG = "lpnqrng-trace/1"
@@ -85,7 +85,7 @@ def read_analog_trace(path: str | Path) -> tuple[AnalogTrace, dict]:
     if meta.get("kind") != "analog":
         raise InvalidParameterError(f"{path} is not an analog trace")
     n_samples, sample_period_s, label = _fields(
-        path, meta, n_samples=int, sample_period_s=float, label=str)
+        path, meta, n_samples=as_int, sample_period_s=float, label=str)
     samples = np.fromfile(path, dtype=_ANALOG_DTYPE).astype(np.float64)
     if len(samples) != n_samples:
         raise InvalidParameterError(
@@ -117,7 +117,7 @@ def read_quantized_trace(path: str | Path) -> tuple[QuantizedTrace, dict]:
     if meta.get("kind") != "codes":
         raise InvalidParameterError(f"{path} is not a code trace")
     n_samples, sample_period_s, adc = _fields(
-        path, meta, n_samples=int, sample_period_s=float,
+        path, meta, n_samples=as_int, sample_period_s=float,
         adc=AdcSpec.from_dict)
     codes = np.fromfile(path, dtype=_CODES_DTYPE).astype(np.int16)
     if len(codes) != n_samples:

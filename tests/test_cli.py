@@ -99,6 +99,30 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
         one_error_line(capsys, "invalid-parameter")
 
+    @pytest.mark.parametrize("cfg,key", [
+        ({"sim": {"n_samples": 4096.7}}, "sim.n_samples"),
+        ({"sim": {"n_samples": True}}, "sim.n_samples"),
+        ({"sim": {"master_seed": False}}, "sim.master_seed"),
+        ({"system": {"adc": {"bits": 8.5}}}, "system.adc.bits"),
+    ], ids=["fraction", "true", "false", "adc-bits-fraction"])
+    def test_non_integer_config_value(self, tmp_path, capsys, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                   "--n-samples", 4096, "--config", path,
+                   "--out-dir", tmp_path / "out") == 2
+        assert key in one_error_line(capsys, "invalid-parameter")
+
+    def test_integral_float_config_value(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sim": {"n_samples": 4096.0}}))
+        out = tmp_path / "run"
+        assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                   "--config", path, "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["resolved_config"]["sim"]["n_samples"] == 4096
+        assert report["results"]["trace_samples"] == 4096 - 65
+
 
 class TestPsd:
     def test_on_simulated_trace(self, tmp_path):
@@ -147,6 +171,18 @@ class TestPsd:
             side.write_text(json.dumps(meta))
         else:
             side.write_bytes(corrupt)
+        assert run("psd", "--trace", path, "--out-dir", tmp_path) == 3
+        one_error_line(capsys, "missing-metadata")
+
+    @pytest.mark.parametrize("value", [8.7, True],
+                             ids=["fraction", "true"])
+    def test_non_integer_sidecar_n_samples(self, tmp_path, capsys, value):
+        path = tmp_path / "q.f64"
+        write_analog_trace(path, AnalogTrace(np.zeros(8), 1e-10, "quantum"))
+        side = tmp_path / "q.f64.meta.json"
+        meta = json.loads(side.read_text())
+        meta["n_samples"] = value
+        side.write_text(json.dumps(meta))
         assert run("psd", "--trace", path, "--out-dir", tmp_path) == 3
         one_error_line(capsys, "missing-metadata")
 
@@ -232,6 +268,36 @@ class TestEntropy:
         assert run("entropy", "--config", cfg, "--codes", out / "codes.i16") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["resolved_config"]["mode"] == "empirical"
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_samples", 4.5), ("n_samples", True), ("adc", {"bits": 8.5,
+                                                          "range": 1.0}),
+        ("adc", {"bits": True, "range": 1.0})],
+        ids=["n-samples-fraction", "n-samples-true", "adc-bits-fraction",
+             "adc-bits-true"])
+    def test_non_integer_sidecar_field(self, tmp_path, capsys, adc8, field,
+                                       value):
+        path = tmp_path / "c.i16"
+        write_quantized_trace(
+            path, QuantizedTrace(np.zeros(4, np.int16), adc8, 1e-10))
+        side = tmp_path / "c.i16.meta.json"
+        meta = json.loads(side.read_text())
+        meta[field] = value
+        side.write_text(json.dumps(meta))
+        assert run("entropy", "--codes", path) == 3
+        one_error_line(capsys, "missing-metadata")
+
+    @pytest.mark.parametrize("flag,value", [("--amplitude", 0.5),
+                                            ("--adc-bits", 8),
+                                            ("--adc-range", 1.0)])
+    def test_codes_reject_converter_flags(self, tmp_path, capsys, adc8, flag,
+                                          value):
+        # the code trace carries its own converter; a flag would be ignored
+        path = tmp_path / "c.i16"
+        write_quantized_trace(
+            path, QuantizedTrace(np.zeros(4, np.int16), adc8, 1e-10))
+        assert run("entropy", "--codes", path, flag, value) == 2
+        one_error_line(capsys, "ambiguous-input")
 
 
 NFFT_FAST = ["--nfft", 1024, "--n-samples", 2**15]
@@ -414,3 +480,29 @@ class TestResolver:
             run(command, *required.get(command, []), flag, "1")
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n-samples", "abc"],
+        ["simulate", "--bogus"],
+        ["psd"],
+        [],
+        ["nosuch"],
+        ["entropy", "--format", "xml"],
+        ["extract", "--codes", "c.i16", "--n-in"],
+    ], ids=["malformed", "unknown", "missing-required", "no-command",
+            "unknown-command", "bad-choice", "missing-value"])
+    def test_bad_command_line_is_one_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        one_error_line(capsys, "invalid-parameter")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["psd", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from lpnqrng.rng import bit_stream, derive_seed, gaussian_stream, raw_stream
+from lpnqrng.rng import (
+    _GAUSS_BLOCK,
+    bit_stream,
+    derive_seed,
+    gaussian_stream,
+    raw_stream,
+)
+
+B = _GAUSS_BLOCK
 
 
 def test_gaussian_stream_deterministic():
@@ -23,6 +32,15 @@ def test_gaussian_stream_prefix_stability():
     long = gaussian_stream(7, 1000)
     short = gaussian_stream(7, 10)
     assert np.array_equal(long[:10], short)
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+def test_gaussian_stream_matches_formula(n):
+    # the blocked stream is the documented formula on one raw stream
+    expected = ndtri(((raw_stream(11, n) >> np.uint64(11)) + 0.5) * 2.0**-53)
+    z = gaussian_stream(11, n)
+    assert z.dtype == np.float64 and z.shape == (n,)
+    assert np.array_equal(z, expected)
 
 
 def test_raw_stream_is_64_bit():

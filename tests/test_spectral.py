@@ -1,12 +1,13 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.ndimage import uniform_filter1d
 
-from lpnqrng import bandwidth_3db, estimate_psd
+from lpnqrng import bandwidth_3db, estimate_psd, gaussian_stream
 from lpnqrng.errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
 from lpnqrng.simulate import AnalogTrace
-from lpnqrng.spectral import PsdEstimate
+from lpnqrng.spectral import _WELCH_BLOCK_SAMPLES, PsdEstimate
 
 from conftest import TAU_S, quantum_trace, white_trace
 
@@ -74,6 +75,28 @@ class TestEstimatePsd:
         sel = (psd.freqs > f0 - 15e6) & (psd.freqs < f0 + 15e6)
         f_null = psd.freqs[sel][np.argmin(sm[sel])]
         assert abs(f_null - f0) < 10e6
+
+    @pytest.mark.parametrize("nfft", [256, 1024, 8192])
+    @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("blocks", ["block-1", "block", "block+1",
+                                        "2block+1"])
+    def test_matches_scipy_welch_bit_for_bit(self, nfft, overlap, blocks):
+        rows = max(1, _WELCH_BLOCK_SAMPLES // nfft)
+        n_segments = {"block-1": rows - 1, "block": rows, "block+1": rows + 1,
+                      "2block+1": 2 * rows + 1}[blocks]
+        noverlap = int(overlap * nfft)
+        step = nfft - noverlap
+        # a partial hop at the end that no segment covers
+        n = noverlap + n_segments * step + step // 3
+        x = 0.3 * gaussian_stream(nfft + n_segments, n) + 0.05
+        trace = AnalogTrace(x, TAU_S, "measured")
+        psd = estimate_psd(trace, nfft, overlap)
+        freqs, power = signal.welch(
+            x - x.mean(), FS, "hann", nperseg=nfft, noverlap=noverlap,
+            nfft=nfft, detrend=False, return_onesided=True, scaling="density")
+        assert psd.n_segments == n_segments
+        assert np.array_equal(psd.freqs, freqs)
+        assert np.array_equal(psd.power, power)
 
     def test_too_short(self):
         q = quantum_trace(9.5e6, 25, 2**12, seed=1)
