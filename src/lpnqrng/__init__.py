@@ -42,14 +42,13 @@ from .optimizer import (
     evaluate_point,
     sweep,
 )
-from .params import AdcSpec, SystemParams
+from .params import AdcSpec, SystemParams, delay_index
 from .rng import derive_seed, gaussian_stream
 from .simulate import (
     AnalogTrace,
     PhasePath,
     QuantizedTrace,
     add_electronic_noise,
-    delay_index,
     quantize,
     quantum_noise,
     sample_phase_path,

@@ -50,7 +50,7 @@ from .extractor import (
     unpack_bytes_to_bits,
 )
 from .optimizer import SimSettings, SweepGrid, sweep
-from .params import DEFAULT_N_SAMPLES, AdcSpec, SystemParams, as_int
+from .params import DEFAULT_N_SAMPLES, AdcSpec, SystemParams, as_float, as_int
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -61,7 +61,6 @@ from .rng import (
 from .simulate import (
     TWO_PI,
     add_electronic_noise,
-    delay_index,
     quantize,
     quantum_noise,
     sample_phase_path,
@@ -155,11 +154,11 @@ def _lookup(cfg: dict, path: str):
 def _coerce(path: str, value):
     kind = _KEYS[path][1]
     try:
-        if kind is int:
-            return as_int(value)
         if kind in (str, list) and not isinstance(value, kind):
             raise TypeError
-        return [float(v) for v in value] if kind is list else kind(value)
+        if kind is list:
+            return [as_float(v) for v in value]
+        return {int: as_int, float: as_float, str: str}[kind](value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(
             f"{path} must be {kind.__name__}, got {value!r}") from None
@@ -261,7 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"got {quantize_source!r}")
     out = _out_dir(args)
 
-    k = delay_index(system.delay_s, system.sample_period_s)
+    k = system.delay_samples
     phase_seed = derive_seed(master_seed, STREAM_PHASE)
     ele_seed = derive_seed(master_seed, STREAM_ELECTRONIC)
     path = sample_phase_path(system.linewidth_hz, system.sample_period_s,

@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveVarianceError,
     VarianceOutOfRangeError,
 )
-from .params import AdcSpec
+from .params import AdcSpec, non_negative, positive
 from .rng import derive_seed, gaussian_stream
 from .simulate import QuantizedTrace, TWO_PI
 
@@ -49,19 +49,19 @@ class EntropyReport:
 
 def phase_variance(linewidth_hz: float, delay_s: float) -> float:
     """Phase-difference variance 2*pi*linewidth*delay in rad^2."""
-    if linewidth_hz < 0 or delay_s < 0:
-        raise InvalidParameterError("linewidth and delay must be >= 0")
+    non_negative("linewidth_hz", linewidth_hz)
+    non_negative("delay_s", delay_s)
     return TWO_PI * (linewidth_hz * delay_s)
 
 
 def _validate_model(sigma2: float, amplitude: float, adc: AdcSpec) -> None:
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2!r}")
-    _validate_amplitude(amplitude, adc)
+    positive("sigma2", sigma2, NonPositiveVarianceError)
+    validate_amplitude(amplitude, adc)
 
 
-def _validate_amplitude(amplitude: float, adc: AdcSpec) -> None:
-    if not (0 < amplitude <= adc.range - adc.delta / 2):
+def validate_amplitude(amplitude: float, adc: AdcSpec) -> None:
+    """The model's rule: 0 < amplitude <= range - delta/2, so no clipping."""
+    if positive("amplitude", amplitude) > adc.range - adc.delta / 2:
         raise InvalidParameterError(
             f"amplitude must be in (0, range - delta/2] = (0, "
             f"{adc.range - adc.delta / 2}], got {amplitude!r}")
@@ -154,7 +154,7 @@ def analytic_min_entropy(sigma2: float, amplitude: float,
     NonPositiveVarianceError.
     """
     if sigma2 == 0.0:
-        _validate_amplitude(amplitude, adc)
+        validate_amplitude(amplitude, adc)
         return EntropyReport(p_c=1.0, p_r=0.0, p_max=1.0, h_min=0.0,
                              sigma2=sigma2, method=METHOD_ANALYTIC)
     pc = p_center(sigma2, amplitude, adc)
@@ -218,10 +218,8 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
 
 def forward_variance(sigma2: float, amplitude: float) -> float:
     """Quantum-noise variance A^2/2 * (1 - exp(-2*sigma2)) in V^2."""
-    if sigma2 < 0:
-        raise InvalidParameterError(f"sigma2 must be >= 0, got {sigma2!r}")
-    if amplitude <= 0:
-        raise InvalidParameterError(f"amplitude must be > 0, got {amplitude!r}")
+    non_negative("sigma2", sigma2)
+    positive("amplitude", amplitude)
     return 0.5 * amplitude * amplitude * -math.expm1(-2.0 * sigma2)
 
 
@@ -233,10 +231,8 @@ def invert_variance(sigma_q2: float, amplitude: float) -> float:
     mean the amplitude is misestimated or the data does not follow the
     model, and raise VarianceOutOfRangeError.
     """
-    if amplitude <= 0:
-        raise InvalidParameterError(f"amplitude must be > 0, got {amplitude!r}")
-    if sigma_q2 < 0:
-        raise InvalidParameterError(f"sigma_q2 must be >= 0, got {sigma_q2!r}")
+    positive("amplitude", amplitude)
+    non_negative("sigma_q2", sigma_q2)
     limit = 0.5 * amplitude * amplitude
     if sigma_q2 >= limit:
         raise VarianceOutOfRangeError(
@@ -247,8 +243,8 @@ def invert_variance(sigma_q2: float, amplitude: float) -> float:
 def quantum_variance_from_measurement(sigma_m2: float,
                                       sigma_c2: float) -> float:
     """Quantum-noise variance as measured minus classical variance."""
-    if sigma_c2 < 0 or sigma_m2 < 0:
-        raise InvalidParameterError("variances must be >= 0")
+    non_negative("sigma_m2", sigma_m2)
+    non_negative("sigma_c2", sigma_c2)
     if sigma_c2 > sigma_m2:
         raise ClassicalExceedsMeasuredError(
             f"classical variance {sigma_c2} exceeds measured {sigma_m2}")

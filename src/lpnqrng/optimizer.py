@@ -18,11 +18,13 @@ from .entropy import (
     analytic_min_entropy,
     empirical_min_entropy,
     phase_variance,
+    validate_amplitude,
 )
 from .errors import InvalidParameterError, LpnError
-from .params import DEFAULT_N_SAMPLES, SystemParams
+from .params import (DEFAULT_N_SAMPLES, SystemParams, check_n_samples,
+                     check_plateau_bins, check_welch, positive)
 from .rng import derive_seed
-from .simulate import delay_index, quantize, quantum_noise, sample_phase_path
+from .simulate import quantize, quantum_noise, sample_phase_path
 from .spectral import (
     DEFAULT_NFFT,
     DEFAULT_OVERLAP,
@@ -40,7 +42,8 @@ class SimSettings:
     """Per-evaluation simulation controls.
 
     ``seed`` is the stream seed of a single evaluation; in a sweep it
-    acts as the master seed from which per-point seeds are derived.
+    acts as the master seed from which per-point seeds are derived. The
+    rest is checked here, by the simulator's and the estimator's rules.
     """
 
     n_samples: int = DEFAULT_N_SAMPLES
@@ -48,6 +51,18 @@ class SimSettings:
     overlap_fraction: float = DEFAULT_OVERLAP
     plateau_bins: int = DEFAULT_PLATEAU_BINS
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_n_samples(self.n_samples)
+        check_welch(self.nfft, self.overlap_fraction)
+        check_plateau_bins(self.plateau_bins, self.nfft // 2 + 1)
+
+
+def _check_method(entropy_method: str) -> None:
+    if entropy_method not in (METHOD_ANALYTIC, METHOD_EMPIRICAL):
+        raise InvalidParameterError(
+            f"entropy_method must be 'analytic' or 'empirical', "
+            f"got {entropy_method!r}")
 
 
 @dataclass(frozen=True)
@@ -65,14 +80,14 @@ class SweepGrid:
                              ("delays_s", self.delays_s)):
             if not values:
                 raise InvalidParameterError(f"{name} must be nonempty")
-            if any(v <= 0 for v in values):
-                raise InvalidParameterError(f"{name} must be strictly positive")
+            for v in values:
+                positive(name, v)
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise InvalidParameterError(f"{name} must be strictly increasing")
-        if self.entropy_method not in (METHOD_ANALYTIC, METHOD_EMPIRICAL):
-            raise InvalidParameterError(
-                f"entropy_method must be 'analytic' or 'empirical', "
-                f"got {self.entropy_method!r}")
+        _check_method(self.entropy_method)
+        if self.entropy_method == METHOD_ANALYTIC:
+            # every point would fail the model's amplitude rule
+            validate_amplitude(self.base.amplitude, self.base.adc)
 
 
 @dataclass(frozen=True)
@@ -123,22 +138,18 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
     the sample-rounded one, in analytic mode; in empirical mode it is
     measured from the quantized quantum trace itself.
     """
+    _check_method(entropy_method)
     params = base.with_design(linewidth_hz, delay_s)
-    k = delay_index(delay_s, params.sample_period_s)
     path = sample_phase_path(linewidth_hz, params.sample_period_s,
                              sim.n_samples, sim.seed)
-    q = quantum_noise(path, k, params.amplitude)
+    q = quantum_noise(path, params.delay_samples, params.amplitude)
     bw = bandwidth_3db(estimate_psd(q, sim.nfft, sim.overlap_fraction),
                        sim.plateau_bins)
     if entropy_method == METHOD_ANALYTIC:
         h = analytic_min_entropy(phase_variance(linewidth_hz, delay_s),
                                  params.amplitude, params.adc).h_min
-    elif entropy_method == METHOD_EMPIRICAL:
-        h = empirical_min_entropy(quantize(q, params.adc)).h_min
     else:
-        raise InvalidParameterError(
-            f"entropy_method must be 'analytic' or 'empirical', "
-            f"got {entropy_method!r}")
+        h = empirical_min_entropy(quantize(q, params.adc)).h_min
     b = bw.b_es_hz
     return SweepPoint(linewidth_hz=linewidth_hz, delay_s=delay_s, b_es_hz=b,
                       h_min_bits=h, k_bits_per_s=2.0 * b * h, f_s_hz=2.0 * b,

@@ -1,11 +1,17 @@
-"""Physical and digitizer parameters for one design point."""
+"""Parameter rules, and the physical and digitizer parameters of a design.
+
+This module owns the parameter rules. Each is one function, called where
+the value enters: a JSON reader, a typed settings object, or a public
+function. The two range rules for physical reals reject NaN and +-inf.
+"""
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .errors import InvalidParameterError
+from .errors import DelayTooSmallError, InvalidParameterError
 
 #: Default signal peak as a fraction of the ADC range. 21/32 is exactly
 #: representable in binary, leaves headroom below the top of the
@@ -33,6 +39,66 @@ def as_int(value) -> int:
     return int(value)
 
 
+def as_float(value) -> float:
+    """A real read from JSON: an int or a float, never a boolean or a string.
+
+    Raises TypeError where ``float()`` would accept ``true`` or ``"9.5e6"``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def positive(name: str, value: float, error=InvalidParameterError) -> float:
+    """``value`` if it is > 0 and finite; raises ``error`` otherwise."""
+    if not (value > 0 and math.isfinite(value)):
+        raise error(f"{name} must be > 0 and finite, got {value!r}")
+    return value
+
+
+def non_negative(name: str, value: float, error=InvalidParameterError) -> float:
+    """``value`` if it is >= 0 and finite; raises ``error`` otherwise."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise error(f"{name} must be >= 0 and finite, got {value!r}")
+    return value
+
+
+def check_n_samples(n_samples: int) -> None:
+    """A phase path holds the theta(0) = 0 origin and at least one step."""
+    if n_samples < 2:
+        raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
+
+
+def check_welch(nfft: int, overlap_fraction: float) -> None:
+    """Welch segments: a power-of-two length and an overlap in [0, 1)."""
+    if nfft < 2 or (nfft & (nfft - 1)) != 0:
+        raise InvalidParameterError(f"nfft must be a power of two, got {nfft}")
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise InvalidParameterError(
+            f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
+
+
+def check_plateau_bins(plateau_bins: int, n_bins: int) -> None:
+    """The plateau reference spans bins 1 .. plateau_bins of n_bins."""
+    if not 1 <= plateau_bins < n_bins:
+        raise InvalidParameterError(
+            f"plateau_bins must be in [1, {n_bins - 1}], got {plateau_bins}")
+
+
+def delay_index(delay_s: float, sample_period_s: float) -> int:
+    """Delay expressed in samples: round(delay / tau_s), ties away from zero.
+
+    Raises DelayTooSmallError when the delay rounds below one sample.
+    """
+    positive("delay_s", delay_s)
+    positive("sample_period_s", sample_period_s)
+    k = math.floor(non_negative("delay in samples", delay_s / sample_period_s) + 0.5)
+    if k < 1:
+        raise DelayTooSmallError(
+            f"delay {delay_s} s rounds to {k} samples at tau_s={sample_period_s} s")
+    return k
+
+
 @dataclass(frozen=True)
 class AdcSpec:
     """An n-bit converter covering [-range - delta/2, range - delta/2].
@@ -49,9 +115,7 @@ class AdcSpec:
         if not isinstance(self.bits, int) or not 2 <= self.bits <= 16:
             raise InvalidParameterError(
                 f"adc bits must be an integer in [2, 16], got {self.bits!r}")
-        if not (self.range > 0 and math.isfinite(self.range)):
-            raise InvalidParameterError(
-                f"adc range must be positive and finite, got {self.range!r}")
+        positive("adc.range", self.range)
 
     @property
     def delta(self) -> float:
@@ -78,7 +142,7 @@ class AdcSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdcSpec":
-        return cls(bits=as_int(d["bits"]), range=float(d["range"]))
+        return cls(bits=as_int(d["bits"]), range=as_float(d["range"]))
 
 
 @dataclass(frozen=True)
@@ -100,30 +164,13 @@ class SystemParams:
     def __post_init__(self) -> None:
         if self.amplitude is None:
             object.__setattr__(self, "amplitude", self.adc.default_amplitude())
-        if not (self.linewidth_hz >= 0 and math.isfinite(self.linewidth_hz)):
-            raise InvalidParameterError(
-                f"linewidth_hz must be >= 0, got {self.linewidth_hz!r}")
-        if not (self.delay_s > 0 and math.isfinite(self.delay_s)):
-            raise InvalidParameterError(
-                f"delay_s must be > 0, got {self.delay_s!r}")
-        if not (self.sample_period_s > 0 and math.isfinite(self.sample_period_s)):
-            raise InvalidParameterError(
-                f"sample_period_s must be > 0, got {self.sample_period_s!r}")
-        if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
-            raise InvalidParameterError(
-                f"amplitude must be > 0, got {self.amplitude!r}")
-        if not (self.sigma_ele >= 0 and math.isfinite(self.sigma_ele)):
-            raise InvalidParameterError(
-                f"sigma_ele must be >= 0, got {self.sigma_ele!r}")
-        # k >= 1 after rounding; delegated so the error message is shared
-        from .simulate import delay_index
+        non_negative("linewidth_hz", self.linewidth_hz)
+        positive("amplitude", self.amplitude)
+        non_negative("sigma_ele", self.sigma_ele)
+        self.delay_samples  # checks delay_s, sample_period_s and k >= 1
 
-        delay_index(self.delay_s, self.sample_period_s)
-
-    @property
+    @cached_property
     def delay_samples(self) -> int:
-        from .simulate import delay_index
-
         return delay_index(self.delay_s, self.sample_period_s)
 
     def with_design(self, linewidth_hz: float, delay_s: float) -> "SystemParams":
@@ -143,10 +190,10 @@ class SystemParams:
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
         return cls(
-            linewidth_hz=float(d["linewidth_hz"]),
-            delay_s=float(d["delay_s"]),
-            amplitude=None if d.get("amplitude") is None else float(d["amplitude"]),
-            sigma_ele=float(d.get("sigma_ele", DEFAULT_SIGMA_ELE)),
-            sample_period_s=float(d.get("sample_period_s", DEFAULT_SAMPLE_PERIOD_S)),
+            linewidth_hz=as_float(d["linewidth_hz"]),
+            delay_s=as_float(d["delay_s"]),
+            amplitude=None if d.get("amplitude") is None else as_float(d["amplitude"]),
+            sigma_ele=as_float(d.get("sigma_ele", DEFAULT_SIGMA_ELE)),
+            sample_period_s=as_float(d.get("sample_period_s", DEFAULT_SAMPLE_PERIOD_S)),
             adc=AdcSpec.from_dict(d["adc"]) if "adc" in d else AdcSpec(),
         )

@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DelayTooSmallError,
-    InvalidParameterError,
-    PathTooShortError,
-)
-from .params import AdcSpec
+from .errors import InvalidParameterError, PathTooShortError
+# delay_index lives with the other rules; it is re-exported from here
+from .params import AdcSpec, check_n_samples, delay_index, non_negative, positive
 from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
@@ -63,6 +60,7 @@ class AnalogTrace:
         if self.label not in (LABEL_QUANTUM, LABEL_MEASURED):
             raise InvalidParameterError(
                 f"trace label must be 'quantum' or 'measured', got {self.label!r}")
+        positive("sample_period_s", self.sample_period_s)
         object.__setattr__(self, "samples",
                            _freeze(np.asarray(self.samples, dtype=np.float64)))
 
@@ -79,6 +77,7 @@ class QuantizedTrace:
     sample_period_s: float
 
     def __post_init__(self) -> None:
+        positive("sample_period_s", self.sample_period_s)
         codes = np.asarray(self.codes, dtype=np.int16)
         if codes.size and (codes.min() < self.adc.code_min
                            or codes.max() > self.adc.code_max):
@@ -106,14 +105,9 @@ def sample_phase_path(linewidth_hz: float, sample_period_s: float,
         64-bit stream seed; same seed and parameters reproduce the
         path bit for bit.
     """
-    if not (linewidth_hz >= 0 and math.isfinite(linewidth_hz)):
-        raise InvalidParameterError(f"linewidth_hz must be >= 0, got {linewidth_hz!r}")
-    if not (sample_period_s > 0 and math.isfinite(sample_period_s)):
-        raise InvalidParameterError(
-            f"sample_period_s must be > 0, got {sample_period_s!r}")
-    if n_samples < 2:
-        raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
-    std = math.sqrt(TWO_PI * linewidth_hz * sample_period_s)
+    check_n_samples(n_samples)
+    std = math.sqrt(TWO_PI * non_negative("linewidth_hz", linewidth_hz)
+                    * positive("sample_period_s", sample_period_s))
     out = np.empty(n_samples)
     out[0] = 0.0
     if std == 0.0:
@@ -125,23 +119,6 @@ def sample_phase_path(linewidth_hz: float, sample_period_s: float,
     return PhasePath(out, sample_period_s)
 
 
-def delay_index(delay_s: float, sample_period_s: float) -> int:
-    """Delay expressed in samples: round(delay / tau_s), ties away from zero.
-
-    Raises DelayTooSmallError when the delay rounds below one sample.
-    """
-    if not (delay_s > 0 and math.isfinite(delay_s)):
-        raise InvalidParameterError(f"delay_s must be > 0, got {delay_s!r}")
-    if not (sample_period_s > 0 and math.isfinite(sample_period_s)):
-        raise InvalidParameterError(
-            f"sample_period_s must be > 0, got {sample_period_s!r}")
-    k = int(math.floor(delay_s / sample_period_s + 0.5))
-    if k < 1:
-        raise DelayTooSmallError(
-            f"delay {delay_s} s rounds to {k} samples at tau_s={sample_period_s} s")
-    return k
-
-
 def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     """Delayed self-interference output A*sin(theta[m+k] - theta[m]).
 
@@ -150,8 +127,7 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     """
     if k < 1:
         raise InvalidParameterError(f"delay index must be >= 1, got {k}")
-    if not (amplitude > 0 and math.isfinite(amplitude)):
-        raise InvalidParameterError(f"amplitude must be > 0, got {amplitude!r}")
+    positive("amplitude", amplitude)
     theta = path.samples
     if len(theta) <= k:
         raise PathTooShortError(
@@ -165,9 +141,7 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
 def add_electronic_noise(trace: AnalogTrace, sigma_ele: float,
                          seed: int) -> AnalogTrace:
     """Measured signal M = Q + C with i.i.d. zero-mean Gaussian C."""
-    if not (sigma_ele >= 0 and math.isfinite(sigma_ele)):
-        raise InvalidParameterError(f"sigma_ele must be >= 0, got {sigma_ele!r}")
-    if sigma_ele == 0.0:
+    if non_negative("sigma_ele", sigma_ele) == 0.0:
         m = trace.samples.copy()
     else:
         m = gaussian_stream(seed, len(trace))

@@ -29,6 +29,7 @@ from scipy import fft, signal
 from scipy.ndimage import uniform_filter1d
 
 from .errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
+from .params import check_plateau_bins, check_welch
 from .simulate import AnalogTrace
 
 DEFAULT_NFFT = 8192
@@ -104,11 +105,7 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
         Nyquist. Integrating the density recovers the sample variance
         (Parseval) up to leakage-level error.
     """
-    if nfft < 2 or (nfft & (nfft - 1)) != 0:
-        raise InvalidParameterError(f"nfft must be a power of two, got {nfft}")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise InvalidParameterError(
-            f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
+    check_welch(nfft, overlap_fraction)
     x = trace.samples
     if len(x) < 2 * nfft:
         raise TraceTooShortError(
@@ -148,9 +145,7 @@ def bandwidth_3db(psd: PsdEstimate,
     n = len(psd.freqs)
     if n == 0:
         raise EmptyPsdError("psd has no bins")
-    if not 1 <= plateau_bins < n:
-        raise InvalidParameterError(
-            f"plateau_bins must be in [1, {n - 1}], got {plateau_bins}")
+    check_plateau_bins(plateau_bins, n)
     power = psd.power
     reference = float(np.median(power[1:plateau_bins + 1]))
     smoothed = uniform_filter1d(power, size=SMOOTH_BINS, mode="nearest")

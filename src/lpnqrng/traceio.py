@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, MissingMetadataError
-from .params import AdcSpec, SystemParams, as_int
+from .params import AdcSpec, SystemParams, as_float, as_int, positive
 from .simulate import AnalogTrace, QuantizedTrace
 
 FORMAT_TAG = "lpnqrng-trace/1"
@@ -27,11 +27,28 @@ def _sidecar(path: Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def _write_meta(path: Path, meta: dict) -> None:
+def _write(path: str | Path, data: np.ndarray, dtype: str,
+           trace: AnalogTrace | QuantizedTrace, system: SystemParams | None,
+           seed: int | None, **fields) -> None:
+    """``data`` as raw ``dtype`` at ``path``, and its sidecar."""
+    path = Path(path)
+    data.astype(dtype).tofile(path)
+    meta = {"format": FORMAT_TAG, "dtype": dtype, "n_samples": len(data),
+            "sample_period_s": trace.sample_period_s, "seed": seed,
+            "system": None if system is None else system.to_dict(), **fields}
     _sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _read_meta(path: Path) -> dict:
+def _read(path: str | Path, kind: str, dtype: str,
+          **converters) -> tuple[np.ndarray, list, dict]:
+    """A ``kind`` trace's raw data, its sample period and other sidecar
+    values (each read by its converter), and the sidecar, checked once.
+
+    A sidecar that is missing, is not a FORMAT_TAG JSON object, or lacks
+    a value or holds one its converter rejects raises MissingMetadataError;
+    a trace of another kind or length raises InvalidParameterError.
+    """
+    path = Path(path)
     side = _sidecar(path)
     if not side.exists():
         raise MissingMetadataError(f"no metadata sidecar at {side}")
@@ -40,88 +57,49 @@ def _read_meta(path: Path) -> dict:
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
         raise MissingMetadataError(f"{side} is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format") != FORMAT_TAG:
-        raise MissingMetadataError(
-            f"{side} is not a {FORMAT_TAG} sidecar")
-    return meta
-
-
-def _fields(path: Path, meta: dict, **converters) -> list:
-    """Each named sidecar value passed through its converter, in order.
-
-    A missing key, or a value its converter rejects, means the sidecar
-    does not describe the trace and raises MissingMetadataError.
-    """
+        raise MissingMetadataError(f"{side} is not a {FORMAT_TAG} sidecar")
+    if meta.get("kind") != kind:
+        raise InvalidParameterError(f"{path} is not a {kind!r} trace")
+    converters = {"n_samples": as_int, "sample_period_s":
+                  lambda v: positive("sample_period_s", as_float(v)),
+                  **converters}
     values = []
     for key, convert in converters.items():
         try:
             values.append(convert(meta[key]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                InvalidParameterError) as exc:
             raise MissingMetadataError(
-                f"{_sidecar(path)}: {key!r} is missing or malformed "
-                f"({exc!r})") from exc
-    return values
+                f"{side}: {key!r} is missing or malformed ({exc!r})") from exc
+    n_samples, *values = values
+    data = np.fromfile(path, dtype=dtype)
+    if len(data) != n_samples:
+        raise InvalidParameterError(
+            f"{path}: expected {n_samples} samples, found {len(data)}")
+    return data, values, meta
 
 
 def write_analog_trace(path: str | Path, trace: AnalogTrace,
                        system: SystemParams | None = None,
                        seed: int | None = None) -> None:
-    path = Path(path)
-    trace.samples.astype(_ANALOG_DTYPE).tofile(path)
-    _write_meta(path, {
-        "format": FORMAT_TAG,
-        "kind": "analog",
-        "dtype": _ANALOG_DTYPE,
-        "n_samples": len(trace),
-        "sample_period_s": trace.sample_period_s,
-        "label": trace.label,
-        "system": None if system is None else system.to_dict(),
-        "seed": seed,
-    })
+    _write(path, trace.samples, _ANALOG_DTYPE, trace, system, seed,
+           kind="analog", label=trace.label)
 
 
 def read_analog_trace(path: str | Path) -> tuple[AnalogTrace, dict]:
-    path = Path(path)
-    meta = _read_meta(path)
-    if meta.get("kind") != "analog":
-        raise InvalidParameterError(f"{path} is not an analog trace")
-    n_samples, sample_period_s, label = _fields(
-        path, meta, n_samples=as_int, sample_period_s=float, label=str)
-    samples = np.fromfile(path, dtype=_ANALOG_DTYPE).astype(np.float64)
-    if len(samples) != n_samples:
-        raise InvalidParameterError(
-            f"{path}: expected {n_samples} samples, found {len(samples)}")
-    trace = AnalogTrace(samples, sample_period_s, label)
-    return trace, meta
+    samples, (sample_period_s, label), meta = _read(
+        path, "analog", _ANALOG_DTYPE, label=str)
+    return AnalogTrace(samples.astype(np.float64), sample_period_s, label), meta
 
 
 def write_quantized_trace(path: str | Path, trace: QuantizedTrace,
                           system: SystemParams | None = None,
                           seed: int | None = None) -> None:
-    path = Path(path)
-    trace.codes.astype(_CODES_DTYPE).tofile(path)
-    _write_meta(path, {
-        "format": FORMAT_TAG,
-        "kind": "codes",
-        "dtype": _CODES_DTYPE,
-        "n_samples": len(trace),
-        "sample_period_s": trace.sample_period_s,
-        "adc": trace.adc.to_dict(),
-        "system": None if system is None else system.to_dict(),
-        "seed": seed,
-    })
+    _write(path, trace.codes, _CODES_DTYPE, trace, system, seed,
+           kind="codes", adc=trace.adc.to_dict())
 
 
 def read_quantized_trace(path: str | Path) -> tuple[QuantizedTrace, dict]:
-    path = Path(path)
-    meta = _read_meta(path)
-    if meta.get("kind") != "codes":
-        raise InvalidParameterError(f"{path} is not a code trace")
-    n_samples, sample_period_s, adc = _fields(
-        path, meta, n_samples=as_int, sample_period_s=float,
-        adc=AdcSpec.from_dict)
-    codes = np.fromfile(path, dtype=_CODES_DTYPE).astype(np.int16)
-    if len(codes) != n_samples:
-        raise InvalidParameterError(
-            f"{path}: expected {n_samples} samples, found {len(codes)}")
-    trace = QuantizedTrace(codes, adc, sample_period_s)
-    return trace, meta
+    codes, (sample_period_s, adc), meta = _read(
+        path, "codes", _CODES_DTYPE, adc=AdcSpec.from_dict)
+    return QuantizedTrace(codes.astype(np.int16), adc, sample_period_s), meta

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lpnqrng import AdcSpec, QuantizedTrace, gaussian_stream
+from lpnqrng import AdcSpec, QuantizedTrace, gaussian_stream, optimizer
 from lpnqrng.cli import main
 from lpnqrng.simulate import AnalogTrace
 from lpnqrng.traceio import (
@@ -104,7 +104,11 @@ class TestSimulate:
         ({"sim": {"n_samples": True}}, "sim.n_samples"),
         ({"sim": {"master_seed": False}}, "sim.master_seed"),
         ({"system": {"adc": {"bits": 8.5}}}, "system.adc.bits"),
-    ], ids=["fraction", "true", "false", "adc-bits-fraction"])
+        ({"system": {"amplitude": True}}, "system.amplitude"),
+        ({"system": {"sigma_ele": False}}, "system.sigma_ele"),
+        ({"system": {"linewidth_hz": "9.5e6"}}, "system.linewidth_hz"),
+    ], ids=["fraction", "true", "false", "adc-bits-fraction", "amplitude-true",
+            "sigma-ele-false", "linewidth-string"])
     def test_non_integer_config_value(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -186,6 +190,26 @@ class TestPsd:
         assert run("psd", "--trace", path, "--out-dir", tmp_path) == 3
         one_error_line(capsys, "missing-metadata")
 
+    @pytest.mark.parametrize("value", [True, "1e-10", 0.0, -1.0, math.nan],
+                             ids=["true", "string", "zero", "negative", "nan"])
+    @pytest.mark.parametrize("command", ["psd", "entropy"])
+    def test_bad_sidecar_sample_period(self, tmp_path, capsys, adc8, command,
+                                       value):
+        path = tmp_path / "t"
+        if command == "psd":
+            write_analog_trace(path, AnalogTrace(np.zeros(8), 1e-10, "quantum"))
+            argv = ["psd", "--trace", path, "--out-dir", tmp_path / "out"]
+        else:
+            write_quantized_trace(
+                path, QuantizedTrace(np.zeros(8, np.int16), adc8, 1e-10))
+            argv = ["entropy", "--codes", path]
+        side = tmp_path / "t.meta.json"
+        meta = json.loads(side.read_text())
+        meta["sample_period_s"] = value
+        side.write_text(json.dumps(meta))
+        assert run(*argv) == 3
+        assert "sample_period_s" in one_error_line(capsys, "missing-metadata")
+
 
 class TestEntropy:
     def test_analytic_design_mode(self, capsys):
@@ -226,6 +250,15 @@ class TestEntropy:
 
     def test_variance_mode_out_of_range(self):
         assert run("entropy", "--sigma-q2", 0.5, "--amplitude", 1.0) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["--sigma-q2", "inf"], ["--sigma-q2", "nan"],
+        ["--linewidth-hz", "nan", "--delay-s", 6.5e-9],
+        ["--linewidth-hz", 9.5e6, "--delay-s", "inf"]],
+        ids=["sigma-q2-inf", "sigma-q2-nan", "linewidth-nan", "delay-inf"])
+    def test_non_finite_flag(self, capsys, argv):
+        assert run("entropy", *argv) == 2
+        one_error_line(capsys, "invalid-parameter")
 
     def test_ambiguous_input(self, tmp_path):
         assert run("entropy", "--linewidth-hz", 1e6, "--delay-s", 1e-9,
@@ -341,6 +374,48 @@ class TestSweep:
     def test_missing_grid(self, tmp_path):
         assert run("sweep", "--out-dir", tmp_path) == 2
 
+    @pytest.fixture
+    def simulated(self, monkeypatch):
+        """The number of phase paths the sweep simulates."""
+        calls = []
+        real = optimizer.sample_phase_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "sample_phase_path", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["--nfft", 1000], ["--overlap", 1.5], ["--plateau-bins", 0],
+        ["--n-samples", 1], ["--amplitude", 1.0],
+        ["--linewidths-hz", 1e7, "nan"], ["--linewidths-hz", 1e7, "inf"]],
+        ids=["nfft", "overlap", "plateau-bins", "n-samples", "amplitude",
+             "linewidth-nan", "linewidth-inf"])
+    def test_setting_invalid_for_every_point(self, tmp_path, capsys, simulated,
+                                             argv):
+        assert run("sweep", "--linewidths-hz", 5e6, 9.5e6,
+                   "--delays-s", 2.5e-9, 6.5e-9, "--seed", 4,
+                   "--out-dir", tmp_path / "out", *NFFT_FAST, *argv) == 2
+        one_error_line(capsys, "invalid-parameter")
+        assert len(simulated) == 0
+        assert not (tmp_path / "out").exists()
+
+    def test_point_dependent_failures_stay_per_point(self, tmp_path, simulated):
+        # at 2**15 samples: k = 31000 leaves 1768 < 2 * nfft trace samples,
+        # and k = 40000 is longer than the path
+        out = tmp_path / "s"
+        assert run("sweep", "--linewidths-hz", 9.5e6,
+                   "--delays-s", 0.04e-9, 2.5e-9, 3.1e-6, 4e-6, "--seed", 4,
+                   "--out-dir", out, *NFFT_FAST) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [f["error"] for f in report["results"]["failures"]] == [
+            "delay-too-small", "trace-too-short", "path-too-short"]
+        assert len(simulated) == 3
+        assert run("sweep", "--linewidths-hz", 9.5e6, "--delays-s", 3.1e-6,
+                   4e-6, "--out-dir", tmp_path / "all", *NFFT_FAST) == 4
+
 
 class TestExtract:
     def _codes_file(self, tmp_path, n_codes=256, seed=21):
@@ -425,6 +500,15 @@ class TestInvertVariance:
                    "--amplitude", 1.0, "--format", "csv") == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "sigma_q2,sigma2_rad2,linewidth_delay_product"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma-m2", "nan"), ("--sigma-c2", "nan"), ("--amplitude", "nan"),
+        ("--amplitude", "inf")])
+    def test_non_finite_input(self, capsys, flag, value):
+        argv = {"--sigma-m2": 0.416060, "--sigma-c2": 0.1, "--amplitude": 1.0,
+                flag: value}
+        assert run("invert-variance", *[a for kv in argv.items() for a in kv]) == 2
+        one_error_line(capsys, "invalid-parameter")
 
 
 class TestResolver:

@@ -90,6 +90,10 @@ class TestSweep:
             fast_grid(linewidths_hz=(0.0, 9.5e6))
         with pytest.raises(InvalidParameterError):
             fast_grid(entropy_method="nope")
+        with pytest.raises(InvalidParameterError):
+            fast_grid(linewidths_hz=(9.5e6, float("nan")))
+        with pytest.raises(InvalidParameterError):
+            fast_grid(delays_s=(2.5e-9, float("inf")))
 
     def test_failures_are_recorded_not_raised(self):
         # a delay below half a sample period fails at that point only

@@ -83,6 +83,8 @@ class TestDelayIndex:
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             delay_index(-1.0, 1.0)
+        with pytest.raises(InvalidParameterError):
+            delay_index(1e300, 1e-300)  # overflows to an infinite index
 
 
 class TestQuantumNoise:

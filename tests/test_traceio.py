@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -119,8 +120,9 @@ def test_fuzzed_sidecar_raises_only_package_errors(tmp_path_factory, kind):
     def check(raw):
         side.write_bytes(raw)
         try:
-            read(path)
+            trace, _ = read(path)
         except LpnError:
-            pass
+            return
+        assert trace.sample_period_s > 0 and math.isfinite(trace.sample_period_s)
 
     check()
