@@ -2,10 +2,12 @@
 
 Subcommands: simulate, psd, entropy, sweep, extract, invert-variance.
 Each registers only the flags it reads. The four that take --config
-resolve it in one place (defaults, then --config JSON, then flags);
-every run echoes its resolved form in a JSON report and derives all
-stream seeds from one master seed, so re-running a report's
-configuration reproduces the primary outputs byte for byte.
+resolve it in one place (defaults, then --config JSON, then flags).
+Commands compute and main reports: a command returns the body of its
+report, and main times it, writes report.json and prints it. Every
+report echoes the resolved configuration, and all stream seeds derive
+from one master seed, so re-running a report's configuration
+reproduces the primary outputs byte for byte.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 domain error
 (model-inconsistent inputs such as an out-of-range variance).
@@ -18,11 +20,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .entropy import (
-    EntropyReport,
     METHOD_ANALYTIC,
     METHOD_EMPIRICAL,
     analytic_min_entropy,
@@ -203,53 +202,30 @@ def _system(system: dict) -> SystemParams:
 
 # ---------------------------------------------------------------- output
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
-def _write_report(out_dir: Path, report: dict, name: str = "report.json") -> Path:
-    path = out_dir / name
-    path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _report_skeleton(command: str, resolved_config: dict) -> dict:
-    return {
-        "tool": {"name": "lpnqrng", "version": __version__,
-                 "gf2_backend": GF2_BACKEND},
-        "command": command,
-        "resolved_config": resolved_config,
-    }
-
-
-def _entropy_dict(rep: EntropyReport) -> dict:
-    return {"p_c": rep.p_c, "p_r": rep.p_r, "p_max": rep.p_max,
-            "h_min_bits": rep.h_min, "sigma2_rad2": rep.sigma2,
-            "method": rep.method}
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):  # 17 digits round-trip every float64
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
 
 
 # ------------------------------------------------------------- commands
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args: argparse.Namespace) -> dict:
     conf = _resolve(args, "system", "sim", "quantize_source")
     system = _system(conf["system"])
     n_samples, master_seed = conf["sim"]["n_samples"], conf["sim"]["master_seed"]
@@ -277,56 +253,46 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_analog_trace(m_path, m, system=system, seed=master_seed)
     write_quantized_trace(c_path, codes, system=system, seed=master_seed)
 
-    resolved = {**conf, "system": system.to_dict()}
-    report = _report_skeleton("simulate", resolved)
-    report["seeds"] = {"master": master_seed, "phase": phase_seed,
-                       "electronic": ele_seed}
-    report["results"] = {
-        "delay_samples": k,
-        "trace_samples": len(q),
-        "files": {"quantum": str(q_path), "measured": str(m_path),
-                  "codes": str(c_path)},
+    return {
+        "resolved_config": {**conf, "system": system.to_dict()},
+        "seeds": {"master": master_seed, "phase": phase_seed,
+                  "electronic": ele_seed},
+        "results": {
+            "delay_samples": k,
+            "trace_samples": len(q),
+            "files": {"quantum": str(q_path), "measured": str(m_path),
+                      "codes": str(c_path)},
+        },
+        "summary": f"wrote {q_path} {m_path} {c_path} ({len(q)} samples)",
     }
-    report["timing_s"] = {"total": time.perf_counter() - t0}
-    rp = _write_report(out, report)
-    print(f"wrote {q_path} {m_path} {c_path} ({len(q)} samples); report {rp}")
-    return 0
 
 
-def cmd_psd(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_psd(args: argparse.Namespace) -> dict:
     spectral_cfg = _resolve(args, "spectral")["spectral"]
-    out = _out_dir(args)
+    csv_path = _out_dir(args) / "psd.csv"
     trace, meta = read_analog_trace(args.trace)
     psd = estimate_psd(trace, spectral_cfg["nfft"],
                        spectral_cfg["overlap_fraction"])
     bw = bandwidth_3db(psd, spectral_cfg["plateau_bins"])
-
-    csv_path = out / "psd.csv"
-    lines = ["freq_hz,power_v2_per_hz"]
-    lines += [f"{_fmt(f)},{_fmt(p)}" for f, p in zip(psd.freqs, psd.power)]
-    csv_path.write_text("\n".join(lines) + "\n")
-
-    resolved = {"trace": str(args.trace), "spectral": spectral_cfg}
-    report = _report_skeleton("psd", resolved)
-    report["results"] = {
-        "n_segments": psd.n_segments,
-        "nyquist_hz": psd.nyquist_hz,
-        "bandwidth": {"b_es_hz": bw.b_es_hz,
-                      "reference_level": bw.reference_level,
-                      "saturated": bw.saturated},
-        "trace_label": meta.get("label"),
-        "files": {"psd_csv": str(csv_path)},
+    csv_path.write_text(_csv(["freq_hz", "power_v2_per_hz"],
+                             zip(psd.freqs, psd.power)))
+    return {
+        "resolved_config": {"trace": str(args.trace), "spectral": spectral_cfg},
+        "results": {
+            "n_segments": psd.n_segments,
+            "nyquist_hz": psd.nyquist_hz,
+            "bandwidth": {"b_es_hz": bw.b_es_hz,
+                          "reference_level": bw.reference_level,
+                          "saturated": bw.saturated},
+            "trace_label": meta.get("label"),
+            "files": {"psd_csv": str(csv_path)},
+        },
+        "summary": f"b_es_hz={_cell(bw.b_es_hz)} saturated={bw.saturated}; "
+                   f"csv {csv_path}",
     }
-    report["timing_s"] = {"total": time.perf_counter() - t0}
-    rp = _write_report(out, report)
-    print(f"b_es_hz={_fmt(bw.b_es_hz)} saturated={bw.saturated}; "
-          f"csv {csv_path}; report {rp}")
-    return 0
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_entropy(args: argparse.Namespace) -> dict:
     system = _resolve(args, "system")["system"]
     # a design point in the config is the default mode; only flags can clash
     design_flags = (getattr(args, "system.linewidth_hz") is not None
@@ -347,12 +313,11 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         resolved = {"mode": "empirical", "codes": str(args.codes),
                     "adc": qt.adc.to_dict()}
         if args.histogram_csv:
-            counts = code_histogram(qt)
-            codes_axis = np.arange(qt.adc.code_min, qt.adc.code_max + 1)
-            lines = ["code,count,frequency"]
-            lines += [f"{c},{n},{_fmt(n / len(qt))}"
-                      for c, n in zip(codes_axis, counts)]
-            Path(args.histogram_csv).write_text("\n".join(lines) + "\n")
+            counts = code_histogram(qt).tolist()
+            Path(args.histogram_csv).write_text(_csv(
+                ["code", "count", "frequency"],
+                [(code, n, n / len(qt)) for code, n in
+                 zip(range(qt.adc.code_min, qt.adc.code_max + 1), counts)]))
             histogram = str(args.histogram_csv)
     else:
         adc = AdcSpec.from_dict(system["adc"])
@@ -371,25 +336,15 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         resolved.update({"amplitude": amplitude, "adc": adc.to_dict()})
         rep = analytic_min_entropy(sigma2, amplitude, adc)
 
-    report = _report_skeleton("entropy", resolved)
-    report["results"] = _entropy_dict(rep)
+    results = {"p_c": rep.p_c, "p_r": rep.p_r, "p_max": rep.p_max,
+               "h_min_bits": rep.h_min, "sigma2_rad2": rep.sigma2,
+               "method": rep.method}
     if histogram:
-        report["results"]["files"] = {"histogram_csv": histogram}
-    report["timing_s"] = {"total": time.perf_counter() - t0}
-    if args.format == "csv":
-        print("p_c,p_r,p_max,h_min_bits,sigma2_rad2,method")
-        print(f"{_fmt(rep.p_c)},{_fmt(rep.p_r)},{_fmt(rep.p_max)},"
-              f"{_fmt(rep.h_min)},"
-              f"{'' if rep.sigma2 is None else _fmt(rep.sigma2)},{rep.method}")
-    else:
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    if args.out_dir is not None:
-        _write_report(_out_dir(args), report)
-    return 0
+        results["files"] = {"histogram_csv": histogram}
+    return {"resolved_config": resolved, "results": results}
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_sweep(args: argparse.Namespace) -> dict:
     conf = _resolve(args, "system", "sim", "spectral", "sweep",
                     "entropy_method")
     linewidths = conf["sweep"].get("linewidths_hz")
@@ -421,48 +376,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise AllPointsFailedError(
             f"all {len(grid.linewidths_hz) * len(grid.delays_s)} points failed")
 
-    out = _out_dir(args)
-    csv_path = out / "sweep.csv"
-    lines = ["linewidth_hz,delay_s,b_es_hz,h_min_bits,k_bits_per_s,f_s_hz,saturated"]
-    for p in result.points:
-        lines.append(
-            f"{_fmt(p.linewidth_hz)},{_fmt(p.delay_s)},{_fmt(p.b_es_hz)},"
-            f"{_fmt(p.h_min_bits)},{_fmt(p.k_bits_per_s)},{_fmt(p.f_s_hz)},"
-            f"{'true' if p.saturated else 'false'}")
-    csv_path.write_text("\n".join(lines) + "\n")
-
-    resolved = {
-        **conf,
-        "system": system.to_dict(),
-        "sweep": {"linewidths_hz": list(linewidths), "delays_s": list(delays)},
-    }
-    report = _report_skeleton("sweep", resolved)
-    report["seeds"] = {
-        "master": sim["master_seed"],
-        "per_point": [
+    csv_path = _out_dir(args) / "sweep.csv"
+    rows = [p.to_dict() for p in result.points]
+    csv_path.write_text(_csv(list(rows[0]), [row.values() for row in rows]))
+    b = result.best
+    return {
+        "resolved_config": {**conf, "system": system.to_dict(), "sweep": {
+            "linewidths_hz": list(linewidths), "delays_s": list(delays)}},
+        "seeds": {"master": sim["master_seed"], "per_point": [
             {"linewidth_hz": lw, "delay_s": d,
              "seed": derive_seed(sim["master_seed"], i, j)}
-            for i, lw in enumerate(linewidths) for j, d in enumerate(delays)],
+            for i, lw in enumerate(linewidths) for j, d in enumerate(delays)]},
+        "results": {
+            "best": b.to_dict(),
+            "ties": [p.to_dict() for p in result.ties],
+            "n_points": len(result.points),
+            "failures": [{"linewidth_hz": f.linewidth_hz, "delay_s": f.delay_s,
+                          "error": f.error_code, "message": f.message}
+                         for f in result.failures],
+            "files": {"sweep_csv": str(csv_path)},
+        },
+        "summary": f"best: linewidth_hz={_cell(b.linewidth_hz)} "
+                   f"delay_s={_cell(b.delay_s)} "
+                   f"k_bits_per_s={_cell(b.k_bits_per_s)}; csv {csv_path}",
     }
-    report["results"] = {
-        "best": result.best.to_dict(),
-        "ties": [p.to_dict() for p in result.ties],
-        "n_points": len(result.points),
-        "failures": [{"linewidth_hz": f.linewidth_hz, "delay_s": f.delay_s,
-                      "error": f.error_code, "message": f.message}
-                     for f in result.failures],
-        "files": {"sweep_csv": str(csv_path)},
-    }
-    report["timing_s"] = {"total": time.perf_counter() - t0}
-    rp = _write_report(out, report)
-    b = result.best
-    print(f"best: linewidth_hz={_fmt(b.linewidth_hz)} delay_s={_fmt(b.delay_s)} "
-          f"k_bits_per_s={_fmt(b.k_bits_per_s)}; csv {csv_path}; report {rp}")
-    return 0
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_extract(args: argparse.Namespace) -> dict:
     out = _out_dir(args)
     qt, _ = read_quantized_trace(args.codes)
     n_in = args.n_in
@@ -498,41 +438,31 @@ def cmd_extract(args: argparse.Namespace) -> int:
         sanity["runs_p"] = runs_test(bits)
         sanity["passed_at_0.01"] = bool(min(sanity["monobit_p"],
                                             sanity["runs_p"]) > 0.01)
-    resolved = {"codes": str(args.codes), "n_in": n_in, "n_out": n_out,
-                "adc_bits": qt.adc.bits, "seed_source": seed_source}
-    report = _report_skeleton("extract", resolved)
-    report["results"] = {
-        "n_blocks": int(bits.size // n_out) if n_out else 0,
-        "output_bits": int(bits.size),
-        "bits_per_input_sample": n_out * qt.adc.bits / n_in,
-        "zero_seed": zero_seed,
-        "sanity": sanity,
-        "files": {"random_bits": str(bits_path)},
+    return {
+        "resolved_config": {"codes": str(args.codes), "n_in": n_in,
+                            "n_out": n_out, "adc_bits": qt.adc.bits,
+                            "seed_source": seed_source},
+        "results": {
+            "n_blocks": int(bits.size // n_out) if n_out else 0,
+            "output_bits": int(bits.size),
+            "bits_per_input_sample": n_out * qt.adc.bits / n_in,
+            "zero_seed": zero_seed,
+            "sanity": sanity,
+            "files": {"random_bits": str(bits_path)},
+        },
+        "summary": f"extracted {bits.size} bits -> {bits_path}",
     }
-    report["timing_s"] = {"total": time.perf_counter() - t0}
-    rp = _write_report(out, report)
-    print(f"extracted {bits.size} bits -> {bits_path}; report {rp}")
-    return 0
 
 
-def cmd_invert_variance(args: argparse.Namespace) -> int:
+def cmd_invert_variance(args: argparse.Namespace) -> dict:
     sigma_q2 = quantum_variance_from_measurement(args.sigma_m2, args.sigma_c2)
-    amplitude = args.amplitude
-    sigma2 = invert_variance(sigma_q2, amplitude)
-    product = sigma2 / TWO_PI
-    resolved = {"sigma_m2": args.sigma_m2, "sigma_c2": args.sigma_c2,
-                "amplitude": amplitude}
-    report = _report_skeleton("invert-variance", resolved)
-    report["results"] = {"sigma_q2": sigma_q2, "sigma2_rad2": sigma2,
-                         "linewidth_delay_product": product}
-    if args.format == "csv":
-        print("sigma_q2,sigma2_rad2,linewidth_delay_product")
-        print(f"{_fmt(sigma_q2)},{_fmt(sigma2)},{_fmt(product)}")
-    else:
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    if args.out_dir is not None:
-        _write_report(_out_dir(args), report)
-    return 0
+    sigma2 = invert_variance(sigma_q2, args.amplitude)
+    return {
+        "resolved_config": {"sigma_m2": args.sigma_m2, "sigma_c2": args.sigma_c2,
+                            "amplitude": args.amplitude},
+        "results": {"sigma_q2": sigma_q2, "sigma2_rad2": sigma2,
+                    "linewidth_delay_product": sigma2 / TWO_PI},
+    }
 
 
 # --------------------------------------------------------------- parser
@@ -638,11 +568,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(args: argparse.Namespace, body: dict, t0: float) -> None:
+    """Complete a command's report, write it to --out-dir if there is
+    one, and print the command's summary with the report's path, or else
+    the report as JSON or, with --format csv, one row of its scalar results.
+    """
+    summary = body.pop("summary", None)
+    report = {"tool": {"name": "lpnqrng", "version": __version__,
+                       "gf2_backend": GF2_BACKEND},
+              "command": args.command, **body,
+              "timing_s": {"total": time.perf_counter() - t0}}
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if args.out_dir is not None:
+        path = _out_dir(args) / "report.json"
+        path.write_text(text + "\n")
+    if summary is not None:
+        print(f"{summary}; report {path}")
+    elif getattr(args, "format", "json") == "csv":
+        scalars = {key: value for key, value in report["results"].items()
+                   if not isinstance(value, (dict, list))}
+        print(_csv(list(scalars), [scalars.values()]), end="")
+    else:
+        print(text)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        _report(args, args.func(args), t0)
     except LpnError as exc:
         print(f"lpnqrng: error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -652,6 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"lpnqrng: error: io: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ from .simulate import QuantizedTrace, TWO_PI
 METHOD_ANALYTIC = "analytic"
 METHOD_EMPIRICAL = "empirical"
 
+#: samples per monte_carlo_code_histogram chunk; each chunk draws from its
+#: own derived seed, so this size is part of the histogram's stream
+_MC_CHUNK = 2**22
+
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -187,8 +191,7 @@ def empirical_min_entropy(qt: QuantizedTrace) -> EntropyReport:
 
 
 def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
-                               n_samples: int, seed: int,
-                               chunk: int = 2**22) -> np.ndarray:
+                               n_samples: int, seed: int) -> np.ndarray:
     """Histogram of quantized A*sin(dtheta) for i.i.d. dtheta ~ N(0, sigma2).
 
     Brute-force sampler used as an independent check of the analytic
@@ -204,7 +207,7 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
     done = 0
     part = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_MC_CHUNK, n_samples - done)
         theta = gaussian_stream(derive_seed(seed, part), m) * sigma
         q = amplitude * np.sin(theta)
         codes = np.ceil(q / adc.delta - 0.5)

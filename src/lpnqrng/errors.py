@@ -15,7 +15,6 @@ class LpnError(Exception):
 
 class InvalidParameterError(LpnError):
     code = "invalid-parameter"
-    exit_code = 2
 
 
 class DelayTooSmallError(InvalidParameterError):
@@ -24,47 +23,38 @@ class DelayTooSmallError(InvalidParameterError):
 
 class PathTooShortError(LpnError):
     code = "path-too-short"
-    exit_code = 2
 
 
 class TraceTooShortError(LpnError):
     code = "trace-too-short"
-    exit_code = 2
 
 
 class EmptyTraceError(LpnError):
     code = "empty-trace"
-    exit_code = 2
 
 
 class EmptyPsdError(LpnError):
     code = "empty-psd"
-    exit_code = 2
 
 
 class InvalidBinError(LpnError):
     code = "invalid-bin"
-    exit_code = 2
 
 
 class NonPositiveVarianceError(LpnError):
     code = "non-positive-variance"
-    exit_code = 2
 
 
 class LengthMismatchError(LpnError):
     code = "length-mismatch"
-    exit_code = 2
 
 
 class TooFewBitsError(LpnError):
     code = "too-few-bits"
-    exit_code = 2
 
 
 class AmbiguousInputError(LpnError):
     code = "ambiguous-input"
-    exit_code = 2
 
 
 class MissingMetadataError(LpnError):

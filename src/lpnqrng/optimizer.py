@@ -10,7 +10,7 @@ isolation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .entropy import (
     METHOD_ANALYTIC,
@@ -101,15 +101,7 @@ class SweepPoint:
     saturated: bool
 
     def to_dict(self) -> dict:
-        return {
-            "linewidth_hz": self.linewidth_hz,
-            "delay_s": self.delay_s,
-            "b_es_hz": self.b_es_hz,
-            "h_min_bits": self.h_min_bits,
-            "k_bits_per_s": self.k_bits_per_s,
-            "f_s_hz": self.f_s_hz,
-            "saturated": self.saturated,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 from .errors import DelayTooSmallError, InvalidParameterError
@@ -138,7 +138,7 @@ class AdcSpec:
         return DEFAULT_AMPLITUDE_FRACTION * self.range
 
     def to_dict(self) -> dict:
-        return {"bits": self.bits, "range": self.range}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdcSpec":
@@ -178,14 +178,7 @@ class SystemParams:
         return replace(self, linewidth_hz=linewidth_hz, delay_s=delay_s)
 
     def to_dict(self) -> dict:
-        return {
-            "linewidth_hz": self.linewidth_hz,
-            "delay_s": self.delay_s,
-            "amplitude": self.amplitude,
-            "sigma_ele": self.sigma_ele,
-            "sample_period_s": self.sample_period_s,
-            "adc": self.adc.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, MissingMetadataError
 from .params import AdcSpec, SystemParams, as_float, as_int, positive
-from .simulate import AnalogTrace, QuantizedTrace
+from .simulate import (LABEL_MEASURED, LABEL_QUANTUM, AnalogTrace,
+                       QuantizedTrace)
 
 FORMAT_TAG = "lpnqrng-trace/1"
 _ANALOG_DTYPE = "<f8"
@@ -79,6 +80,12 @@ def _read(path: str | Path, kind: str, dtype: str,
     return data, values, meta
 
 
+def _label(value) -> str:
+    if value not in (LABEL_QUANTUM, LABEL_MEASURED):
+        raise ValueError(f"not {LABEL_QUANTUM!r} or {LABEL_MEASURED!r}")
+    return value
+
+
 def write_analog_trace(path: str | Path, trace: AnalogTrace,
                        system: SystemParams | None = None,
                        seed: int | None = None) -> None:
@@ -88,8 +95,8 @@ def write_analog_trace(path: str | Path, trace: AnalogTrace,
 
 def read_analog_trace(path: str | Path) -> tuple[AnalogTrace, dict]:
     samples, (sample_period_s, label), meta = _read(
-        path, "analog", _ANALOG_DTYPE, label=str)
-    return AnalogTrace(samples.astype(np.float64), sample_period_s, label), meta
+        path, "analog", _ANALOG_DTYPE, label=_label)
+    return AnalogTrace(samples, sample_period_s, label), meta
 
 
 def write_quantized_trace(path: str | Path, trace: QuantizedTrace,
@@ -102,4 +109,4 @@ def write_quantized_trace(path: str | Path, trace: QuantizedTrace,
 def read_quantized_trace(path: str | Path) -> tuple[QuantizedTrace, dict]:
     codes, (sample_period_s, adc), meta = _read(
         path, "codes", _CODES_DTYPE, adc=AdcSpec.from_dict)
-    return QuantizedTrace(codes.astype(np.int16), adc, sample_period_s), meta
+    return QuantizedTrace(codes, adc, sample_period_s), meta

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,18 @@ class TestPsd:
         side.write_text(json.dumps(meta))
         assert run("psd", "--trace", path, "--out-dir", tmp_path) == 3
         one_error_line(capsys, "missing-metadata")
+
+    @pytest.mark.parametrize("value", [5, None, "bogus", ["quantum"]],
+                             ids=["number", "null", "unknown", "list"])
+    def test_bad_sidecar_label(self, tmp_path, capsys, value):
+        path = tmp_path / "q.f64"
+        write_analog_trace(path, AnalogTrace(np.zeros(8), 1e-10, "quantum"))
+        side = tmp_path / "q.f64.meta.json"
+        meta = json.loads(side.read_text())
+        meta["label"] = value
+        side.write_text(json.dumps(meta))
+        assert run("psd", "--trace", path, "--out-dir", tmp_path) == 3
+        assert "label" in one_error_line(capsys, "missing-metadata")
 
     @pytest.mark.parametrize("value", [True, "1e-10", 0.0, -1.0, math.nan],
                              ids=["true", "string", "zero", "negative", "nan"])
@@ -509,6 +525,101 @@ class TestInvertVariance:
                 flag: value}
         assert run("invert-variance", *[a for kv in argv.items() for a in kv]) == 2
         one_error_line(capsys, "invalid-parameter")
+
+
+class TestReport:
+    """Every command's report is completed, written and printed by main."""
+
+    SIM = ["--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+           "--sample-period-s", 6.5e-9, "--n-samples", 4096]
+
+    @pytest.fixture
+    def codes(self, tmp_path):
+        """A code trace of 4095 samples, one per delay."""
+        assert run("simulate", *self.SIM, "--out-dir", tmp_path / "sim") == 0
+        return tmp_path / "sim"
+
+    @pytest.mark.parametrize("command", ["simulate", "psd", "entropy", "sweep",
+                                         "extract", "invert-variance"])
+    def test_every_command_reports_the_same_keys(self, tmp_path, capsys, codes,
+                                                 command):
+        argv = {
+            "simulate": self.SIM,
+            "psd": ["--trace", codes / "quantum.f64", "--nfft", 256],
+            "entropy": ["--codes", codes / "codes.i16"],
+            "sweep": ["--linewidths-hz", 9.5e6, "--delays-s", 2.5e-9,
+                      *NFFT_FAST],
+            "extract": ["--codes", codes / "codes.i16", "--n-in", 2048,
+                        "--n-out", 1800],
+            "invert-variance": ["--sigma-m2", 0.41606, "--sigma-c2", 0.1,
+                                "--amplitude", 1],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(command, *argv, "--out-dir", out) == 0
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        seeds = {"seeds"} if command in ("simulate", "sweep") else set()
+        assert set(report) == {"tool", "command", "resolved_config", "results",
+                               "timing_s"} | seeds
+        assert report["command"] == command
+        assert report["timing_s"]["total"] > 0
+        stdout = capsys.readouterr().out
+        if command in ("entropy", "invert-variance"):
+            assert json.loads(stdout) == report
+        else:
+            assert stdout.endswith(f"; report {path}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9],
+        ["entropy", "--sigma-q2", 0.1, "--amplitude", 0.75],
+        ["entropy", "--codes", "CODES", "--histogram-csv", "HIST"],
+        ["invert-variance", "--sigma-m2", 0.41606, "--sigma-c2", 0.1,
+         "--amplitude", 1]], ids=["design", "variance", "codes", "invert"])
+    def test_csv_row_is_the_scalar_results(self, tmp_path, capsys, codes, argv):
+        argv = [{"CODES": codes / "codes.i16", "HIST": tmp_path / "h.csv"}
+                .get(a, a) for a in argv]
+        capsys.readouterr()
+        assert run(*argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        results.pop("files", None)
+        assert run(*argv, "--format", "csv") == 0
+        header, row = (line.split(",")
+                       for line in capsys.readouterr().out.splitlines())
+        # the JSON is printed with sorted keys; test_csv_format pins the order
+        assert sorted(header) == sorted(results) and len(row) == len(header)
+        for key, cell in zip(header, row):
+            value = results[key]
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell) == value
+
+
+class TestEntryPoint:
+    """``python -m lpnqrng`` runs main and exits with its return code."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--version"], 0),
+        (["simulate", "--n-samples", "abc"], 2),
+        (["invert-variance", "--sigma-m2", "0.41606", "--sigma-c2", "0.1",
+          "--amplitude", "1"], 0)], ids=["version", "bad-flag", "invert"])
+    def test_module_entry_point(self, argv, code):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "lpnqrng", *argv],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == code, proc.stderr
+        if argv[0] == "--version":
+            assert proc.stdout.strip()
+        elif code == 2:
+            err = proc.stderr.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("lpnqrng: error: invalid-parameter:")
+        else:
+            assert json.loads(proc.stdout)["command"] == "invert-variance"
 
 
 class TestResolver:

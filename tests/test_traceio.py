@@ -1,6 +1,8 @@
 import json
 import math
 import struct
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,31 @@ def test_truncated_data_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(InvalidParameterError):
         read_analog_trace(path)
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="trace files hold the native dtype only on "
+                           "little-endian machines")
+@pytest.mark.parametrize("kind", ["analog", "codes"])
+def test_read_keeps_the_array_read_from_disk(tmp_path, adc8, kind):
+    # the file's dtype is the trace's, so reading it makes no second copy
+    n = 2**20
+    path = tmp_path / "trace"
+    if kind == "analog":
+        write_analog_trace(path, AnalogTrace(np.zeros(n), 1e-10, "quantum"))
+        read = read_analog_trace
+    else:
+        write_quantized_trace(path, QuantizedTrace(np.zeros(n, np.int16),
+                                                   adc8, 1e-10))
+        read = read_quantized_trace
+    tracemalloc.start()
+    try:
+        trace, _ = read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = trace.samples if kind == "analog" else trace.codes
+    assert peak < 1.5 * data.nbytes, peak / data.nbytes
 
 
 _JSON = st.recursive(
