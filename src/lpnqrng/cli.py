@@ -49,7 +49,8 @@ from .extractor import (
     unpack_bytes_to_bits,
 )
 from .optimizer import SimSettings, SweepGrid, sweep
-from .params import DEFAULT_N_SAMPLES, AdcSpec, SystemParams, as_float, as_int
+from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES, AdcSpec,
+                     SystemParams, as_float, as_int, check_seed)
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -114,7 +115,8 @@ def _defaults() -> dict:
     # system defaults other than the converter live in SystemParams.from_dict
     return {
         "system": {"adc": AdcSpec().to_dict()},
-        "sim": {"n_samples": DEFAULT_N_SAMPLES, "master_seed": 1},
+        "sim": {"n_samples": DEFAULT_N_SAMPLES,
+                "master_seed": DEFAULT_MASTER_SEED},
         "spectral": {"nfft": DEFAULT_NFFT, "overlap_fraction": DEFAULT_OVERLAP,
                      "plateau_bins": DEFAULT_PLATEAU_BINS},
         "sweep": {},
@@ -229,6 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     conf = _resolve(args, "system", "sim", "quantize_source")
     system = _system(conf["system"])
     n_samples, master_seed = conf["sim"]["n_samples"], conf["sim"]["master_seed"]
+    check_seed("sim.master_seed", master_seed)
     quantize_source = conf["quantize_source"]
     if quantize_source not in ("quantum", "measured"):
         raise InvalidParameterError(
@@ -347,6 +350,7 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> dict:
     conf = _resolve(args, "system", "sim", "spectral", "sweep",
                     "entropy_method")
+    check_seed("sim.master_seed", conf["sim"]["master_seed"])
     linewidths = conf["sweep"].get("linewidths_hz")
     delays = conf["sweep"].get("delays_s")
     if not linewidths or not delays:
@@ -403,6 +407,7 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
 
 
 def cmd_extract(args: argparse.Namespace) -> dict:
+    check_seed("--seed", args.seed)
     out = _out_dir(args)
     qt, _ = read_quantized_trace(args.codes)
     n_in = args.n_in
@@ -416,9 +421,8 @@ def cmd_extract(args: argparse.Namespace) -> dict:
         seed_bits = unpack_bytes_to_bits(Path(args.seed_file).read_bytes(),
                                          n_seed_bits)
     else:
-        master = 1 if args.seed is None else args.seed
-        toeplitz_seed = derive_seed(master, STREAM_TOEPLITZ)
-        seed_source = {"derived_from_master": master,
+        toeplitz_seed = derive_seed(args.seed, STREAM_TOEPLITZ)
+        seed_source = {"derived_from_master": args.seed,
                        "toeplitz_seed": toeplitz_seed}
         seed_bits = bit_stream(toeplitz_seed, n_seed_bits)
     spec = ToeplitzSpec(input_bits=n_in, output_bits=n_out, seed_bits=seed_bits)
@@ -547,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-out", type=int, help="output block bits")
     p.add_argument("--h-min", type=float,
                    help="derive output bits from this min-entropy")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
                    help="master seed of the extractor seed (64-bit)")
     p.add_argument("--seed-file", help="raw binary extractor seed")
     p.set_defaults(func=cmd_extract)

@@ -71,36 +71,30 @@ def validate_amplitude(amplitude: float, adc: AdcSpec) -> None:
             f"{adc.range - adc.delta / 2}], got {amplitude!r}")
 
 
-def _wrapped_sine_mass(lo_arg: np.ndarray, hi_arg: np.ndarray,
-                       sigma: float) -> np.ndarray:
-    """P{sin(theta) in (lo, hi]} for theta ~ N(0, sigma^2).
+def _interval_probability(lower: np.ndarray, upper: np.ndarray, sigma2: float,
+                          amplitude: float) -> np.ndarray:
+    """P{A*sin(theta) in (lower, upper]} for theta ~ N(0, sigma2).
 
-    ``lo_arg``/``hi_arg`` are the already-clamped ratios q/A in [-1, 1].
-    The preimage of (lo, hi] under sine is the union over integers k of
+    lo and hi are the bounds over A, clamped to [-1, 1]. The preimage of
+    (lo, hi] under sine is the union over integers k of
     (asin(lo), asin(hi)] + 2*k*pi and (pi - asin(hi), pi - asin(lo)] +
     2*k*pi; the k sum is truncated once intervals lie beyond
     8*sigma + pi, where the residual Gaussian mass is below 1e-15.
     """
-    a1 = np.arcsin(lo_arg)
-    b1 = np.arcsin(hi_arg)
+    sigma = math.sqrt(sigma2)
+    lo = np.clip(np.asarray(lower, dtype=np.float64) / amplitude, -1.0, 1.0)
+    hi = np.clip(np.asarray(upper, dtype=np.float64) / amplitude, -1.0, 1.0)
+    a1 = np.arcsin(lo)
+    b1 = np.arcsin(hi)
     a2 = math.pi - b1
     b2 = math.pi - a1
     kmax = int(math.ceil((8.0 * sigma + TWO_PI) / TWO_PI)) + 1
     offsets = TWO_PI * np.arange(-kmax, kmax + 1)[:, None]
     denom = sigma * math.sqrt(2.0)
-    total = 0.5 * np.sum(
+    return 0.5 * np.sum(
         erf((b1 + offsets) / denom) - erf((a1 + offsets) / denom)
         + erf((b2 + offsets) / denom) - erf((a2 + offsets) / denom),
         axis=0)
-    return total
-
-
-def _interval_probability(lower: np.ndarray, upper: np.ndarray, sigma2: float,
-                          amplitude: float) -> np.ndarray:
-    sigma = math.sqrt(sigma2)
-    lo = np.clip(np.asarray(lower, dtype=np.float64) / amplitude, -1.0, 1.0)
-    hi = np.clip(np.asarray(upper, dtype=np.float64) / amplitude, -1.0, 1.0)
-    return _wrapped_sine_mass(lo, hi, sigma)
 
 
 def bin_probability(i: int, sigma2: float, amplitude: float,

@@ -22,6 +22,7 @@ DEFAULT_AMPLITUDE_FRACTION = 21.0 / 32.0
 DEFAULT_SAMPLE_PERIOD_S = 1e-10
 DEFAULT_SIGMA_ELE = 0.01
 DEFAULT_N_SAMPLES = 2**22
+DEFAULT_MASTER_SEED = 1
 
 
 def as_int(value) -> int:
@@ -67,6 +68,12 @@ def check_n_samples(n_samples: int) -> None:
     """A phase path holds the theta(0) = 0 origin and at least one step."""
     if n_samples < 2:
         raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
+
+
+def check_seed(name: str, seed: int) -> None:
+    """A master seed is a 64-bit stream key: an integer in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"{name} must be in [0, 2**64), got {seed}")
 
 
 def check_welch(nfft: int, overlap_fraction: float) -> None:

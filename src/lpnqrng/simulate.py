@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, PathTooShortError
-# delay_index lives with the other rules; it is re-exported from here
-from .params import AdcSpec, check_n_samples, delay_index, non_negative, positive
+from .params import AdcSpec, check_n_samples, non_negative, positive
 from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi

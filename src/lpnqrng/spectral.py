@@ -8,16 +8,16 @@ the sinc-like interference nulls of delayed self-interference from
 triggering early.
 
 ``estimate_psd`` reproduces ``scipy.signal.welch`` (mean-removed input,
-``detrend=False``, density scaling) bit for bit, but does not call it.
-SciPy's Welch goes through ``ShortTimeFFT.spectrogram``, which runs one
-FFT per segment in a Python loop and keeps every segment's complex
-spectrum, twice the size of the trace at the default overlap.
-Here the segments are a strided view of the trace, transformed a few
-rows at a time so each block stays in cache, and only their squared
-magnitudes are kept. The window and frequency axis come from the same
-``ShortTimeFFT`` that ``welch`` builds. The segment mean is taken as
-``welch`` takes it, a pairwise sum along the contiguous segment axis,
-so every bin is the same float64 value.
+``detrend=False``, density scaling) bit for bit, but keeps only squared
+magnitudes and has no per-segment Python loop: segments are a
+strided view of the trace, transformed a few rows at a time so each
+block stays in cache. With T = 1/fs, the rest is computed as welch
+computes it, so every bin is the same float64 value:
+- the periodic Hann window w = 1/2 + 1/2 cos(phi), phi the first nfft
+  of nfft + 1 even steps over [-pi, pi], and the grid rfftfreq(nfft, T);
+- the density scale 1/sqrt(S/T), S the sum of w**2 taken term by term
+  in order, as welch's builtin ``sum`` does (a pairwise sum may round
+  differently); the mean over segments, pairwise along their axis.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft, signal
+from scipy import fft
 from scipy.ndimage import uniform_filter1d
 
 from .errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
@@ -110,13 +110,12 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     if len(x) < 2 * nfft:
         raise TraceTooShortError(
             f"need at least {2 * nfft} samples for nfft={nfft}, got {len(x)}")
-    fs = 1.0 / trace.sample_period_s
+    period = 1 / (1.0 / trace.sample_period_s)  # welch's T = 1/fs
     noverlap = int(overlap_fraction * nfft)
     step = nfft - noverlap
     n_segments = (len(x) - noverlap) // step
-    stft = signal.ShortTimeFFT(signal.get_window("hann", nfft), step, fs,
-                               fft_mode="onesided", mfft=nfft,
-                               scale_to="psd", phase_shift=None)
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nfft + 1))[:-1]
+    win *= 1 / np.sqrt(np.cumsum(win**2)[-1] / period)  # sequential sum
     mean = x.mean()
     segments = sliding_window_view(x, nfft)[::step][:n_segments]
     rows = max(1, _WELCH_BLOCK_SAMPLES // nfft)
@@ -124,12 +123,13 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     power = np.empty((nfft // 2 + 1, n_segments))
     for s0 in range(0, n_segments, rows):
         block = segments[s0:s0 + rows] - mean
-        block *= stft.win
+        block *= win
         spectra = fft.rfft(block)
         out = power[:, s0:s0 + rows].T
         np.add(spectra.real**2, spectra.imag**2, out=out)
         out[:, 1:-1] *= 2  # one-sided: fold in the negative frequencies
-    return PsdEstimate(stft.f, power.mean(axis=-1), n_segments, nfft)
+    return PsdEstimate(fft.rfftfreq(nfft, period), power.mean(axis=-1),
+                       n_segments, nfft)
 
 
 def bandwidth_3db(psd: PsdEstimate,

@@ -1,6 +1,6 @@
 """Trace files: raw sample data plus a JSON metadata sidecar.
 
-Analog traces are little-endian IEEE-754 float64; code traces are
+Analog traces are finite little-endian IEEE-754 float64; code traces are
 little-endian int16 regardless of ADC resolution. Each data file
 ``<path>`` is described by ``<path>.meta.json`` recording the sampling
 period, label or ADC spec, the generating system parameters, and the
@@ -96,6 +96,9 @@ def write_analog_trace(path: str | Path, trace: AnalogTrace,
 def read_analog_trace(path: str | Path) -> tuple[AnalogTrace, dict]:
     samples, (sample_period_s, label), meta = _read(
         path, "analog", _ANALOG_DTYPE, label=_label)
+    # min and max are NaN or infinite if any sample is; no full-size temporary
+    if len(samples) and not np.isfinite([samples.min(), samples.max()]).all():
+        raise InvalidParameterError(f"{path}: a sample is NaN or infinite")
     return AnalogTrace(samples, sample_period_s, label), meta
 
 

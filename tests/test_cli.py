@@ -206,6 +206,18 @@ class TestPsd:
         assert run("psd", "--trace", path, "--out-dir", tmp_path) == 3
         assert "label" in one_error_line(capsys, "missing-metadata")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_sample(self, tmp_path, capsys, value):
+        samples = 0.1 * gaussian_stream(8, 2**12)
+        samples[1000] = value
+        path = tmp_path / "m.f64"
+        write_analog_trace(path, AnalogTrace(samples, 1e-10, "measured"))
+        assert run("psd", "--trace", path, "--nfft", 256,
+                   "--out-dir", tmp_path) == 2
+        assert str(path) in one_error_line(capsys, "invalid-parameter")
+        assert not (tmp_path / "psd.csv").exists()
+
     @pytest.mark.parametrize("value", [True, "1e-10", 0.0, -1.0, math.nan],
                              ids=["true", "string", "zero", "negative", "nan"])
     @pytest.mark.parametrize("command", ["psd", "entropy"])
@@ -598,6 +610,58 @@ class TestReport:
                 assert float(cell) == value
 
 
+class TestMasterSeed:
+    """A master seed is a 64-bit stream key, an integer in [0, 2**64). One
+    outside that range is rejected where it enters, by flag or config,
+    instead of running the stream of the seed it wraps to."""
+
+    ARGV = {
+        "simulate": ["--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                     "--sample-period-s", 6.5e-9, "--n-samples", 4096],
+        "sweep": ["--linewidths-hz", 9.5e6, "--delays-s", 2.5e-9, *NFFT_FAST],
+        "extract": ["--codes", "CODES", "--n-in", 2048, "--n-out", 1800],
+    }
+    ENTRIES = [("simulate", "flag"), ("simulate", "config"), ("sweep", "flag"),
+               ("sweep", "config"), ("extract", "flag")]
+
+    @pytest.fixture
+    def codes(self, tmp_path):
+        assert run("simulate", *self.ARGV["simulate"],
+                   "--out-dir", tmp_path / "sim") == 0
+        return tmp_path / "sim" / "codes.i16"
+
+    def run_with_seed(self, tmp_path, codes, command, source, seed):
+        argv = [codes if a == "CODES" else a for a in self.ARGV[command]]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"sim": {"master_seed": seed}}))
+            argv += ["--config", cfg]
+        else:
+            argv += ["--seed", seed]
+        return run(command, *argv, "--out-dir", tmp_path / "out")
+
+    @pytest.mark.parametrize("seed", [2**64 + 7, -5], ids=["2^64+7", "negative"])
+    @pytest.mark.parametrize("command,source", ENTRIES)
+    def test_out_of_range_rejected(self, tmp_path, capsys, codes, command,
+                                   source, seed):
+        capsys.readouterr()
+        assert self.run_with_seed(tmp_path, codes, command, source, seed) == 2
+        key = "--seed" if command == "extract" else "sim.master_seed"
+        assert key in one_error_line(capsys, "invalid-parameter")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2^64-1"])
+    @pytest.mark.parametrize("command,source", ENTRIES)
+    def test_range_ends_accepted(self, tmp_path, codes, command, source, seed):
+        assert self.run_with_seed(tmp_path, codes, command, source, seed) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        if command == "extract":
+            assert report["resolved_config"]["seed_source"][
+                "derived_from_master"] == seed
+        else:
+            assert report["seeds"]["master"] == seed
+
+
 class TestEntryPoint:
     """``python -m lpnqrng`` runs main and exits with its return code."""
 
@@ -620,6 +684,18 @@ class TestEntryPoint:
             assert err[0].startswith("lpnqrng: error: invalid-parameter:")
         else:
             assert json.loads(proc.stdout)["command"] == "invert-variance"
+
+    def test_import_loads_no_signal_or_stats(self):
+        # scipy.signal pulls in scipy.stats and some 400 more modules,
+        # most of the start-up time of every command
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import lpnqrng, sys; print(sorted("
+             "m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestResolver:
