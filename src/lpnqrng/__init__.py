@@ -12,14 +12,11 @@ __version__ = "0.1.0"
 from .entropy import (
     EntropyReport,
     analytic_min_entropy,
-    bin_probability,
     code_probabilities,
     empirical_min_entropy,
     forward_variance,
     invert_variance,
     monte_carlo_code_histogram,
-    p_boundary,
-    p_center,
     phase_variance,
     quantum_variance_from_measurement,
 )
@@ -75,7 +72,6 @@ __all__ = [
     "add_electronic_noise",
     "analytic_min_entropy",
     "bandwidth_3db",
-    "bin_probability",
     "code_probabilities",
     "delay_index",
     "derive_seed",
@@ -91,8 +87,6 @@ __all__ = [
     "monobit_test",
     "monte_carlo_code_histogram",
     "output_bits_for",
-    "p_boundary",
-    "p_center",
     "phase_variance",
     "quantize",
     "quantum_noise",

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -37,6 +38,7 @@ from .errors import (
     DelayTooSmallError,
     InvalidParameterError,
     LpnError,
+    TraceTooShortError,
 )
 from .extractor import (
     GF2_BACKEND,
@@ -50,7 +52,7 @@ from .extractor import (
 )
 from .optimizer import SimSettings, SweepGrid, sweep
 from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES, AdcSpec,
-                     SystemParams, as_float, as_int, check_seed)
+                     SystemParams, as_float, as_int, check_seed, one_of)
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -59,6 +61,7 @@ from .rng import (
     derive_seed,
 )
 from .simulate import (
+    LABELS,
     TWO_PI,
     add_electronic_noise,
     quantize,
@@ -232,11 +235,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     system = _system(conf["system"])
     n_samples, master_seed = conf["sim"]["n_samples"], conf["sim"]["master_seed"]
     check_seed("sim.master_seed", master_seed)
-    quantize_source = conf["quantize_source"]
-    if quantize_source not in ("quantum", "measured"):
-        raise InvalidParameterError(
-            f"quantize_source must be 'quantum' or 'measured', "
-            f"got {quantize_source!r}")
+    quantize_source = one_of("quantize_source", conf["quantize_source"],
+                             LABELS)
     out = _out_dir(args)
 
     k = system.delay_samples
@@ -388,9 +388,9 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
         "resolved_config": {**conf, "system": system.to_dict(), "sweep": {
             "linewidths_hz": list(linewidths), "delays_s": list(delays)}},
         "seeds": {"master": sim["master_seed"], "per_point": [
-            {"linewidth_hz": lw, "delay_s": d,
-             "seed": derive_seed(sim["master_seed"], i, j)}
-            for i, lw in enumerate(linewidths) for j, d in enumerate(delays)]},
+            {"linewidth_hz": lw, "delay_s": d, "seed": seed}
+            for (lw, d), seed in zip(product(linewidths, delays),
+                                     result.seeds)]},
         "results": {
             "best": b.to_dict(),
             "ties": [p.to_dict() for p in result.ties],
@@ -426,6 +426,10 @@ def cmd_extract(args: argparse.Namespace) -> dict:
                        "toeplitz_seed": toeplitz_seed}
         seed_bits = bit_stream(toeplitz_seed, n_seed_bits)
     spec = ToeplitzSpec(input_bits=n_in, output_bits=n_out, seed_bits=seed_bits)
+    if len(qt) * qt.adc.bits < n_in:
+        raise TraceTooShortError(
+            f"{len(qt)} codes of {qt.adc.bits} bits hold "
+            f"{len(qt) * qt.adc.bits} bits, fewer than one {n_in}-bit block")
 
     zero_seed = not bool(seed_bits.any())
     if zero_seed:
@@ -447,7 +451,7 @@ def cmd_extract(args: argparse.Namespace) -> dict:
                             "n_out": n_out, "adc_bits": qt.adc.bits,
                             "seed_source": seed_source},
         "results": {
-            "n_blocks": int(bits.size // n_out) if n_out else 0,
+            "n_blocks": int(bits.size // n_out),
             "output_bits": int(bits.size),
             "bits_per_input_sample": n_out * qt.adc.bits / n_in,
             "zero_seed": zero_seed,

@@ -4,8 +4,9 @@ The interferometer output A*sin(dtheta) maps a Gaussian phase
 difference dtheta ~ N(0, sigma2) onto [-A, A]. The probability of any
 ADC bin is the Gaussian mass of the preimage of that bin under the
 sine, a union of two interval families repeating with period 2*pi.
-Min-entropy is -log2 of the most probable code, which for this family
-of distributions is either the center bin or the topmost occupied bin.
+Min-entropy is -log2 of the most probable code (Haw et al., Phys. Rev.
+Applied 3, 054004 (2015)). The distribution is symmetric about code 0,
+so the codes 0 up to the code of A take every value it has.
 
 Variance bookkeeping for measured data lives here too: the forward map
 from phase-noise variance to quantum-noise variance, its inverse, and
@@ -22,17 +23,18 @@ from scipy.special import erf
 from .errors import (
     ClassicalExceedsMeasuredError,
     EmptyTraceError,
-    InvalidBinError,
     InvalidParameterError,
     NonPositiveVarianceError,
     VarianceOutOfRangeError,
 )
 from .params import AdcSpec, non_negative, positive
 from .rng import derive_seed, gaussian_stream
-from .simulate import QuantizedTrace, TWO_PI
+from .simulate import (LABEL_QUANTUM, TWO_PI, AnalogTrace, QuantizedTrace,
+                       quantize, quantize_value)
 
 METHOD_ANALYTIC = "analytic"
 METHOD_EMPIRICAL = "empirical"
+METHODS = (METHOD_ANALYTIC, METHOD_EMPIRICAL)
 
 #: samples per monte_carlo_code_histogram chunk; each chunk draws from its
 #: own derived seed, so this size is part of the histogram's stream
@@ -41,7 +43,7 @@ _MC_CHUNK = 2**22
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Center/boundary bin probabilities and the resulting min-entropy."""
+    """P_C, P_R, the largest code probability P_max and h = -log2(P_max)."""
 
     p_c: float
     p_r: float
@@ -75,15 +77,15 @@ def _interval_probability(lower: np.ndarray, upper: np.ndarray, sigma2: float,
                           amplitude: float) -> np.ndarray:
     """P{A*sin(theta) in (lower, upper]} for theta ~ N(0, sigma2).
 
-    lo and hi are the bounds over A, clamped to [-1, 1]. The preimage of
-    (lo, hi] under sine is the union over integers k of
+    lo and hi are the bounds clamped to [-A, A] and divided by A. The
+    preimage of (lo, hi] under sine is the union over integers k of
     (asin(lo), asin(hi)] + 2*k*pi and (pi - asin(hi), pi - asin(lo)] +
     2*k*pi; the k sum is truncated once intervals lie beyond
     8*sigma + pi, where the residual Gaussian mass is below 1e-15.
     """
     sigma = math.sqrt(sigma2)
-    lo = np.clip(np.asarray(lower, dtype=np.float64) / amplitude, -1.0, 1.0)
-    hi = np.clip(np.asarray(upper, dtype=np.float64) / amplitude, -1.0, 1.0)
+    lo = np.clip(lower, -amplitude, amplitude) / amplitude
+    hi = np.clip(upper, -amplitude, amplitude) / amplitude
     a1 = np.arcsin(lo)
     b1 = np.arcsin(hi)
     a2 = math.pi - b1
@@ -97,68 +99,42 @@ def _interval_probability(lower: np.ndarray, upper: np.ndarray, sigma2: float,
         axis=0)
 
 
-def bin_probability(i: int, sigma2: float, amplitude: float,
-                    adc: AdcSpec) -> float:
-    """Probability that the quantum noise lands in code i's bin.
-
-    The bin (i*delta - delta/2, i*delta + delta/2] is intersected with
-    the reachable range [-A, A]; bins fully outside get exactly 0.
-    """
-    _validate_model(sigma2, amplitude, adc)
-    if not (adc.code_min <= i <= adc.code_max):
-        raise InvalidBinError(
-            f"code {i} outside [{adc.code_min}, {adc.code_max}]")
+def _code_range_probabilities(first: int, last: int, sigma2: float,
+                              amplitude: float, adc: AdcSpec) -> np.ndarray:
+    """Probabilities of codes first .. last; a bin above A gets exactly 0."""
     d = adc.delta
-    mass = _interval_probability(np.array([i * d - d / 2]),
-                                 np.array([i * d + d / 2]), sigma2, amplitude)
-    return float(mass[0])
+    centers = np.arange(first, last + 1, dtype=np.float64) * d
+    return _interval_probability(centers - d / 2, centers + d / 2,
+                                 sigma2, amplitude)
 
 
 def code_probabilities(sigma2: float, amplitude: float,
                        adc: AdcSpec) -> np.ndarray:
     """Analytic probabilities for every code, in code order."""
     _validate_model(sigma2, amplitude, adc)
-    d = adc.delta
-    centers = np.arange(adc.code_min, adc.code_max + 1, dtype=np.float64) * d
-    return _interval_probability(centers - d / 2, centers + d / 2,
-                                 sigma2, amplitude)
-
-
-def boundary_code(amplitude: float, adc: AdcSpec) -> int:
-    """Topmost occupied code: round(A / delta), ties away from zero."""
-    i = int(math.floor(amplitude / adc.delta + 0.5))
-    return min(i, adc.code_max)
-
-
-def p_center(sigma2: float, amplitude: float, adc: AdcSpec) -> float:
-    """Probability of the center bin (-delta/2, delta/2]."""
-    return bin_probability(0, sigma2, amplitude, adc)
-
-
-def p_boundary(sigma2: float, amplitude: float, adc: AdcSpec) -> float:
-    """Probability of the topmost occupied bin (chi - delta/2, A]."""
-    return bin_probability(boundary_code(amplitude, adc), sigma2, amplitude, adc)
+    return _code_range_probabilities(adc.code_min, adc.code_max, sigma2,
+                                     amplitude, adc)
 
 
 def analytic_min_entropy(sigma2: float, amplitude: float,
                          adc: AdcSpec) -> EntropyReport:
-    """Min-entropy of the quantized quantum noise under the model.
+    """Min-entropy -log2(P_max) of the quantized quantum noise under the model.
 
-    The distribution is symmetric and unimodal-to-bimodal, so its peak
-    is either the center bin or one of the two boundary bins; the
-    boundary pair has equal probability, leaving h = -log2(max(P_C, P_R)).
-    Zero variance means no phase diffusion: all mass sits in the center
-    code, so P_C = 1, P_R = 0 and h = 0. Negative or NaN variance raises
-    NonPositiveVarianceError.
+    The distribution is symmetric about code 0 and has no mass above A,
+    so codes 0 (P_C) to top (P_R), the ADC's code of A, take every value
+    it has. Zero variance means no phase diffusion: all mass sits in the
+    center code, so P_C = 1, P_R = 0 and h = 0. Negative or NaN variance
+    raises NonPositiveVarianceError.
     """
     if sigma2 == 0.0:
         validate_amplitude(amplitude, adc)
         return EntropyReport(p_c=1.0, p_r=0.0, p_max=1.0, h_min=0.0,
                              sigma2=sigma2, method=METHOD_ANALYTIC)
-    pc = p_center(sigma2, amplitude, adc)
-    pr = p_boundary(sigma2, amplitude, adc)
-    p_max = max(pc, pr)
-    return EntropyReport(p_c=pc, p_r=pr, p_max=p_max,
+    _validate_model(sigma2, amplitude, adc)
+    top = quantize_value(amplitude, adc)
+    p = _code_range_probabilities(0, top, sigma2, amplitude, adc)
+    p_max = float(p.max())
+    return EntropyReport(p_c=float(p[0]), p_r=float(p[top]), p_max=p_max,
                          h_min=-math.log2(p_max), sigma2=sigma2,
                          method=METHOD_ANALYTIC)
 
@@ -173,14 +149,12 @@ def code_histogram(qt: QuantizedTrace) -> np.ndarray:
 
 def empirical_min_entropy(qt: QuantizedTrace) -> EntropyReport:
     """Plug-in min-entropy -log2(max code frequency) of a code trace."""
-    counts = code_histogram(qt)
-    n = len(qt)
-    p_max = counts.max() / n
-    p_c = counts[-qt.adc.code_min] / n
-    top = int(np.flatnonzero(counts)[-1]) + qt.adc.code_min
-    p_r = counts[top - qt.adc.code_min] / n
-    return EntropyReport(p_c=float(p_c), p_r=float(p_r), p_max=float(p_max),
-                         h_min=-math.log2(p_max), sigma2=None,
+    freq = code_histogram(qt) / len(qt)
+    p_max = float(freq.max())
+    # P_R is the frequency of the topmost occupied code
+    return EntropyReport(p_c=float(freq[-qt.adc.code_min]),
+                         p_r=float(freq[np.flatnonzero(freq)[-1]]),
+                         p_max=p_max, h_min=-math.log2(p_max), sigma2=None,
                          method=METHOD_EMPIRICAL)
 
 
@@ -189,27 +163,20 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
     """Histogram of quantized A*sin(dtheta) for i.i.d. dtheta ~ N(0, sigma2).
 
     Brute-force sampler used as an independent check of the analytic
-    bin probabilities; processes in chunks to bound memory. Chunk p
-    draws from derive_seed(seed, p), so runs with nearby seeds share no
-    chunk.
+    bin probabilities: it quantizes with the simulator's own ADC. It
+    processes in chunks to bound memory. Chunk p draws from
+    derive_seed(seed, p), so runs with nearby seeds share no chunk.
     """
     _validate_model(sigma2, amplitude, adc)
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
     sigma = math.sqrt(sigma2)
     counts = np.zeros(adc.n_codes, dtype=np.int64)
-    done = 0
-    part = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
+    for part, start in enumerate(range(0, n_samples, _MC_CHUNK)):
+        m = min(_MC_CHUNK, n_samples - start)
         theta = gaussian_stream(derive_seed(seed, part), m) * sigma
-        q = amplitude * np.sin(theta)
-        codes = np.ceil(q / adc.delta - 0.5)
-        np.clip(codes, adc.code_min, adc.code_max, out=codes)
-        counts += np.bincount(codes.astype(np.int64) - adc.code_min,
-                              minlength=adc.n_codes)
-        done += m
-        part += 1
+        trace = AnalogTrace(amplitude * np.sin(theta), 1.0, LABEL_QUANTUM)
+        counts += code_histogram(quantize(trace, adc))
     return counts
 
 

@@ -37,10 +37,6 @@ class EmptyPsdError(LpnError):
     code = "empty-psd"
 
 
-class InvalidBinError(LpnError):
-    code = "invalid-bin"
-
-
 class NonPositiveVarianceError(LpnError):
     code = "non-positive-variance"
 

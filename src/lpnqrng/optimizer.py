@@ -11,10 +11,11 @@ isolation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from itertools import product
 
 from .entropy import (
     METHOD_ANALYTIC,
-    METHOD_EMPIRICAL,
+    METHODS,
     analytic_min_entropy,
     empirical_min_entropy,
     phase_variance,
@@ -22,7 +23,7 @@ from .entropy import (
 )
 from .errors import InvalidParameterError, LpnError
 from .params import (DEFAULT_N_SAMPLES, SystemParams, check_n_samples,
-                     check_plateau_bins, check_welch, positive)
+                     check_plateau_bins, check_welch, one_of, positive)
 from .rng import derive_seed
 from .simulate import quantize, quantum_noise, sample_phase_path
 from .spectral import (
@@ -58,13 +59,6 @@ class SimSettings:
         check_plateau_bins(self.plateau_bins, self.nfft // 2 + 1)
 
 
-def _check_method(entropy_method: str) -> None:
-    if entropy_method not in (METHOD_ANALYTIC, METHOD_EMPIRICAL):
-        raise InvalidParameterError(
-            f"entropy_method must be 'analytic' or 'empirical', "
-            f"got {entropy_method!r}")
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     linewidths_hz: tuple[float, ...]
@@ -84,7 +78,7 @@ class SweepGrid:
                 positive(name, v)
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise InvalidParameterError(f"{name} must be strictly increasing")
-        _check_method(self.entropy_method)
+        one_of("entropy_method", self.entropy_method, METHODS)
         if self.entropy_method == METHOD_ANALYTIC:
             # every point would fail the model's amplitude rule
             validate_amplitude(self.base.amplitude, self.base.adc)
@@ -118,6 +112,8 @@ class SweepResult:
     failures: tuple[PointFailure, ...]
     best: SweepPoint | None
     ties: tuple[SweepPoint, ...]
+    #: the seed of every grid point, failed or not, in grid order
+    seeds: tuple[int, ...]
 
 
 def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
@@ -130,7 +126,7 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
     the sample-rounded one, in analytic mode; in empirical mode it is
     measured from the quantized quantum trace itself.
     """
-    _check_method(entropy_method)
+    one_of("entropy_method", entropy_method, METHODS)
     params = base.with_design(linewidth_hz, delay_s)
     path = sample_phase_path(linewidth_hz, params.sample_period_s,
                              sim.n_samples, sim.seed)
@@ -170,16 +166,18 @@ def sweep(grid: SweepGrid) -> SweepResult:
     maximum rate with ties broken toward the smallest delay, then the
     smallest linewidth.
     """
+    seeds = tuple(derive_seed(grid.sim.seed, i, j)
+                  for i in range(len(grid.linewidths_hz))
+                  for j in range(len(grid.delays_s)))
     points: list[SweepPoint] = []
     failures: list[PointFailure] = []
-    for i, lw in enumerate(grid.linewidths_hz):
-        for j, d in enumerate(grid.delays_s):
-            sim_ij = replace(grid.sim, seed=derive_seed(grid.sim.seed, i, j))
-            try:
-                points.append(evaluate_point(lw, d, grid.base, sim_ij,
-                                             grid.entropy_method))
-            except LpnError as exc:
-                failures.append(PointFailure(lw, d, exc.code, str(exc)))
+    for (lw, d), seed in zip(product(grid.linewidths_hz, grid.delays_s), seeds):
+        try:
+            points.append(evaluate_point(lw, d, grid.base,
+                                         replace(grid.sim, seed=seed),
+                                         grid.entropy_method))
+        except LpnError as exc:
+            failures.append(PointFailure(lw, d, exc.code, str(exc)))
     best, ties = _pick_best(points)
     return SweepResult(points=tuple(points), failures=tuple(failures),
-                       best=best, ties=ties)
+                       best=best, ties=ties, seeds=seeds)

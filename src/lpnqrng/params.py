@@ -64,6 +64,14 @@ def non_negative(name: str, value: float, error=InvalidParameterError) -> float:
     return value
 
 
+def one_of(name: str, value, choices: tuple[str, ...]) -> str:
+    """``value`` if it is one of ``choices``; raises InvalidParameterError."""
+    if value not in choices:
+        raise InvalidParameterError(
+            f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
+    return value
+
+
 def check_n_samples(n_samples: int) -> None:
     """A phase path holds the theta(0) = 0 origin and at least one step."""
     if n_samples < 2:

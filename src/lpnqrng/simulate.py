@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, PathTooShortError
-from .params import AdcSpec, check_n_samples, non_negative, positive
+from .params import AdcSpec, check_n_samples, non_negative, one_of, positive
 from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
 
 LABEL_QUANTUM = "quantum"
 LABEL_MEASURED = "measured"
+LABELS = (LABEL_QUANTUM, LABEL_MEASURED)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -56,9 +57,7 @@ class AnalogTrace:
     label: str
 
     def __post_init__(self) -> None:
-        if self.label not in (LABEL_QUANTUM, LABEL_MEASURED):
-            raise InvalidParameterError(
-                f"trace label must be 'quantum' or 'measured', got {self.label!r}")
+        one_of("trace label", self.label, LABELS)
         positive("sample_period_s", self.sample_period_s)
         object.__setattr__(self, "samples",
                            _freeze(np.asarray(self.samples, dtype=np.float64)))

@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, MissingMetadataError
-from .params import AdcSpec, SystemParams, as_float, as_int, positive
-from .simulate import (LABEL_MEASURED, LABEL_QUANTUM, AnalogTrace,
-                       QuantizedTrace)
+from .params import AdcSpec, SystemParams, as_float, as_int, one_of, positive
+from .simulate import LABELS, AnalogTrace, QuantizedTrace
 
 FORMAT_TAG = "lpnqrng-trace/1"
 _ANALOG_DTYPE = "<f8"
@@ -80,12 +79,6 @@ def _read(path: str | Path, kind: str, dtype: str,
     return data, values, meta
 
 
-def _label(value) -> str:
-    if value not in (LABEL_QUANTUM, LABEL_MEASURED):
-        raise ValueError(f"not {LABEL_QUANTUM!r} or {LABEL_MEASURED!r}")
-    return value
-
-
 def write_analog_trace(path: str | Path, trace: AnalogTrace,
                        system: SystemParams | None = None,
                        seed: int | None = None) -> None:
@@ -95,7 +88,8 @@ def write_analog_trace(path: str | Path, trace: AnalogTrace,
 
 def read_analog_trace(path: str | Path) -> tuple[AnalogTrace, dict]:
     samples, (sample_period_s, label), meta = _read(
-        path, "analog", _ANALOG_DTYPE, label=_label)
+        path, "analog", _ANALOG_DTYPE,
+        label=lambda v: one_of("trace label", v, LABELS))
     # min and max are NaN or infinite if any sample is; no full-size temporary
     if len(samples) and not np.isfinite([samples.min(), samples.max()]).all():
         raise InvalidParameterError(f"{path}: a sample is NaN or infinite")

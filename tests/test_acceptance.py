@@ -32,8 +32,8 @@ from lpnqrng import (
     sweep,
 )
 from lpnqrng import extractor
-from lpnqrng.entropy import boundary_code
 from lpnqrng.rng import bit_stream
+from lpnqrng.simulate import quantize_value
 
 from conftest import base_params, chunk_se_of_variance, quantum_trace
 
@@ -142,8 +142,8 @@ def test_criterion_5_analytic_vs_empirical_entropy():
         freq = counts / n
         h_emp = -math.log2(freq.max())
         pc_mc = freq[-adc.code_min]
-        # the analytic boundary code, which a small sigma2 may leave empty
-        pr_mc = freq[boundary_code(amplitude, adc) - adc.code_min]
+        # the ADC's code of A, which a small sigma2 may leave empty
+        pr_mc = freq[quantize_value(amplitude, adc) - adc.code_min]
         rep = analytic_min_entropy(sigma2, amplitude, adc)
         worst_dh = max(worst_dh, abs(rep.h_min - h_emp))
         for p_an, p_mc in ((rep.p_c, pc_mc), (rep.p_r, pr_mc)):
@@ -172,8 +172,8 @@ def test_criterion_6_normalization_and_symmetry():
     a = amplitudes["range-delta"]
     pc = code_probabilities(100.0, a, adc)[128]
     pc_oracle = (2.0 / math.pi) * math.asin(adc.delta / (2.0 * a))
-    chi = boundary_code(a, adc) * adc.delta
-    pr = code_probabilities(100.0, a, adc)[128 + boundary_code(a, adc)]
+    chi = quantize_value(a, adc) * adc.delta
+    pr = code_probabilities(100.0, a, adc)[128 + quantize_value(a, adc)]
     pr_oracle = 0.5 - math.asin((chi - adc.delta / 2.0) / a) / math.pi
     arcsine_err = max(abs(pc - pc_oracle), abs(pr - pr_oracle))
     ok = worst_norm < 1e-9 and worst_sym < 1e-12 and arcsine_err < 1e-3

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpnqrng import AdcSpec, QuantizedTrace, gaussian_stream, optimizer
+from lpnqrng import (AdcSpec, QuantizedTrace, derive_seed, gaussian_stream,
+                     optimizer)
 from lpnqrng.cli import main
 from lpnqrng.simulate import AnalogTrace
 from lpnqrng.traceio import (
@@ -89,6 +90,14 @@ class TestSimulate:
 
     def test_missing_design_is_validation_error(self, tmp_path):
         assert run("simulate", "--out-dir", tmp_path) == 2
+
+    def test_unknown_quantize_source(self, tmp_path, capsys):
+        assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                   "--quantize-source", "other", "--out-dir",
+                   tmp_path / "out") == 2
+        assert one_error_line(capsys, "invalid-parameter").endswith(
+            "quantize_source must be 'quantum' or 'measured', got 'other'")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_json(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -444,6 +453,20 @@ class TestSweep:
         assert run("sweep", "--linewidths-hz", 9.5e6, "--delays-s", 3.1e-6,
                    4e-6, "--out-dir", tmp_path / "all", *NFFT_FAST) == 4
 
+    def test_reported_seeds_are_the_simulated_ones(self, tmp_path, simulated):
+        out = tmp_path / "s"
+        assert run("sweep", "--linewidths-hz", 5e6, 9.5e6,
+                   "--delays-s", 0.04e-9, 2.5e-9, "--seed", 4,
+                   "--out-dir", out, *NFFT_FAST) == 0
+        per_point = json.loads((out / "report.json").read_text())[
+            "seeds"]["per_point"]
+        assert [(p["linewidth_hz"], p["delay_s"]) for p in per_point] == [
+            (5e6, 0.04e-9), (5e6, 2.5e-9), (9.5e6, 0.04e-9), (9.5e6, 2.5e-9)]
+        # the delay below one sample fails before its path is drawn
+        assert [call[3] for call in simulated] == [per_point[1]["seed"],
+                                                   per_point[3]["seed"]]
+        assert per_point[0]["seed"] == derive_seed(4, 0, 0)
+
 
 class TestExtract:
     def _codes_file(self, tmp_path, n_codes=256, seed=21):
@@ -491,6 +514,24 @@ class TestExtract:
                    "--out-dir", tmp_path) == 2
         assert run("extract", "--codes", path, "--n-in", 2048, "--n-out", 10,
                    "--h-min", 1.0, "--out-dir", tmp_path) == 2
+
+    def test_trace_shorter_than_one_block(self, tmp_path, capsys):
+        path = self._codes_file(tmp_path, n_codes=4095)  # 32760 bits
+        out = tmp_path / "x"
+        assert run("extract", "--codes", path, "--n-in", 100000, "--n-out", 10,
+                   "--out-dir", out) == 2
+        one_error_line(capsys, "trace-too-short")
+        assert not (out / "random.bin").exists()
+        assert not (out / "report.json").exists()
+
+    def test_trace_of_exactly_one_block(self, tmp_path):
+        path = self._codes_file(tmp_path, n_codes=4095)
+        out = tmp_path / "x"
+        assert run("extract", "--codes", path, "--n-in", 4095 * 8,
+                   "--n-out", 10, "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["output_bits"] == 10
+        assert report["results"]["n_blocks"] == 1
 
     def test_short_seed_file(self, tmp_path):
         path = self._codes_file(tmp_path)

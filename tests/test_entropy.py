@@ -10,29 +10,25 @@ from lpnqrng import (
     AnalogTrace,
     QuantizedTrace,
     analytic_min_entropy,
-    bin_probability,
     code_probabilities,
     empirical_min_entropy,
     forward_variance,
     gaussian_stream,
     invert_variance,
     monte_carlo_code_histogram,
-    p_boundary,
-    p_center,
     phase_variance,
     quantize,
     quantum_variance_from_measurement,
 )
-from lpnqrng.entropy import boundary_code
 from lpnqrng.errors import (
     ClassicalExceedsMeasuredError,
     EmptyTraceError,
-    InvalidBinError,
     InvalidParameterError,
     NonPositiveVarianceError,
     VarianceOutOfRangeError,
 )
 from lpnqrng.rng import raw_stream
+from lpnqrng.simulate import quantize_value
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,77 +58,80 @@ class TestPhaseVariance:
 class TestBinProbability:
     @pytest.mark.parametrize("sigma2", [0.05, 0.4, 3.0])
     def test_total_probability(self, sigma2, adc8, default_amplitude):
-        total = sum(bin_probability(i, sigma2, default_amplitude, adc8)
-                    for i in range(adc8.code_min, adc8.code_max + 1))
+        total = math.fsum(code_probabilities(sigma2, default_amplitude, adc8))
         assert abs(total - 1.0) < 1e-9
 
     def test_matches_vectorized_form(self, adc8, default_amplitude):
-        probs = code_probabilities(0.4, default_amplitude, adc8)
-        for i in (-128, -84, -3, 0, 5, 84, 127):
-            assert probs[i - adc8.code_min] == pytest.approx(
-                bin_probability(i, 0.4, default_amplitude, adc8), abs=1e-15)
+        # P_C and P_R are the probabilities of codes 0 and top, bit for bit
+        top = quantize_value(default_amplitude, adc8)
+        for sigma2 in (1e-3, 0.4, 3.0, 100.0):
+            probs = code_probabilities(sigma2, default_amplitude, adc8)
+            rep = analytic_min_entropy(sigma2, default_amplitude, adc8)
+            assert rep.p_c == probs[-adc8.code_min]
+            assert rep.p_r == probs[top - adc8.code_min]
 
     def test_interior_symmetry(self, adc8, default_amplitude):
+        probs = code_probabilities(0.4, default_amplitude, adc8)
         for i in range(1, 84):
-            a = bin_probability(i, 0.4, default_amplitude, adc8)
-            b = bin_probability(-i, 0.4, default_amplitude, adc8)
-            assert abs(a - b) < 1e-12
+            assert abs(probs[128 + i] - probs[128 - i]) < 1e-12
 
     def test_center_arcsine_limit(self, adc8):
         # variance far above (2*pi)^2: the wrapped phase is uniform and
         # Q follows the arcsine law
         a = 1.0 - adc8.delta
         want = (2.0 / math.pi) * math.asin(adc8.delta / (2.0 * a))
-        assert abs(bin_probability(0, 100.0, a, adc8) - want) < 1e-3
+        assert abs(analytic_min_entropy(100.0, a, adc8).p_c - want) < 1e-3
         assert want == pytest.approx(2.51e-3, abs=1e-5)
 
     def test_unreachable_bin_has_zero_mass(self, adc8, default_amplitude):
-        assert bin_probability(-128, 0.4, default_amplitude, adc8) == 0.0
-
-    def test_invalid_bin(self, adc8, default_amplitude):
-        with pytest.raises(InvalidBinError):
-            bin_probability(128, 0.4, default_amplitude, adc8)
+        assert code_probabilities(0.4, default_amplitude, adc8)[0] == 0.0
 
     def test_non_positive_variance(self, adc8, default_amplitude):
         with pytest.raises(NonPositiveVarianceError):
-            bin_probability(0, 0.0, default_amplitude, adc8)
+            code_probabilities(0.0, default_amplitude, adc8)
 
     def test_clipping_amplitude_rejected(self, adc8):
         with pytest.raises(InvalidParameterError):
-            bin_probability(0, 0.4, adc8.range, adc8)
+            code_probabilities(0.4, adc8.range, adc8)
+        with pytest.raises(InvalidParameterError):
+            analytic_min_entropy(0.4, adc8.range, adc8)
 
 
 class TestPCenterPBoundary:
     def test_small_variance_limits(self, adc8, default_amplitude):
-        assert p_center(1e-6, default_amplitude, adc8) > 1.0 - 1e-6
-        assert p_boundary(1e-6, default_amplitude, adc8) < 1e-12
+        rep = analytic_min_entropy(1e-6, default_amplitude, adc8)
+        assert rep.p_c > 1.0 - 1e-6
+        assert rep.p_r < 1e-12
 
     def test_center_against_frozen_monte_carlo(self, adc8):
-        pc = p_center(MC_SIGMA2, MC_AMPLITUDE, adc8)
+        pc = analytic_min_entropy(MC_SIGMA2, MC_AMPLITUDE, adc8).p_c
         assert abs(pc - MC_P_CENTER) < 3 * MC_P_CENTER_SE
 
     def test_boundary_against_frozen_monte_carlo(self, adc8):
-        pr = p_boundary(MC_SIGMA2, MC_AMPLITUDE, adc8)
+        pr = analytic_min_entropy(MC_SIGMA2, MC_AMPLITUDE, adc8).p_r
         assert abs(pr - MC_P_BOUNDARY) < 3 * MC_P_BOUNDARY_SE
 
     def test_boundary_arcsine_limit(self, adc8):
         a = 1.0 - adc8.delta
-        chi = boundary_code(a, adc8) * adc8.delta
+        chi = quantize_value(a, adc8) * adc8.delta
         want = 0.5 - math.asin((chi - adc8.delta / 2.0) / a) / math.pi
-        assert abs(p_boundary(100.0, a, adc8) - want) < 1e-3
+        assert abs(analytic_min_entropy(100.0, a, adc8).p_r - want) < 1e-3
         assert want == pytest.approx(2.82e-2, abs=1e-4)
 
     def test_boundary_is_topmost_bin(self, adc8, default_amplitude):
-        i_star = boundary_code(default_amplitude, adc8)
+        i_star = quantize_value(default_amplitude, adc8)
         assert i_star == 84
-        assert p_boundary(0.4, default_amplitude, adc8) == pytest.approx(
-            bin_probability(i_star, 0.4, default_amplitude, adc8), abs=1e-15)
+        probs = code_probabilities(0.4, default_amplitude, adc8)
+        assert probs[i_star + 1 - adc8.code_min:].max() == 0.0
+        assert analytic_min_entropy(0.4, default_amplitude, adc8).p_r == (
+            pytest.approx(probs[i_star - adc8.code_min], abs=1e-15))
 
     def test_boundary_code_clamps_at_code_max(self, adc8):
-        # amplitude at the very top of the interval rounds to 2^(n-1),
-        # which is clamped to the highest existing code
+        # amplitude at the very top of the interval is the upper edge of
+        # the highest code's bin, which the ADC rule keeps in that bin
         a = adc8.range - adc8.delta / 2.0
-        assert boundary_code(a, adc8) == adc8.code_max
+        assert quantize_value(a, adc8) == adc8.code_max
+        assert analytic_min_entropy(0.4, a, adc8).p_r > 0.0
 
 
 class TestAnalyticMinEntropy:
@@ -192,6 +191,43 @@ class TestAnalyticMinEntropy:
         assert 0 < peak < len(grid) - 1
 
 
+    # (bits, amplitude, sigma2, h_min) where the most probable code is
+    # neither code 0 nor round(A/delta) with ties away from zero
+    MISSED_PEAK = [(8, 0.77, 2.0, 4.864053871581463),
+                     (5, 21.0 / 32.0, 3.0, 2.842277427278788),
+                     (10, 0.9, 1.0, 6.780770469740783),
+                     (3, 21.0 / 32.0, 2.0, 2.281520718077276)]
+
+    @pytest.mark.parametrize("bits,amplitude,sigma2,want", MISSED_PEAK)
+    def test_most_probable_code_against_monte_carlo(self, bits, amplitude,
+                                                    sigma2, want):
+        adc = AdcSpec(bits, 1.0)
+        rep = analytic_min_entropy(sigma2, amplitude, adc)
+        counts = monte_carlo_code_histogram(sigma2, amplitude, adc, 2**22,
+                                            seed=bits)
+        assert abs(rep.h_min - -math.log2(counts.max() / counts.sum())) < 0.05
+        assert abs(rep.h_min - want) < 1e-9
+
+    def test_amplitude_on_a_bin_edge_keeps_the_top_code(self):
+        # A = 10.5 delta: the ADC puts A in code 10's bin, and code 11 is empty
+        adc = AdcSpec(5, 1.0)
+        amplitude = adc.default_amplitude()
+        assert amplitude / adc.delta == 10.5
+        rep = analytic_min_entropy(3.0, amplitude, adc)
+        assert rep.p_r > 0.0
+        assert rep.p_r == code_probabilities(3.0, amplitude, adc)[10 - adc.code_min]
+
+    @given(st.integers(2, 12), st.floats(0.0, 1.0, exclude_min=True),
+           st.floats(1e-3, 100.0))
+    @settings(max_examples=150, deadline=None)
+    def test_p_max_is_the_most_probable_code(self, bits, fraction, sigma2):
+        adc = AdcSpec(bits, 1.0)
+        amplitude = fraction * (adc.range - adc.delta / 2)
+        rep = analytic_min_entropy(sigma2, amplitude, adc)
+        probs = code_probabilities(sigma2, amplitude, adc)
+        assert rep.p_max >= probs.max() * (1.0 - 1e-12)
+
+
 class TestEmpiricalMinEntropy:
     def test_constant_trace(self, adc8):
         qt = QuantizedTrace(np.full(1000, 17, dtype=np.int16), adc8, 1e-10)
@@ -235,7 +271,7 @@ class TestMonteCarloHistogram:
     def test_respects_support(self, adc8, default_amplitude):
         counts = monte_carlo_code_histogram(3.0, default_amplitude, adc8, 10_000, 9)
         occupied = np.flatnonzero(counts) + adc8.code_min
-        top = boundary_code(default_amplitude, adc8)
+        top = quantize_value(default_amplitude, adc8)
         assert occupied.min() >= -top and occupied.max() <= top
 
 

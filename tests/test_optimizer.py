@@ -104,6 +104,13 @@ class TestSweep:
         assert res.failures[0].error_code == "delay-too-small"
         assert res.best is not None
 
+    def test_seeds_cover_every_point_in_grid_order(self):
+        grid = fast_grid(linewidths_hz=(5e6, 9.5e6), delays_s=(0.04e-9, 2.5e-9))
+        res = sweep(grid)
+        assert len(res.failures) == 2
+        assert res.seeds == tuple(derive_seed(grid.sim.seed, i, j)
+                                  for i in range(2) for j in range(2))
+
 
 def mk_point(k, delay, linewidth=9.5e6, saturated=False):
     b = k / 2.0 / 7.0

@@ -13,6 +13,7 @@ from lpnqrng import (
     add_electronic_noise,
     analytic_min_entropy,
     delay_index,
+    evaluate_point,
     forward_variance,
     invert_variance,
     phase_variance,
@@ -25,6 +26,7 @@ from lpnqrng.errors import (
     InvalidParameterError,
     NonPositiveVarianceError,
 )
+from lpnqrng.params import one_of
 
 
 class TestAdcSpec:
@@ -158,3 +160,27 @@ def test_range_rules_at_every_entry_point(site, value):
     with pytest.raises(error) as exc:
         call(x)
     assert type(exc.value) is error
+
+
+class TestOneOf:
+    def test_returns_a_choice(self):
+        assert one_of("mode", "b", ("a", "b")) == "b"
+
+    @pytest.mark.parametrize("value", ["c", 5, None, ["a"]])
+    def test_message(self, value):
+        with pytest.raises(InvalidParameterError) as exc:
+            one_of("mode", value, ("a", "b"))
+        assert str(exc.value) == f"mode must be 'a' or 'b', got {value!r}"
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: AnalogTrace(np.zeros(4), 1e-10, "other"),
+         "trace label must be 'quantum' or 'measured', got 'other'"),
+        (lambda: SweepGrid((9.5e6,), (2.5e-9,), _BASE, SimSettings(), "other"),
+         "entropy_method must be 'analytic' or 'empirical', got 'other'"),
+        (lambda: evaluate_point(9.5e6, 2.5e-9, _BASE, SimSettings(), "other"),
+         "entropy_method must be 'analytic' or 'empirical', got 'other'"),
+    ], ids=["trace-label", "sweep-grid", "evaluate-point"])
+    def test_sites(self, call, message):
+        with pytest.raises(InvalidParameterError) as exc:
+            call()
+        assert str(exc.value) == message
