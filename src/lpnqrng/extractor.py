@@ -20,15 +20,31 @@ circular convolution has no wrap-around in the rows kept, so
 
 and the output bits are rint(y) & 1.
 
-Exactness: y[r] is an integer, so the output is exact whenever the
-float64 rounding error stays below 0.5. The error of an FFT
-convolution is at most about c * u * log2(L) * |x|_2 * |t'|_2 with
-u = 2**-53 and c a small constant. For 0/1 vectors |x|_2 * |t'|_2 is
-at most sqrt(n_in * (n_in + n_out - 1)) < L, so the error is below
-c * 4e-12 at L = 4096 (the 2048 -> 1800 production geometry) and below
-c * 2e-5 even at L = 2**32, far past any block that fits in memory.
-The worst deviation from the nearest integer measured over 4096
-production blocks is 5.7e-14.
+One transform carries p blocks. With s = n_in.bit_length(), the packed
+row g is x_g = sum_{i < p} 2**(s * i) * b_{g * p + i}. Every product
+y_i[r] lies in [0, n_in], below 2**s, so by linearity the convolution
+of x_g is y = sum_i 2**(s * i) * y_i with no carry from one lane into
+the next, and block g * p + i's output bits are (rint(y) >> s * i) & 1.
+
+Exactness: y[r] is an integer below 2**(s * p), so the output is exact
+whenever s * p <= 52 and the float64 rounding error stays below 0.5.
+The error of an FFT convolution is at most about
+c * u * log2(L) * |x|_2 * |t'|_2 with u = 2**-53 and c a small
+constant. A packed entry is below 2**(s * (p - 1) + 1), and |t'|_2 is
+at most sqrt(n_in + n_out - 1), so the error is below
+
+    c * u * log2(L) * sqrt(n_in * (n_in + n_out - 1)) * 2**(s * (p - 1) + 1).
+
+p is the largest count with s * p <= 52 whose bound at c = 1 is at most
+2**-11, so the output stays exact for any c up to 1000. It depends on
+the geometry alone and is not an option: p = 3 at the 2048 -> 1800
+production geometry (L = 4096, bound c * 1.25e-4; p = 4 would give
+c * 0.51), p = 2 at 2**17 -> 2**17 - 5 and p = 1 at 2**20 -> 2**20
+(bound c * 7e-9). p = 1 keeps the bound below c * 3.1e-5 even at
+L = 2**32, far past any block that fits in memory. The worst deviation
+from the nearest integer measured over the 4096 blocks of one bitgen
+benchmark operation is 9.5e-7 at p = 3, against 5.7e-14 at p = 1 and
+1.2e-2 at p = 4.
 
 ``GF2_BACKEND`` names that kernel; it is always "numpy".
 """
@@ -47,9 +63,10 @@ from .simulate import QuantizedTrace
 
 GF2_BACKEND = "numpy"
 
-#: blocks are transformed _BATCH_SAMPLES // L at a time (at least one),
-#: which bounds the float64 and complex128 temporaries to a few MB for
-#: any geometry; 64 blocks at 2048 -> 1800
+#: packed rows are transformed _BATCH_SAMPLES // L at a time (at least
+#: one) through one reused float64 buffer, which bounds the float64 and
+#: complex128 temporaries to a few MB for any geometry; 64 rows, or 192
+#: blocks, at 2048 -> 1800
 _BATCH_SAMPLES = 1 << 18
 
 
@@ -77,15 +94,17 @@ def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
 def codes_to_bits(codes: np.ndarray, bits_per_code: int) -> np.ndarray:
     """Serialize signed codes as two's-complement words, MSB first.
 
-    Returns one uint8 per bit. Each code is cast to a big-endian 16-bit
-    word, whose two bytes unpack MSB first; the last bits_per_code bits
-    of the word are the code's two's-complement bits.
+    Returns one uint8 per bit. Each code is cast to a big-endian word of
+    8 bits when the code fits in a byte and 16 otherwise; the word's
+    bytes unpack MSB first, and its last bits_per_code bits are the
+    code's two's-complement bits.
     """
     if not 1 <= bits_per_code <= 16:
         raise InvalidParameterError(
             f"bits_per_code must be in [1, 16], got {bits_per_code}")
-    words = np.asarray(codes).astype(">u2").view(np.uint8).reshape(-1, 2)
-    return np.unpackbits(words, axis=1)[:, 16 - bits_per_code:].ravel()
+    n_bytes = 1 if bits_per_code <= 8 else 2
+    words = np.unpackbits(np.asarray(codes).astype(f">u{n_bytes}").view(np.uint8))
+    return words.reshape(-1, 8 * n_bytes)[:, 8 * n_bytes - bits_per_code:].ravel()
 
 
 def pack_bits_to_bytes(bits: np.ndarray) -> bytes:
@@ -140,6 +159,19 @@ class ToeplitzSpec:
         return 1 << (self.input_bits + self.output_bits - 2).bit_length()
 
     @cached_property
+    def _lanes(self) -> int:
+        """p: the most blocks one transform carries exactly (module doc)."""
+        n_in, n_out = self.input_bits, self.output_bits
+        shift = n_in.bit_length()
+        error = (2.0**-53 * math.log2(self._fft_length)
+                 * math.sqrt(n_in * (n_in + n_out - 1)))
+        lanes = 1
+        while (shift * (lanes + 1) <= 52
+               and error * 2.0 ** (shift * lanes + 1) <= 2.0**-11):
+            lanes += 1
+        return lanes
+
+    @cached_property
     def _seed_spectrum(self) -> np.ndarray:
         """rfft of t' = t[-(n_in - 1)], ..., t[n_out - 1], padded to L."""
         seed = self.seed_bits
@@ -151,14 +183,34 @@ class ToeplitzSpec:
 def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
     """out[b] = T @ blocks[b] mod 2 for an (n_blocks, n_in) 0/1 array."""
     n_in, n_out, length = spec.input_bits, spec.output_bits, spec._fft_length
-    chunk = max(_BATCH_SAMPLES // length, 1)
-    out = np.empty((blocks.shape[0], n_out), dtype=np.uint8)
-    for start in range(0, blocks.shape[0], chunk):
-        spectrum = fft.rfft(blocks[start:start + chunk], n=length, axis=1)
+    n_blocks = blocks.shape[0]
+    lanes = spec._lanes
+    shift = n_in.bit_length()
+    rows = min(max(_BATCH_SAMPLES // length, 1), -(-n_blocks // lanes))
+    out = np.empty((n_blocks, n_out), dtype=np.uint8)
+    # packed rows, zero-padded to L once: only [:, :n_in] is ever written.
+    # Allocated after out: the other order left a heap hole that raised
+    # the bitgen benchmark's peak RSS by 15 MB.
+    x = np.zeros((rows, length))
+    for first in range(0, n_blocks, rows * lanes):
+        group = blocks[first:first + rows * lanes]
+        n_rows = -(-len(group) // lanes)
+        # x_g = sum_i 2**(shift * i) * group[g * lanes + i], by Horner's rule
+        packed = x[:n_rows, :n_in]
+        packed[:] = 0.0
+        for i in reversed(range(lanes)):
+            packed *= 2.0**shift
+            lane = group[i::lanes]
+            packed[:len(lane)] += lane
+        spectrum = fft.rfft(x[:n_rows], axis=1)
         spectrum *= spec._seed_spectrum
         y = fft.irfft(spectrum, n=length, axis=1, overwrite_x=True)
-        out[start:start + chunk] = (
-            np.rint(y[:, n_in - 1:n_in - 1 + n_out]).astype(np.int64) & 1)
+        v = y[:, n_in - 1:n_in - 1 + n_out]
+        v = np.rint(v, out=v).astype(np.int64)
+        for i in range(lanes):
+            dest = out[first + i:first + len(group):lanes]
+            np.bitwise_and(v[:len(dest)] >> (shift * i), 1, out=dest,
+                           casting="unsafe")
     return out
 
 

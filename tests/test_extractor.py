@@ -63,6 +63,18 @@ class TestPacking:
         want = [0, 1, 0, 1,  1, 1, 1, 1,  1, 0, 0, 0]
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_codes_to_bits_matches_16_bit_words(self, width):
+        lo, hi = -2**(width - 1), 2**(width - 1) - 1
+        rng = np.random.default_rng(width)
+        codes = np.concatenate([[lo, hi, -1, 0],
+                                rng.integers(lo, hi + 1, 500)]).astype(np.int16)
+        words = codes.astype(">u2").view(np.uint8).reshape(-1, 2)
+        want = np.unpackbits(words, axis=1)[:, 16 - width:].ravel()
+        got = codes_to_bits(codes, width)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
 
 class TestToeplitzSpec:
     def test_seed_length_checked(self):
@@ -174,6 +186,72 @@ class TestKernel:
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
             want = (blocks @ dense.T).astype(np.int64) % 2
             assert np.array_equal(extractor._toeplitz_apply(spec, blocks), want)
+
+    def test_lane_edges_against_dense_oracle(self):
+        rng = np.random.default_rng(17)
+        spec = ToeplitzSpec(2048, 1800, rng.integers(0, 2, 3847).astype(np.uint8))
+        p = spec._lanes
+        chunk = extractor._BATCH_SAMPLES // spec._fft_length
+        dense = spec.matrix().astype(np.float64)
+        for n_blocks in (1, p - 1, p, p + 1, chunk * p - 1, chunk * p,
+                         chunk * p + 1, 2 * chunk * p + 1):
+            blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
+            want = (blocks @ dense.T).astype(np.int64) % 2
+            assert np.array_equal(extractor._toeplitz_apply(spec, blocks), want)
+
+    def test_packed_random_shapes_against_dense_oracle(self):
+        # small geometries pack the most lanes (up to 52 at 1 -> 1)
+        rng = np.random.default_rng(18)
+        for _ in range(100):
+            spec = random_spec(rng)
+            p = spec._lanes
+            n_blocks = int(rng.integers(1, 3 * p + 2))
+            x = rng.integers(0, 2, (n_blocks, spec.input_bits)).astype(np.uint8)
+            want = np.array([dense_oracle(spec, b) for b in x], dtype=np.uint8)
+            assert np.array_equal(extractor._toeplitz_apply(spec, x), want)
+
+    @pytest.mark.parametrize("n_in", [2047, 2048])
+    def test_worst_case_carry_stays_in_its_lane(self, n_in):
+        # all-ones seed: every product of an all-ones block is n_in, the
+        # largest value a lane holds (2**11 - 1 fills all 11 bits at 2047)
+        spec = ToeplitzSpec(n_in, 1800, np.ones(n_in + 1799, dtype=np.uint8))
+        p = spec._lanes
+        chunk = extractor._BATCH_SAMPLES // spec._fft_length
+        b = np.arange(2 * chunk * p + 1)
+        row, lane = b // p, b % p
+        # rows cycle through: all lanes ones, even lanes, odd lanes, none
+        ones = np.choose(row % 4, [np.ones_like(b), lane % 2 == 0,
+                                   lane % 2 == 1, np.zeros_like(b)]).astype(bool)
+        blocks = np.repeat(ones[:, None], n_in, axis=1).astype(np.uint8)
+        want = np.repeat((ones & (n_in % 2 == 1))[:, None], 1800, axis=1)
+        assert np.array_equal(extractor._toeplitz_apply(spec, blocks), want)
+
+    def test_lane_rule(self):
+        def bound(n_in, n_out, p):
+            length = 1
+            while length < n_in + n_out - 1:
+                length *= 2
+            s = n_in.bit_length()
+            return (2.0**-53 * np.log2(length) * np.sqrt(n_in * (n_in + n_out - 1))
+                    * 2.0 ** (s * (p - 1) + 1))
+
+        def lanes(n_in, n_out):
+            return ToeplitzSpec(n_in, n_out,
+                                np.zeros(n_in + n_out - 1, dtype=np.uint8))._lanes
+
+        sizes = sorted({n for k in range(21) for n in (2**k - 1, 2**k, 2**k + 1)
+                        if 1 <= n <= 2**20})
+        for n_in in sizes:
+            for n_out in sorted({1, (n_in + 1) // 2, n_in}):
+                p, s = lanes(n_in, n_out), n_in.bit_length()
+                assert p >= 1
+                assert s * p <= 52
+                assert bound(n_in, n_out, p) <= 2.0**-11
+                # the largest such p
+                assert s * (p + 1) > 52 or bound(n_in, n_out, p + 1) > 2.0**-11
+        assert lanes(2048, 1800) == 3
+        assert lanes(2**17, 2**17 - 5) == 2
+        assert lanes(2**20, 2**20) == 1
 
     def test_sampled_rows_at_large_geometry(self):
         # too large for the dense matrix: rows come from the T[r][c] definition
