@@ -26,7 +26,6 @@ from .extractor import (
     ToeplitzSpec,
     extract_block,
     extract_stream,
-    extraction_ratio,
     monobit_test,
     output_bits_for,
     runs_test,
@@ -80,7 +79,6 @@ __all__ = [
     "evaluate_point",
     "extract_block",
     "extract_stream",
-    "extraction_ratio",
     "forward_variance",
     "gaussian_stream",
     "invert_variance",

@@ -9,8 +9,8 @@ report echoes the resolved configuration, and all stream seeds derive
 from one master seed, so re-running a report's configuration
 reproduces the primary outputs byte for byte.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 domain error
-(model-inconsistent inputs such as an out-of-range variance).
+Exit codes: 0 success, 2 validation error, 3 I/O error or out of memory,
+4 domain error (model-inconsistent inputs such as an out-of-range variance).
 """
 from __future__ import annotations
 
@@ -52,7 +52,8 @@ from .extractor import (
 )
 from .optimizer import SimSettings, SweepGrid, sweep
 from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES, AdcSpec,
-                     SystemParams, as_float, as_int, check_seed, one_of)
+                     SystemParams, as_float, as_int, check_seed,
+                     check_toeplitz_geometry, one_of)
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -415,6 +416,12 @@ def cmd_extract(args: argparse.Namespace) -> dict:
         raise AmbiguousInputError("give exactly one of --n-out or --h-min")
     n_out = (args.n_out if args.n_out is not None
              else output_bits_for(args.h_min, qt.adc.bits, n_in))
+    # the seed is drawn only for a geometry and a trace that can be hashed
+    check_toeplitz_geometry(n_in, n_out)
+    if len(qt) * qt.adc.bits < n_in:
+        raise TraceTooShortError(
+            f"{len(qt)} codes of {qt.adc.bits} bits hold "
+            f"{len(qt) * qt.adc.bits} bits, fewer than one {n_in}-bit block")
     n_seed_bits = n_in + n_out - 1
     if args.seed_file is not None:
         seed_source = {"file": str(args.seed_file)}
@@ -426,10 +433,6 @@ def cmd_extract(args: argparse.Namespace) -> dict:
                        "toeplitz_seed": toeplitz_seed}
         seed_bits = bit_stream(toeplitz_seed, n_seed_bits)
     spec = ToeplitzSpec(input_bits=n_in, output_bits=n_out, seed_bits=seed_bits)
-    if len(qt) * qt.adc.bits < n_in:
-        raise TraceTooShortError(
-            f"{len(qt)} codes of {qt.adc.bits} bits hold "
-            f"{len(qt) * qt.adc.bits} bits, fewer than one {n_in}-bit block")
 
     zero_seed = not bool(seed_bits.any())
     if zero_seed:
@@ -613,6 +616,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"lpnqrng: error: io: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"lpnqrng: error: out-of-memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -1,20 +1,18 @@
 """Toeplitz randomness extraction over GF(2) and output sanity tests.
 
-A Toeplitz matrix with n_out rows and n_in columns is defined by
-n_in + n_out - 1 seed bits laid out as the first column top to bottom
-followed by the first row left to right (shared corner excluded):
-T[r][c] = seed[r - c] when r >= c, else seed[n_out - 1 + c - r].
+An n_out x n_in Toeplitz matrix is defined by n_in + n_out - 1 seed
+bits: its first column top to bottom, then its first row left to right
+without the shared corner. Its diagonal vector t' is the first row right
+to left, then the rest of the first column, and T[r][c] = t'[n_in - 1 + r - c].
 
 Raw ADC codes are serialized to bits as n-bit two's-complement words,
 most significant bit first, then split into n_in-bit blocks that are
 hashed independently with the same matrix.
 
-There is one GF(2) kernel, pure NumPy/SciPy with no build step. A
-Toeplitz product is a linear convolution: y[r] = sum_c t[r - c] x[c]
-with t[d] = seed[d] for d >= 0 and t[d] = seed[n_out - 1 - d] for
-d < 0. With t' = t[-(n_in - 1)], ..., t[n_out - 1] and both vectors
-zero-padded to L, the next power of two >= n_in + n_out - 1, the
-circular convolution has no wrap-around in the rows kept, so
+There is one GF(2) kernel, pure NumPy/SciPy with no build step. T @ x is
+the linear convolution of t' and x at indices n_in - 1 .. n_in + n_out - 2.
+Zero-padded to L, the next power of two >= n_in + n_out - 1, the
+circular convolution does not wrap into those indices, so
 
     y = irfft(rfft(x) * rfft(t'))[n_in - 1 : n_in - 1 + n_out]
 
@@ -28,23 +26,21 @@ the next, and block g * p + i's output bits are (rint(y) >> s * i) & 1.
 
 Exactness: y[r] is an integer below 2**(s * p), so the output is exact
 whenever s * p <= 52 and the float64 rounding error stays below 0.5.
-The error of an FFT convolution is at most about
-c * u * log2(L) * |x|_2 * |t'|_2 with u = 2**-53 and c a small
-constant. A packed entry is below 2**(s * (p - 1) + 1), and |t'|_2 is
-at most sqrt(n_in + n_out - 1), so the error is below
+The error of an FFT convolution is at most about c * u * log2(L) *
+|x|_2 * |t'|_2, with u = 2**-53 and c a small constant. A packed entry
+is below 2**(s * (p - 1) + 1) and |t'|_2 at most sqrt(n_in + n_out - 1),
+so the error is below
 
     c * u * log2(L) * sqrt(n_in * (n_in + n_out - 1)) * 2**(s * (p - 1) + 1).
 
 p is the largest count with s * p <= 52 whose bound at c = 1 is at most
-2**-11, so the output stays exact for any c up to 1000. It depends on
-the geometry alone and is not an option: p = 3 at the 2048 -> 1800
-production geometry (L = 4096, bound c * 1.25e-4; p = 4 would give
-c * 0.51), p = 2 at 2**17 -> 2**17 - 5 and p = 1 at 2**20 -> 2**20
-(bound c * 7e-9). p = 1 keeps the bound below c * 3.1e-5 even at
-L = 2**32, far past any block that fits in memory. The worst deviation
-from the nearest integer measured over the 4096 blocks of one bitgen
-benchmark operation is 9.5e-7 at p = 3, against 5.7e-14 at p = 1 and
-1.2e-2 at p = 4.
+2**-11, exact for any c up to 1000; a function of the geometry, not an
+option. p = 3 at the 2048 -> 1800 production geometry (L = 4096, bound
+c * 1.25e-4; p = 4 would give c * 0.51), p = 2 at 2**17 -> 2**17 - 5 and
+p = 1 at 2**20 -> 2**20 (c * 7e-9); p = 1 stays below c * 3.1e-5 up to
+L = 2**32. Over the 4096 blocks of one bitgen benchmark operation the
+worst distance to the nearest integer is 5.7e-14 at p = 1, 9.5e-7 at
+p = 3 and 1.2e-2 at p = 4.
 
 ``GF2_BACKEND`` names that kernel; it is always "numpy".
 """
@@ -55,10 +51,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 from scipy.special import erfc
 
 from .errors import InvalidParameterError, LengthMismatchError, TooFewBitsError
+from .params import check_toeplitz_geometry
 from .simulate import QuantizedTrace
 
 GF2_BACKEND = "numpy"
@@ -129,12 +127,7 @@ class ToeplitzSpec:
     seed_bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.input_bits < 1:
-            raise InvalidParameterError(
-                f"input_bits must be >= 1, got {self.input_bits}")
-        if not 1 <= self.output_bits <= self.input_bits:
-            raise InvalidParameterError(
-                f"output_bits must be in [1, input_bits], got {self.output_bits}")
+        check_toeplitz_geometry(self.input_bits, self.output_bits)
         seed = np.asarray(self.seed_bits, dtype=np.uint8)
         want = self.input_bits + self.output_bits - 1
         if seed.ndim != 1 or len(seed) != want:
@@ -147,11 +140,13 @@ class ToeplitzSpec:
 
     def matrix(self) -> np.ndarray:
         """Dense 0/1 matrix, n_out rows by n_in columns."""
-        r = np.arange(self.output_bits)[:, None]
-        c = np.arange(self.input_bits)[None, :]
-        d = r - c
-        idx = np.where(d >= 0, d, self.output_bits - 1 - d)
-        return self.seed_bits[idx]
+        return sliding_window_view(self._diagonals, self.input_bits)[:, ::-1].copy()
+
+    @cached_property
+    def _diagonals(self) -> np.ndarray:
+        """t', the diagonal vector (module doc)."""
+        seed, n_out = self.seed_bits, self.output_bits
+        return np.concatenate([seed[n_out:][::-1], seed[:n_out]])
 
     @cached_property
     def _fft_length(self) -> int:
@@ -173,11 +168,8 @@ class ToeplitzSpec:
 
     @cached_property
     def _seed_spectrum(self) -> np.ndarray:
-        """rfft of t' = t[-(n_in - 1)], ..., t[n_out - 1], padded to L."""
-        seed = self.seed_bits
-        t = np.concatenate([seed[self.output_bits:][::-1],
-                            seed[:self.output_bits]])
-        return fft.rfft(t, n=self._fft_length)
+        """rfft of t', zero-padded to L."""
+        return fft.rfft(self._diagonals, n=self._fft_length)
 
 
 def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
@@ -189,8 +181,8 @@ def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
     rows = min(max(_BATCH_SAMPLES // length, 1), -(-n_blocks // lanes))
     out = np.empty((n_blocks, n_out), dtype=np.uint8)
     # packed rows, zero-padded to L once: only [:, :n_in] is ever written.
-    # Allocated after out: the other order left a heap hole that raised
-    # the bitgen benchmark's peak RSS by 15 MB.
+    # Allocated after out: the other order leaves a heap hole that raises
+    # the bitgen benchmark's peak RSS from 169 to 184 MB.
     x = np.zeros((rows, length))
     for first in range(0, n_blocks, rows * lanes):
         group = blocks[first:first + rows * lanes]
@@ -214,17 +206,12 @@ def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def extraction_ratio(h_min_bits: float, adc_bits: int) -> float:
-    """Fraction of raw bits that is extractable: h_min / n."""
+def output_bits_for(h_min_bits: float, adc_bits: int, input_bits: int) -> int:
+    """Output block size floor(h_min / n * input_bits) for n-bit codes."""
     if not 0 <= h_min_bits <= adc_bits:
         raise InvalidParameterError(
             f"h_min must be in [0, {adc_bits}], got {h_min_bits}")
-    return h_min_bits / adc_bits
-
-
-def output_bits_for(h_min_bits: float, adc_bits: int, input_bits: int) -> int:
-    """Output block size floor(ratio * input_bits) for a given geometry."""
-    return int(math.floor(extraction_ratio(h_min_bits, adc_bits) * input_bits))
+    return int(math.floor(h_min_bits / adc_bits * input_bits))
 
 
 def extract_block(block: np.ndarray, spec: ToeplitzSpec) -> np.ndarray:

@@ -128,9 +128,9 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
     """
     one_of("entropy_method", entropy_method, METHODS)
     params = base.with_design(linewidth_hz, delay_s)
-    path = sample_phase_path(linewidth_hz, params.sample_period_s,
-                             sim.n_samples, sim.seed)
-    q = quantum_noise(path, params.delay_samples, params.amplitude)
+    q = quantum_noise(sample_phase_path(linewidth_hz, params.sample_period_s,
+                                        sim.n_samples, sim.seed),
+                      params.delay_samples, params.amplitude)
     bw = bandwidth_3db(estimate_psd(q, sim.nfft, sim.overlap_fraction),
                        sim.plateau_bins)
     if entropy_method == METHOD_ANALYTIC:

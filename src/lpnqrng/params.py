@@ -100,6 +100,15 @@ def check_plateau_bins(plateau_bins: int, n_bins: int) -> None:
             f"plateau_bins must be in [1, {n_bins - 1}], got {plateau_bins}")
 
 
+def check_toeplitz_geometry(input_bits: int, output_bits: int) -> None:
+    """A Toeplitz hash maps input_bits >= 1 bits to 1 .. input_bits bits."""
+    if input_bits < 1:
+        raise InvalidParameterError(f"input_bits must be >= 1, got {input_bits}")
+    if not 1 <= output_bits <= input_bits:
+        raise InvalidParameterError(
+            f"output_bits must be in [1, input_bits], got {output_bits}")
+
+
 def delay_index(delay_s: float, sample_period_s: float) -> int:
     """Delay expressed in samples: round(delay / tau_s), ties away from zero.
 

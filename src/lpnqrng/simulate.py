@@ -163,6 +163,6 @@ def quantize(trace: AnalogTrace, adc: AdcSpec) -> QuantizedTrace:
 
 
 def quantize_value(x: float, adc: AdcSpec) -> int:
-    """Scalar form of :func:`quantize`, mainly for tests and tooling."""
+    """Scalar form of :func:`quantize`; gives analytic H_min its top code."""
     code = math.ceil(x / adc.delta - 0.5)
     return int(min(max(code, adc.code_min), adc.code_max))

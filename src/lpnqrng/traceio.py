@@ -32,7 +32,7 @@ def _write(path: str | Path, data: np.ndarray, dtype: str,
            seed: int | None, **fields) -> None:
     """``data`` as raw ``dtype`` at ``path``, and its sidecar."""
     path = Path(path)
-    data.astype(dtype).tofile(path)
+    data.astype(dtype, copy=False).tofile(path)
     meta = {"format": FORMAT_TAG, "dtype": dtype, "n_samples": len(data),
             "sample_period_s": trace.sample_period_s, "seed": seed,
             "system": None if system is None else system.to_dict(), **fields}

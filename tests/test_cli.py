@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lpnqrng import (AdcSpec, QuantizedTrace, derive_seed, gaussian_stream,
-                     optimizer)
+from lpnqrng import (AdcSpec, QuantizedTrace, cli, derive_seed,
+                     gaussian_stream, optimizer)
 from lpnqrng.cli import main
 from lpnqrng.simulate import AnalogTrace
 from lpnqrng.traceio import (
@@ -540,6 +541,34 @@ class TestExtract:
         assert run("extract", "--codes", path, "--n-in", 2048, "--n-out", 1800,
                    "--seed-file", seed_file, "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("n_in,n_out,message", [
+        (64, -200, "output_bits must be in [1, input_bits], got -200"),
+        (64, 65, "output_bits must be in [1, input_bits], got 65"),
+        (0, 1, "input_bits must be >= 1, got 0")])
+    def test_geometry_checked_in_one_line(self, tmp_path, capsys, n_in, n_out,
+                                          message):
+        path = self._codes_file(tmp_path)
+        out = tmp_path / "x"
+        assert run("extract", "--codes", path, "--n-in", n_in, "--n-out", n_out,
+                   "--out-dir", out) == 2
+        assert one_error_line(capsys, "invalid-parameter").endswith(message)
+        assert not (out / "report.json").exists()
+
+    def test_trace_too_short_checked_before_the_seed_is_drawn(self, tmp_path,
+                                                              capsys):
+        # n_in + n_out - 1 seed bits would take 11.6 GiB; none are drawn
+        path = self._codes_file(tmp_path, n_codes=4095)
+        tracemalloc.start()
+        try:
+            code = run("extract", "--codes", path, "--n-in", 99999999999,
+                       "--n-out", 1, "--out-dir", tmp_path / "x")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        one_error_line(capsys, "trace-too-short")
+        assert peak < 2**20, peak
+
 
 class TestInvertVariance:
     def test_forward_constructed_fixture(self, capsys):
@@ -701,6 +730,18 @@ class TestMasterSeed:
                 "derived_from_master"] == seed
         else:
             assert report["seeds"]["master"] == seed
+
+
+class TestOutOfMemory:
+    def test_memory_error_ends_in_one_line(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_simulate", exhausted)
+        assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                   "--n-samples", 10**13) == 3
+        line = one_error_line(capsys, "out-of-memory")
+        assert line.endswith("Unable to allocate 74.5 TiB for an array")
 
 
 class TestEntryPoint:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from lpnqrng import (
     ToeplitzSpec,
     extract_block,
     extract_stream,
-    extraction_ratio,
     monobit_test,
     output_bits_for,
     runs_test,
@@ -102,17 +103,51 @@ class TestToeplitzSpec:
         spec = ToeplitzSpec(2048, 1800, bit_stream(1, 2048 + 1800 - 1))
         assert spec.matrix().shape == (1800, 2048)
 
+    @staticmethod
+    def defined_matrix(spec):
+        # first column top to bottom, then the first row from its second entry
+        n_out, n_in, seed = spec.output_bits, spec.input_bits, spec.seed_bits
+        return np.array([[seed[r - c] if r >= c else seed[n_out - 1 + c - r]
+                          for c in range(n_in)] for r in range(n_out)],
+                        dtype=np.uint8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_in=st.integers(1, 64), data=st.data())
+    def test_matrix_matches_definition(self, n_in, data):
+        n_out = data.draw(st.integers(1, n_in))
+        n_seed = n_in + n_out - 1
+        seed = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_seed,
+                                           max_size=n_seed)), dtype=np.uint8)
+        spec = ToeplitzSpec(n_in, n_out, seed)
+        got = spec.matrix()
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, self.defined_matrix(spec))
+
+    def test_production_matrix_matches_definition(self):
+        spec = ToeplitzSpec(2048, 1800, bit_stream(3, 2048 + 1800 - 1))
+        assert np.array_equal(spec.matrix(), self.defined_matrix(spec))
+
+    def test_matrix_allocates_little_beyond_its_result(self):
+        spec = ToeplitzSpec(2048, 1800, bit_stream(1, 2048 + 1800 - 1))
+        tracemalloc.start()
+        try:
+            t = spec.matrix()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * t.nbytes, peak / t.nbytes
+
 
 class TestExtractionRatio:
     def test_values(self):
         assert output_bits_for(7.03, 8, 2048) == 1799
         assert output_bits_for(6.35, 8, 2048) == 1625
         assert output_bits_for(0.0, 8, 2048) == 0
-        assert extraction_ratio(4.0, 8) == 0.5
+        assert output_bits_for(4.0, 8, 2048) == 1024
 
     def test_bounds(self):
         with pytest.raises(InvalidParameterError):
-            extraction_ratio(9.0, 8)
+            output_bits_for(9.0, 8, 2048)
 
 
 class TestExtractBlock:

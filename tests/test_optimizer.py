@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,20 @@ class TestEvaluatePoint:
         a = evaluate_point(9.5e6, 6.5e-9, base_params(), FAST_SIM)
         b = evaluate_point(9.5e6, 6.5e-9, base_params(), FAST_SIM)
         assert a == b
+
+    def test_phase_path_is_freed_before_welch(self):
+        # the path lives only until the quantum trace is built, so the
+        # peak is the trace plus Welch's blocks, not path, trace and blocks
+        sim = SimSettings(n_samples=2**20, seed=3)
+        evaluate_point(9.5e6, 2.5e-9, base_params(), sim)  # warm the caches
+        tracemalloc.start()
+        try:
+            evaluate_point(9.5e6, 2.5e-9, base_params(), sim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trace_bytes = 8 * sim.n_samples
+        assert peak < 2.9 * trace_bytes, peak / trace_bytes
 
 
 class TestSweep:

@@ -91,6 +91,28 @@ def test_truncated_data_detected(tmp_path):
                     reason="trace files hold the native dtype only on "
                            "little-endian machines")
 @pytest.mark.parametrize("kind", ["analog", "codes"])
+def test_write_makes_no_copy_of_the_trace(tmp_path, adc8, kind):
+    # the trace's dtype is the file's, so writing it copies nothing
+    n = 2**20
+    if kind == "analog":
+        trace = AnalogTrace(np.zeros(n), 1e-10, "quantum")
+        write, data = write_analog_trace, trace.samples
+    else:
+        trace = QuantizedTrace(np.zeros(n, np.int16), adc8, 1e-10)
+        write, data = write_quantized_trace, trace.codes
+    tracemalloc.start()
+    try:
+        write(tmp_path / "trace", trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * data.nbytes, peak / data.nbytes
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="trace files hold the native dtype only on "
+                           "little-endian machines")
+@pytest.mark.parametrize("kind", ["analog", "codes"])
 def test_read_keeps_the_array_read_from_disk(tmp_path, adc8, kind):
     # the file's dtype is the trace's, so reading it makes no second copy
     n = 2**20
