@@ -116,7 +116,8 @@ _KEYS = {
 
 
 def _defaults() -> dict:
-    # system defaults other than the converter live in SystemParams.from_dict
+    # the converter is listed so that one key can override one of its
+    # fields; every other system default is a SystemParams field default
     return {
         "system": {"adc": AdcSpec().to_dict()},
         "sim": {"n_samples": DEFAULT_N_SAMPLES,
@@ -203,7 +204,7 @@ def _system(system: dict) -> SystemParams:
     if "linewidth_hz" not in system or "delay_s" not in system:
         raise InvalidParameterError(
             "linewidth_hz and delay_s are required (flags or config)")
-    return SystemParams.from_dict(system)
+    return SystemParams(**{**system, "adc": AdcSpec(**system["adc"])})
 
 
 # ---------------------------------------------------------------- output
@@ -238,7 +239,6 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     check_seed("sim.master_seed", master_seed)
     quantize_source = one_of("quantize_source", conf["quantize_source"],
                              LABELS)
-    out = _out_dir(args)
 
     k = system.delay_samples
     phase_seed = derive_seed(master_seed, STREAM_PHASE)
@@ -250,6 +250,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     source = q if quantize_source == "quantum" else m
     codes = quantize(source, system.adc)
 
+    out = _out_dir(args)
     q_path = out / "quantum.f64"
     m_path = out / "measured.f64"
     c_path = out / "codes.i16"
@@ -309,6 +310,9 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
         raise AmbiguousInputError(
             "--codes reads the converter from the code trace; it takes no "
             "--amplitude, --adc-bits or --adc-range")
+    if args.codes is None and args.histogram_csv is not None:
+        raise AmbiguousInputError(
+            "--histogram-csv counts the codes of --codes; no other mode has any")
 
     histogram = None
     if args.codes is not None:
@@ -316,7 +320,7 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
         rep = empirical_min_entropy(qt)
         resolved = {"mode": "empirical", "codes": str(args.codes),
                     "adc": qt.adc.to_dict()}
-        if args.histogram_csv:
+        if args.histogram_csv is not None:
             counts = code_histogram(qt).tolist()
             Path(args.histogram_csv).write_text(_csv(
                 ["code", "count", "frequency"],
@@ -324,7 +328,7 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
                  zip(range(qt.adc.code_min, qt.adc.code_max + 1), counts)]))
             histogram = str(args.histogram_csv)
     else:
-        adc = AdcSpec.from_dict(system["adc"])
+        adc = AdcSpec(**system["adc"])
         amplitude = system.get("amplitude", adc.default_amplitude())
         if args.sigma_q2 is not None:
             sigma2 = invert_variance(args.sigma_q2, amplitude)
@@ -357,16 +361,13 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     if not linewidths or not delays:
         raise InvalidParameterError(
             "sweep needs linewidths_hz and delays_s (flags or config)")
-    # grids are index sets, not sequences: accept any order, sort once
-    linewidths = tuple(sorted(linewidths))
-    delays = tuple(sorted(delays))
 
     # the base template carries everything but the design point; it is
     # instantiated with the most forgiving grid corner so that a single
     # too-small delay fails per point instead of failing the whole grid
     try:
-        system = _system({**conf["system"], "linewidth_hz": linewidths[0],
-                          "delay_s": delays[-1]})
+        system = _system({**conf["system"], "linewidth_hz": min(linewidths),
+                          "delay_s": max(delays)})
     except DelayTooSmallError as exc:
         raise AllPointsFailedError(
             f"every grid delay rounds below one sample: {exc}") from exc
@@ -374,8 +375,7 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     grid = SweepGrid(
         linewidths_hz=linewidths, delays_s=delays, base=system,
         sim=SimSettings(n_samples=sim["n_samples"], seed=sim["master_seed"],
-                        **spectral_cfg),
-        entropy_method=conf["entropy_method"])
+                        entropy_method=conf["entropy_method"], **spectral_cfg))
     result = sweep(grid)
     if result.best is None:
         raise AllPointsFailedError(
@@ -385,12 +385,15 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     rows = [p.to_dict() for p in result.points]
     csv_path.write_text(_csv(list(rows[0]), [row.values() for row in rows]))
     b = result.best
+    echo = system.to_dict()
+    del echo["linewidth_hz"], echo["delay_s"]  # the grid is the design
     return {
-        "resolved_config": {**conf, "system": system.to_dict(), "sweep": {
-            "linewidths_hz": list(linewidths), "delays_s": list(delays)}},
+        "resolved_config": {**conf, "system": echo, "sweep": {
+            "linewidths_hz": list(grid.linewidths_hz),
+            "delays_s": list(grid.delays_s)}},
         "seeds": {"master": sim["master_seed"], "per_point": [
             {"linewidth_hz": lw, "delay_s": d, "seed": seed}
-            for (lw, d), seed in zip(product(linewidths, delays),
+            for (lw, d), seed in zip(product(grid.linewidths_hz, grid.delays_s),
                                      result.seeds)]},
         "results": {
             "best": b.to_dict(),
@@ -408,8 +411,10 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
 
 
 def cmd_extract(args: argparse.Namespace) -> dict:
-    check_seed("--seed", args.seed)
-    out = _out_dir(args)
+    if args.seed is not None and args.seed_file is not None:
+        raise AmbiguousInputError("give at most one of --seed or --seed-file")
+    master_seed = DEFAULT_MASTER_SEED if args.seed is None else args.seed
+    check_seed("--seed", master_seed)
     qt, _ = read_quantized_trace(args.codes)
     n_in = args.n_in
     if (args.n_out is None) == (args.h_min is None):
@@ -417,7 +422,8 @@ def cmd_extract(args: argparse.Namespace) -> dict:
     n_out = (args.n_out if args.n_out is not None
              else output_bits_for(args.h_min, qt.adc.bits, n_in))
     # the seed is drawn only for a geometry and a trace that can be hashed
-    check_toeplitz_geometry(n_in, n_out)
+    size = "--n-out" if args.h_min is None else "output bits from --h-min"
+    check_toeplitz_geometry(n_in, n_out, ("--n-in", size))
     if len(qt) * qt.adc.bits < n_in:
         raise TraceTooShortError(
             f"{len(qt)} codes of {qt.adc.bits} bits hold "
@@ -428,8 +434,8 @@ def cmd_extract(args: argparse.Namespace) -> dict:
         seed_bits = unpack_bytes_to_bits(Path(args.seed_file).read_bytes(),
                                          n_seed_bits)
     else:
-        toeplitz_seed = derive_seed(args.seed, STREAM_TOEPLITZ)
-        seed_source = {"derived_from_master": args.seed,
+        toeplitz_seed = derive_seed(master_seed, STREAM_TOEPLITZ)
+        seed_source = {"derived_from_master": master_seed,
                        "toeplitz_seed": toeplitz_seed}
         seed_bits = bit_stream(toeplitz_seed, n_seed_bits)
     spec = ToeplitzSpec(input_bits=n_in, output_bits=n_out, seed_bits=seed_bits)
@@ -440,7 +446,7 @@ def cmd_extract(args: argparse.Namespace) -> dict:
               file=sys.stderr)
 
     bits = extract_stream(qt, spec)
-    bits_path = out / "random.bin"
+    bits_path = _out_dir(args) / "random.bin"
     bits_path.write_bytes(pack_bits_to_bytes(bits))
 
     sanity = {"n_bits": int(bits.size)}
@@ -558,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-out", type=int, help="output block bits")
     p.add_argument("--h-min", type=float,
                    help="derive output bits from this min-entropy")
-    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
+    p.add_argument("--seed", type=int,
                    help="master seed of the extractor seed (64-bit)")
     p.add_argument("--seed-file", help="raw binary extractor seed")
     p.set_defaults(func=cmd_extract)

@@ -40,46 +40,46 @@ TIE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Per-evaluation simulation controls.
+    """Per-evaluation simulation controls, checked by the simulator's and
+    the estimator's rules. ``entropy_method`` picks the min-entropy route.
 
     ``seed`` is the stream seed of a single evaluation; in a sweep it
-    acts as the master seed from which per-point seeds are derived. The
-    rest is checked here, by the simulator's and the estimator's rules.
+    acts as the master seed from which per-point seeds are derived.
     """
 
     n_samples: int = DEFAULT_N_SAMPLES
     nfft: int = DEFAULT_NFFT
     overlap_fraction: float = DEFAULT_OVERLAP
     plateau_bins: int = DEFAULT_PLATEAU_BINS
+    entropy_method: str = METHOD_ANALYTIC
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_n_samples(self.n_samples)
         check_welch(self.nfft, self.overlap_fraction)
         check_plateau_bins(self.plateau_bins, self.nfft // 2 + 1)
+        one_of("entropy_method", self.entropy_method, METHODS)
 
 
 @dataclass(frozen=True)
 class SweepGrid:
+    """A (linewidth, delay) grid around a base design. Each grid is a
+    nonempty set of positive values, kept as a sorted tuple, so the order
+    it is given in changes neither the points nor their seeds."""
+
     linewidths_hz: tuple[float, ...]
     delays_s: tuple[float, ...]
     base: SystemParams
     sim: SimSettings
-    entropy_method: str = METHOD_ANALYTIC
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "linewidths_hz", tuple(self.linewidths_hz))
-        object.__setattr__(self, "delays_s", tuple(self.delays_s))
-        for name, values in (("linewidths_hz", self.linewidths_hz),
-                             ("delays_s", self.delays_s)):
-            if not values:
-                raise InvalidParameterError(f"{name} must be nonempty")
-            for v in values:
-                positive(name, v)
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise InvalidParameterError(f"{name} must be strictly increasing")
-        one_of("entropy_method", self.entropy_method, METHODS)
-        if self.entropy_method == METHOD_ANALYTIC:
+        for name in ("linewidths_hz", "delays_s"):
+            values = tuple(sorted(positive(name, v) for v in getattr(self, name)))
+            if not values or len(set(values)) < len(values):
+                raise InvalidParameterError(
+                    f"{name} must be a nonempty set, got {getattr(self, name)}")
+            object.__setattr__(self, name, values)
+        if self.sim.entropy_method == METHOD_ANALYTIC:
             # every point would fail the model's amplitude rule
             validate_amplitude(self.base.amplitude, self.base.adc)
 
@@ -117,23 +117,21 @@ class SweepResult:
 
 
 def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
-                   sim: SimSettings,
-                   entropy_method: str = METHOD_ANALYTIC) -> SweepPoint:
+                   sim: SimSettings) -> SweepPoint:
     """Simulate one design point and score its generation rate.
 
     The spectrum (and hence the bandwidth estimate) always comes from
-    the simulated quantum trace. Min-entropy uses the exact delay, not
-    the sample-rounded one, in analytic mode; in empirical mode it is
-    measured from the quantized quantum trace itself.
+    the simulated quantum trace. Min-entropy follows ``sim.entropy_method``:
+    analytic at the exact delay, not the sample-rounded one, or empirical
+    from the quantized quantum trace itself.
     """
-    one_of("entropy_method", entropy_method, METHODS)
-    params = base.with_design(linewidth_hz, delay_s)
+    params = replace(base, linewidth_hz=linewidth_hz, delay_s=delay_s)
     q = quantum_noise(sample_phase_path(linewidth_hz, params.sample_period_s,
                                         sim.n_samples, sim.seed),
                       params.delay_samples, params.amplitude)
     bw = bandwidth_3db(estimate_psd(q, sim.nfft, sim.overlap_fraction),
                        sim.plateau_bins)
-    if entropy_method == METHOD_ANALYTIC:
+    if sim.entropy_method == METHOD_ANALYTIC:
         h = analytic_min_entropy(phase_variance(linewidth_hz, delay_s),
                                  params.amplitude, params.adc).h_min
     else:
@@ -174,8 +172,7 @@ def sweep(grid: SweepGrid) -> SweepResult:
     for (lw, d), seed in zip(product(grid.linewidths_hz, grid.delays_s), seeds):
         try:
             points.append(evaluate_point(lw, d, grid.base,
-                                         replace(grid.sim, seed=seed),
-                                         grid.entropy_method))
+                                         replace(grid.sim, seed=seed)))
         except LpnError as exc:
             failures.append(PointFailure(lw, d, exc.code, str(exc)))
     best, ties = _pick_best(points)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from .errors import DelayTooSmallError, InvalidParameterError
@@ -73,9 +73,12 @@ def one_of(name: str, value, choices: tuple[str, ...]) -> str:
 
 
 def check_n_samples(n_samples: int) -> None:
-    """A phase path holds the theta(0) = 0 origin and at least one step."""
+    """A phase path holds the theta(0) = 0 origin and at least one step,
+    and fewer than 2**60 float64 samples: NumPy sizes no 2**63-byte array."""
     if n_samples < 2:
         raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
+    if n_samples >= 2**60:
+        raise InvalidParameterError(f"n_samples must be < 2**60, got {n_samples}")
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -100,13 +103,19 @@ def check_plateau_bins(plateau_bins: int, n_bins: int) -> None:
             f"plateau_bins must be in [1, {n_bins - 1}], got {plateau_bins}")
 
 
-def check_toeplitz_geometry(input_bits: int, output_bits: int) -> None:
-    """A Toeplitz hash maps input_bits >= 1 bits to 1 .. input_bits bits."""
+def check_toeplitz_geometry(
+        input_bits: int, output_bits: int,
+        names: tuple[str, str] = ("input_bits", "output_bits")) -> None:
+    """A Toeplitz hash maps input_bits >= 1 bits to 1 .. input_bits bits.
+
+    ``names`` are what the error message calls the two sizes.
+    """
+    in_name, out_name = names
     if input_bits < 1:
-        raise InvalidParameterError(f"input_bits must be >= 1, got {input_bits}")
+        raise InvalidParameterError(f"{in_name} must be >= 1, got {input_bits}")
     if not 1 <= output_bits <= input_bits:
         raise InvalidParameterError(
-            f"output_bits must be in [1, input_bits], got {output_bits}")
+            f"{out_name} must be in [1, {in_name}], got {output_bits}")
 
 
 def delay_index(delay_s: float, sample_period_s: float) -> int:
@@ -197,20 +206,5 @@ class SystemParams:
     def delay_samples(self) -> int:
         return delay_index(self.delay_s, self.sample_period_s)
 
-    def with_design(self, linewidth_hz: float, delay_s: float) -> "SystemParams":
-        """Copy with a new (linewidth, delay) pair; used by grid sweeps."""
-        return replace(self, linewidth_hz=linewidth_hz, delay_s=delay_s)
-
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemParams":
-        return cls(
-            linewidth_hz=as_float(d["linewidth_hz"]),
-            delay_s=as_float(d["delay_s"]),
-            amplitude=None if d.get("amplitude") is None else as_float(d["amplitude"]),
-            sigma_ele=as_float(d.get("sigma_ele", DEFAULT_SIGMA_ELE)),
-            sample_period_s=as_float(d.get("sample_period_s", DEFAULT_SAMPLE_PERIOD_S)),
-            adc=AdcSpec.from_dict(d["adc"]) if "adc" in d else AdcSpec(),
-        )

@@ -277,6 +277,24 @@ class TestEntropy:
         row0 = lines[1 + 128].split(",")
         assert row0[0] == "0" and row0[1] == "2"
 
+    @pytest.mark.parametrize("argv", [
+        ["--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9], ["--sigma-q2", 0.1]],
+        ids=["design", "variance"])
+    def test_histogram_needs_codes(self, tmp_path, capsys, argv):
+        # only a code trace has a histogram; the flag must not pass unused
+        hist = tmp_path / "hist.csv"
+        assert run("entropy", *argv, "--histogram-csv", hist) == 2
+        one_error_line(capsys, "ambiguous-input")
+        assert capsys.readouterr().out == ""
+        assert not hist.exists()
+
+    def test_empty_histogram_path_is_not_skipped(self, tmp_path, capsys, adc8):
+        path = tmp_path / "c.i16"
+        write_quantized_trace(
+            path, QuantizedTrace(np.zeros(4, np.int16), adc8, 1e-10))
+        assert run("entropy", "--codes", path, "--histogram-csv", "") == 3
+        one_error_line(capsys, "io")
+
     def test_variance_mode(self, capsys):
         assert run("entropy", "--sigma-q2", 0.1, "--amplitude", 0.75) == 0
         report = json.loads(capsys.readouterr().out)
@@ -396,6 +414,23 @@ class TestSweep:
             csvs.append((out / "sweep.csv").read_text())
         assert csvs[0] == csvs[1]
 
+    def test_report_echoes_the_grid_not_a_design_point(self, tmp_path):
+        out = tmp_path / "s"
+        assert run("sweep", "--linewidths-hz", 9.5e6, 5e6,
+                   "--delays-s", 6.5e-9, 2.5e-9, "--seed", 4,
+                   "--out-dir", out, *NFFT_FAST) == 0
+        resolved = json.loads((out / "report.json").read_text())[
+            "resolved_config"]
+        assert "linewidth_hz" not in resolved["system"]
+        assert "delay_s" not in resolved["system"]
+        assert resolved["sweep"] == {"linewidths_hz": [5e6, 9.5e6],
+                                     "delays_s": [2.5e-9, 6.5e-9]}
+        cfg = tmp_path / "replay.json"
+        cfg.write_text(json.dumps(resolved))
+        assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "r") == 0
+        assert ((tmp_path / "r" / "sweep.csv").read_text()
+                == (out / "sweep.csv").read_text())
+
     def test_partial_failures_keep_exit_zero(self, tmp_path):
         out = tmp_path / "s"
         assert run("sweep", "--linewidths-hz", 9.5e6,
@@ -427,10 +462,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("argv", [
         ["--nfft", 1000], ["--overlap", 1.5], ["--plateau-bins", 0],
-        ["--n-samples", 1], ["--amplitude", 1.0],
-        ["--linewidths-hz", 1e7, "nan"], ["--linewidths-hz", 1e7, "inf"]],
-        ids=["nfft", "overlap", "plateau-bins", "n-samples", "amplitude",
-             "linewidth-nan", "linewidth-inf"])
+        ["--n-samples", 1], ["--n-samples", 2**60], ["--amplitude", 1.0],
+        ["--linewidths-hz", 1e7, "nan"], ["--linewidths-hz", 1e7, "inf"],
+        ["--linewidths-hz", 5e6, 5e6]],
+        ids=["nfft", "overlap", "plateau-bins", "n-samples", "n-samples-2^60",
+             "amplitude", "linewidth-nan", "linewidth-inf", "linewidth-repeated"])
     def test_setting_invalid_for_every_point(self, tmp_path, capsys, simulated,
                                              argv):
         assert run("sweep", "--linewidths-hz", 5e6, 9.5e6,
@@ -541,18 +577,31 @@ class TestExtract:
         assert run("extract", "--codes", path, "--n-in", 2048, "--n-out", 1800,
                    "--seed-file", seed_file, "--out-dir", tmp_path) == 2
 
-    @pytest.mark.parametrize("n_in,n_out,message", [
-        (64, -200, "output_bits must be in [1, input_bits], got -200"),
-        (64, 65, "output_bits must be in [1, input_bits], got 65"),
-        (0, 1, "input_bits must be >= 1, got 0")])
-    def test_geometry_checked_in_one_line(self, tmp_path, capsys, n_in, n_out,
+    def test_seed_and_seed_file_are_ambiguous(self, tmp_path, capsys):
+        path = self._codes_file(tmp_path)
+        seed_file = tmp_path / "x.seed"
+        seed_file.write_bytes(bytes(range(256)) * 2)
+        out = tmp_path / "x"
+        assert run("extract", "--codes", path, "--n-in", 2048, "--n-out", 1800,
+                   "--seed", 5, "--seed-file", seed_file, "--out-dir", out) == 2
+        one_error_line(capsys, "ambiguous-input")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_in,size,message", [
+        (64, ["--n-out", -200], "--n-out must be in [1, --n-in], got -200"),
+        (64, ["--n-out", 65], "--n-out must be in [1, --n-in], got 65"),
+        (0, ["--n-out", 1], "--n-in must be >= 1, got 0"),
+        (64, ["--h-min", 0],
+         "output bits from --h-min must be in [1, --n-in], got 0")],
+        ids=["n-out-negative", "n-out-above-n-in", "n-in-zero", "h-min-zero"])
+    def test_geometry_checked_in_one_line(self, tmp_path, capsys, n_in, size,
                                           message):
         path = self._codes_file(tmp_path)
         out = tmp_path / "x"
-        assert run("extract", "--codes", path, "--n-in", n_in, "--n-out", n_out,
+        assert run("extract", "--codes", path, "--n-in", n_in, *size,
                    "--out-dir", out) == 2
         assert one_error_line(capsys, "invalid-parameter").endswith(message)
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_trace_too_short_checked_before_the_seed_is_drawn(self, tmp_path,
                                                               capsys):
@@ -733,6 +782,23 @@ class TestMasterSeed:
 
 
 class TestOutOfMemory:
+    ARGV = {"simulate": ["--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9],
+            "sweep": ["--linewidths-hz", 9.5e6, "--delays-s", 2.5e-9]}
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("n_samples,exit_code,code", [
+        (2**60, 2, "invalid-parameter"), (2**60 - 1, 3, "out-of-memory")],
+        ids=["2^60", "2^60-1"])
+    def test_n_samples_bound(self, tmp_path, capsys, command, n_samples,
+                             exit_code, code):
+        # 2**60 float64s are more bytes than NumPy can size; one fewer is
+        # sized and then fails to allocate
+        out = tmp_path / "out"
+        assert run(command, *self.ARGV[command], "--n-samples", n_samples,
+                   "--out-dir", out) == exit_code
+        one_error_line(capsys, code)
+        assert not out.exists()
+
     def test_memory_error_ends_in_one_line(self, monkeypatch, capsys):
         def exhausted(args):
             raise MemoryError("Unable to allocate 74.5 TiB for an array")

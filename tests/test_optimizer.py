@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,14 +41,13 @@ class TestEvaluatePoint:
         assert p.f_s_hz == 2.0 * p.b_es_hz
 
     def test_empirical_route(self):
-        p = evaluate_point(9.5e6, 2.5e-9, base_params(), FAST_SIM,
-                           entropy_method="empirical")
+        p = evaluate_point(9.5e6, 2.5e-9, base_params(),
+                           replace(FAST_SIM, entropy_method="empirical"))
         assert 0.0 < p.h_min_bits <= 8.0
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameterError):
-            evaluate_point(9.5e6, 2.5e-9, base_params(), FAST_SIM,
-                           entropy_method="wrong")
+            SimSettings(n_samples=2**15, nfft=1024, entropy_method="wrong")
 
     def test_deterministic(self):
         a = evaluate_point(9.5e6, 6.5e-9, base_params(), FAST_SIM)
@@ -100,16 +100,26 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(InvalidParameterError):
             fast_grid(delays_s=())
+        assert fast_grid(delays_s=[6.5e-9, 2.5e-9]).delays_s == (2.5e-9, 6.5e-9)
         with pytest.raises(InvalidParameterError):
-            fast_grid(delays_s=(6.5e-9, 2.5e-9))
+            fast_grid(delays_s=(2.5e-9, 6.5e-9, 2.5e-9))
         with pytest.raises(InvalidParameterError):
             fast_grid(linewidths_hz=(0.0, 9.5e6))
-        with pytest.raises(InvalidParameterError):
-            fast_grid(entropy_method="nope")
         with pytest.raises(InvalidParameterError):
             fast_grid(linewidths_hz=(9.5e6, float("nan")))
         with pytest.raises(InvalidParameterError):
             fast_grid(delays_s=(2.5e-9, float("inf")))
+
+    def test_grid_order_is_not_part_of_the_grid(self):
+        # linewidths 5e6, 9.5e6 and the two delays, given in reverse
+        ordered = fast_grid(linewidths_hz=(5e6, 9.5e6))
+        reversed_ = fast_grid(linewidths_hz=(9.5e6, 5e6),
+                              delays_s=(6.5e-9, 2.5e-9))
+        assert reversed_ == ordered
+        a, b = sweep(ordered), sweep(reversed_)
+        assert (a.points, a.seeds) == (b.points, b.seeds)
+        with pytest.raises(InvalidParameterError, match="nonempty set"):
+            fast_grid(linewidths_hz=(9.5e6, 5e6, 9.5e6))
 
     def test_failures_are_recorded_not_raised(self):
         # a delay below half a sample period fails at that point only

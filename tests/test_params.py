@@ -13,7 +13,6 @@ from lpnqrng import (
     add_electronic_noise,
     analytic_min_entropy,
     delay_index,
-    evaluate_point,
     forward_variance,
     invert_variance,
     phase_variance,
@@ -26,7 +25,7 @@ from lpnqrng.errors import (
     InvalidParameterError,
     NonPositiveVarianceError,
 )
-from lpnqrng.params import one_of
+from lpnqrng.params import check_n_samples, check_toeplitz_geometry, one_of
 
 
 class TestAdcSpec:
@@ -83,17 +82,29 @@ class TestSystemParams:
         with pytest.raises(DelayTooSmallError):
             SystemParams(linewidth_hz=1e6, delay_s=0.04e-9, sample_period_s=1e-10)
 
-    def test_dict_round_trip(self):
-        p = SystemParams(linewidth_hz=5e6, delay_s=4.5e-9, amplitude=0.8,
-                         sigma_ele=0.02, sample_period_s=2e-10,
-                         adc=AdcSpec(bits=10, range=2.0))
-        assert SystemParams.from_dict(p.to_dict()) == p
 
-    def test_with_design_keeps_rest(self):
-        p = SystemParams(linewidth_hz=5e6, delay_s=4.5e-9, sigma_ele=0.02)
-        q = p.with_design(9.5e6, 2.5e-9)
-        assert (q.linewidth_hz, q.delay_s) == (9.5e6, 2.5e-9)
-        assert q.sigma_ele == p.sigma_ele and q.adc == p.adc
+class TestRules:
+    @pytest.mark.parametrize("n", [2, 2**60 - 1])
+    def test_n_samples_accepted(self, n):
+        check_n_samples(n)
+
+    @pytest.mark.parametrize("n", [1, 2**60, 2**64])
+    def test_n_samples_rejected_before_allocation(self, n):
+        # 2**60 float64 samples are 2**63 bytes, more than NumPy can size
+        with pytest.raises(InvalidParameterError):
+            SimSettings(n_samples=n)
+        with pytest.raises(InvalidParameterError):
+            sample_phase_path(1e6, 1e-10, n, seed=0)
+
+    @pytest.mark.parametrize("input_bits,output_bits,message", [
+        (0, 1, "input_bits must be >= 1, got 0"),
+        (4, 5, "output_bits must be in [1, input_bits], got 5")])
+    def test_toeplitz_geometry_names_the_api_fields(self, input_bits,
+                                                    output_bits, message):
+        # the command line passes its flags' names instead
+        with pytest.raises(InvalidParameterError) as exc:
+            check_toeplitz_geometry(input_bits, output_bits)
+        assert str(exc.value) == message
 
 
 _PATH = sample_phase_path(1e6, 1e-10, 8, seed=0)
@@ -175,11 +186,9 @@ class TestOneOf:
     @pytest.mark.parametrize("call,message", [
         (lambda: AnalogTrace(np.zeros(4), 1e-10, "other"),
          "trace label must be 'quantum' or 'measured', got 'other'"),
-        (lambda: SweepGrid((9.5e6,), (2.5e-9,), _BASE, SimSettings(), "other"),
+        (lambda: SimSettings(entropy_method="other"),
          "entropy_method must be 'analytic' or 'empirical', got 'other'"),
-        (lambda: evaluate_point(9.5e6, 2.5e-9, _BASE, SimSettings(), "other"),
-         "entropy_method must be 'analytic' or 'empirical', got 'other'"),
-    ], ids=["trace-label", "sweep-grid", "evaluate-point"])
+    ], ids=["trace-label", "sim-settings"])
     def test_sites(self, call, message):
         with pytest.raises(InvalidParameterError) as exc:
             call()

@@ -52,3 +52,12 @@ def test_counted_parameters_exist(module, name, parameter):
 
 def test_gf2_backend_is_exported():
     assert isinstance(lpnqrng.GF2_BACKEND, str)
+
+
+def test_sweep_call_shapes_bind():
+    # perfbench's sweep workload calls evaluate_point(lw, d, base, sim)
+    # positionally with SimSettings(seed=...), and nothing else
+    sim = lpnqrng.SimSettings(seed=lpnqrng.derive_seed(1, 0, 0))
+    base = lpnqrng.SystemParams(5e6, 1.5e-9)
+    inspect.signature(lpnqrng.optimizer.evaluate_point).bind(
+        5e6, 1.5e-9, base, sim)

@@ -35,7 +35,7 @@ def test_analog_round_trip(tmp_path, system):
     assert back.sample_period_s == 1e-10
     assert back.label == "quantum"
     assert meta["seed"] == 7
-    assert SystemParams.from_dict(meta["system"]) == system
+    assert meta["system"] == system.to_dict()
 
 
 def test_analog_bytes_little_endian(tmp_path):
