@@ -13,6 +13,7 @@ from lpnqrng import (
     add_electronic_noise,
     analytic_min_entropy,
     delay_index,
+    evaluate_point,
     forward_variance,
     invert_variance,
     phase_variance,
@@ -186,9 +187,14 @@ class TestOneOf:
     @pytest.mark.parametrize("call,message", [
         (lambda: AnalogTrace(np.zeros(4), 1e-10, "other"),
          "trace label must be 'quantum' or 'measured', got 'other'"),
-        (lambda: SimSettings(entropy_method="other"),
+        # both sites read the method from SimSettings, which rejects it
+        (lambda: SweepGrid((9.5e6,), (2.5e-9,), _BASE,
+                           SimSettings(entropy_method="other")),
          "entropy_method must be 'analytic' or 'empirical', got 'other'"),
-    ], ids=["trace-label", "sim-settings"])
+        (lambda: evaluate_point(9.5e6, 2.5e-9, _BASE,
+                                SimSettings(entropy_method="other")),
+         "entropy_method must be 'analytic' or 'empirical', got 'other'"),
+    ], ids=["trace-label", "sweep-grid", "evaluate-point"])
     def test_sites(self, call, message):
         with pytest.raises(InvalidParameterError) as exc:
             call()
