@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: simulate, psd, entropy, sweep, extract, invert-variance.
-Each registers only the flags it reads. The four that take --config
-resolve it in one place (defaults, then --config JSON, then flags).
+Each registers only the flags it reads, and a command that takes
+--config reads exactly the config keys it has flags for, resolved in
+one place (defaults, then --config JSON, then flags).
 Commands compute and main reports: a command returns the body of its
 report, and main times it, writes report.json and prints it. Every
 report echoes the resolved configuration, and all stream seeds derive
@@ -85,49 +86,40 @@ from .traceio import (
 
 # ---------------------------------------------------------------- config
 
-#: Every config key a command reads, by dotted path: the flag that
+#: Every config key a command can read, by dotted path: the flag that
 #: overrides it (its argparse dest is the path), the type its value is
-#: read as, and the flag's help.
+#: read as, its default, and the flag's help. A system or sweep key has
+#: no default here: SystemParams and AdcSpec own those.
 _KEYS = {
-    "system.linewidth_hz": ("--linewidth-hz", float, "laser linewidth (Hz)"),
-    "system.delay_s": ("--delay-s", float, "interferometer delay (s)"),
-    "system.amplitude": ("--amplitude", float, "signal peak (V)"),
-    "system.sigma_ele": ("--sigma-ele", float, "electronic noise std (V)"),
-    "system.sample_period_s": ("--sample-period-s", float,
+    "system.linewidth_hz": ("--linewidth-hz", float, None,
+                            "laser linewidth (Hz)"),
+    "system.delay_s": ("--delay-s", float, None, "interferometer delay (s)"),
+    "system.amplitude": ("--amplitude", float, None, "signal peak (V)"),
+    "system.sigma_ele": ("--sigma-ele", float, None,
+                         "electronic noise std (V)"),
+    "system.sample_period_s": ("--sample-period-s", float, None,
                                "sampling period (s)"),
-    "system.adc.bits": ("--adc-bits", int, "ADC resolution (bits)"),
-    "system.adc.range": ("--adc-range", float, "ADC range (V)"),
-    "sim.n_samples": ("--n-samples", int, "phase path length"),
-    "sim.master_seed": ("--seed", int, "master seed (64-bit)"),
-    "spectral.nfft": ("--nfft", int, "Welch segment length"),
-    "spectral.overlap_fraction": ("--overlap", float,
+    "system.adc.bits": ("--adc-bits", int, None, "ADC resolution (bits)"),
+    "system.adc.range": ("--adc-range", float, None, "ADC range (V)"),
+    "sim.n_samples": ("--n-samples", int, DEFAULT_N_SAMPLES,
+                      "phase path length"),
+    "sim.master_seed": ("--seed", int, DEFAULT_MASTER_SEED,
+                        "master seed (64-bit)"),
+    "spectral.nfft": ("--nfft", int, DEFAULT_NFFT, "Welch segment length"),
+    "spectral.overlap_fraction": ("--overlap", float, DEFAULT_OVERLAP,
                                   "segment overlap fraction"),
-    "spectral.plateau_bins": ("--plateau-bins", int,
+    "spectral.plateau_bins": ("--plateau-bins", int, DEFAULT_PLATEAU_BINS,
                               "bins averaged for the plateau reference"),
-    "sweep.linewidths_hz": ("--linewidths-hz", list, "grid linewidths (Hz)"),
-    "sweep.delays_s": ("--delays-s", list, "grid delays (s)"),
-    "quantize_source": ("--quantize-source", str,
+    "sweep.linewidths_hz": ("--linewidths-hz", list, None,
+                            "grid linewidths (Hz)"),
+    "sweep.delays_s": ("--delays-s", list, None, "grid delays (s)"),
+    "quantize_source": ("--quantize-source", str, "quantum",
                         "trace fed to the ADC model: quantum (default) "
                         "or measured"),
-    "entropy_method": ("--entropy-method", str,
+    "entropy_method": ("--entropy-method", str, METHOD_ANALYTIC,
                        f"min-entropy route: {METHOD_ANALYTIC} (default) "
                        f"or {METHOD_EMPIRICAL}"),
 }
-
-
-def _defaults() -> dict:
-    # the converter is listed so that one key can override one of its
-    # fields; every other system default is a SystemParams field default
-    return {
-        "system": {"adc": AdcSpec().to_dict()},
-        "sim": {"n_samples": DEFAULT_N_SAMPLES,
-                "master_seed": DEFAULT_MASTER_SEED},
-        "spectral": {"nfft": DEFAULT_NFFT, "overlap_fraction": DEFAULT_OVERLAP,
-                     "plateau_bins": DEFAULT_PLATEAU_BINS},
-        "sweep": {},
-        "quantize_source": "quantum",
-        "entropy_method": METHOD_ANALYTIC,
-    }
 
 
 def _load_config(path: str | None) -> dict:
@@ -170,29 +162,28 @@ def _coerce(path: str, value):
             f"{path} must be {kind.__name__}, got {value!r}") from None
 
 
-def _resolve(args: argparse.Namespace, *sections: str) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """The configuration of one command run.
 
-    For every key under ``sections``: the default, then the --config
-    value, then the flag if the user gave it. A JSON null counts as
-    absent. Config values are coerced to the key's type (flags already
-    are); a section that is not a JSON object, or a value of the wrong
-    type, raises InvalidParameterError naming the key.
+    A command reads exactly the keys it has flags for, and no other.
+    Each takes its default, then its --config value, then its flag if
+    the user gave it. A JSON null counts as absent. Config values are
+    coerced to the key's type (flags already are), even where a flag
+    overrides them; a section that is not a JSON object, or a value of
+    the wrong type, raises InvalidParameterError naming the key.
     """
     cfg = _load_config(args.config)
-    conf = {name: value for name, value in _defaults().items()
-            if name in sections}
-    for path in _KEYS:
-        if path.split(".")[0] not in sections:
+    conf: dict = {}
+    for path, (_, _, default, _) in _KEYS.items():
+        if not hasattr(args, path):
             continue
-        *parents, key = path.split(".")
         value = _lookup(cfg, path)
-        if value is not None:
-            value = _coerce(path, value)
-        if getattr(args, path, None) is not None:
+        value = default if value is None else _coerce(path, value)
+        if getattr(args, path) is not None:
             value = getattr(args, path)
         if value is None:
             continue
+        *parents, key = path.split(".")
         node = conf
         for name in parents:
             node = node.setdefault(name, {})
@@ -204,7 +195,7 @@ def _system(system: dict) -> SystemParams:
     if "linewidth_hz" not in system or "delay_s" not in system:
         raise InvalidParameterError(
             "linewidth_hz and delay_s are required (flags or config)")
-    return SystemParams(**{**system, "adc": AdcSpec(**system["adc"])})
+    return SystemParams(**{**system, "adc": AdcSpec(**system.get("adc", {}))})
 
 
 # ---------------------------------------------------------------- output
@@ -233,8 +224,8 @@ def _csv(header, rows) -> str:
 # ------------------------------------------------------------- commands
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
-    conf = _resolve(args, "system", "sim", "quantize_source")
-    system = _system(conf["system"])
+    conf = _resolve(args)
+    system = _system(conf.get("system", {}))
     n_samples, master_seed = conf["sim"]["n_samples"], conf["sim"]["master_seed"]
     check_seed("sim.master_seed", master_seed)
     quantize_source = one_of("quantize_source", conf["quantize_source"],
@@ -273,12 +264,12 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def cmd_psd(args: argparse.Namespace) -> dict:
-    spectral_cfg = _resolve(args, "spectral")["spectral"]
-    csv_path = _out_dir(args) / "psd.csv"
+    spectral_cfg = _resolve(args)["spectral"]
     trace, meta = read_analog_trace(args.trace)
     psd = estimate_psd(trace, spectral_cfg["nfft"],
                        spectral_cfg["overlap_fraction"])
     bw = bandwidth_3db(psd, spectral_cfg["plateau_bins"])
+    csv_path = _out_dir(args) / "psd.csv"
     csv_path.write_text(_csv(["freq_hz", "power_v2_per_hz"],
                              zip(psd.freqs, psd.power)))
     return {
@@ -298,7 +289,7 @@ def cmd_psd(args: argparse.Namespace) -> dict:
 
 
 def cmd_entropy(args: argparse.Namespace) -> dict:
-    system = _resolve(args, "system")["system"]
+    system = _resolve(args).get("system", {})
     # a design point in the config is the default mode; only flags can clash
     design_flags = (getattr(args, "system.linewidth_hz") is not None
                     or getattr(args, "system.delay_s") is not None)
@@ -328,7 +319,7 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
                  zip(range(qt.adc.code_min, qt.adc.code_max + 1), counts)]))
             histogram = str(args.histogram_csv)
     else:
-        adc = AdcSpec(**system["adc"])
+        adc = AdcSpec(**system.get("adc", {}))
         amplitude = system.get("amplitude", adc.default_amplitude())
         if args.sigma_q2 is not None:
             sigma2 = invert_variance(args.sigma_q2, amplitude)
@@ -353,11 +344,10 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> dict:
-    conf = _resolve(args, "system", "sim", "spectral", "sweep",
-                    "entropy_method")
+    conf = _resolve(args)
     check_seed("sim.master_seed", conf["sim"]["master_seed"])
-    linewidths = conf["sweep"].get("linewidths_hz")
-    delays = conf["sweep"].get("delays_s")
+    grids = conf.get("sweep", {})
+    linewidths, delays = grids.get("linewidths_hz"), grids.get("delays_s")
     if not linewidths or not delays:
         raise InvalidParameterError(
             "sweep needs linewidths_hz and delays_s (flags or config)")
@@ -366,8 +356,8 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     # instantiated with the most forgiving grid corner so that a single
     # too-small delay fails per point instead of failing the whole grid
     try:
-        system = _system({**conf["system"], "linewidth_hz": min(linewidths),
-                          "delay_s": max(delays)})
+        system = _system({**conf.get("system", {}), "delay_s": max(delays),
+                          "linewidth_hz": min(linewidths)})
     except DelayTooSmallError as exc:
         raise AllPointsFailedError(
             f"every grid delay rounds below one sample: {exc}") from exc
@@ -385,8 +375,9 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     rows = [p.to_dict() for p in result.points]
     csv_path.write_text(_csv(list(rows[0]), [row.values() for row in rows]))
     b = result.best
+    # the grid is the design, and no point adds electronic noise
     echo = system.to_dict()
-    del echo["linewidth_hz"], echo["delay_s"]  # the grid is the design
+    del echo["linewidth_hz"], echo["delay_s"], echo["sigma_ele"]
     return {
         "resolved_config": {**conf, "system": echo, "sweep": {
             "linewidths_hz": list(grid.linewidths_hz),
@@ -498,14 +489,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(err.exit_code, f"lpnqrng: error: {err.code}: {message}\n")
 
 
-def _add_keys(p: argparse.ArgumentParser, *paths: str) -> None:
-    """Register the flag of each config key; its dest is the key's path."""
+def _command(sub, name: str, text: str, func, *paths: str,
+             prints: bool = False) -> argparse.ArgumentParser:
+    """A subcommand's parser. Given config keys, it takes --config and
+    each key's flag, whose dest is the key's path: the only keys the
+    command reads. One that ``prints`` its report also takes --format."""
+    p = sub.add_parser(name, help=text)
+    p.set_defaults(func=func)
+    if paths:
+        p.add_argument("--config", help="JSON config file")
+    if prints:
+        p.add_argument("--out-dir", help="also write the report here")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="stdout format")
+    else:
+        p.add_argument("--out-dir", default=".", help="output directory")
     for path in paths:
-        flag, kind, text = _KEYS[path]
-        if kind is list:
-            p.add_argument(flag, dest=path, type=float, nargs="+", help=text)
-        else:
-            p.add_argument(flag, dest=path, type=kind, help=text)
+        flag, kind, _, text = _KEYS[path]
+        p.add_argument(flag, dest=path, type=float if kind is list else kind,
+                       nargs="+" if kind is list else None, help=text)
+    return p
 
 
 _ADC = ("system.amplitude", "system.adc.bits", "system.adc.range")
@@ -522,43 +525,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate and store one trace set")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    _add_keys(p, "system.linewidth_hz", "system.delay_s", *_ADC,
-              "system.sigma_ele", "system.sample_period_s", "sim.n_samples",
-              "sim.master_seed", "quantize_source")
-    p.set_defaults(func=cmd_simulate)
+    _command(sub, "simulate", "generate and store one trace set", cmd_simulate,
+             "system.linewidth_hz", "system.delay_s", *_ADC,
+             "system.sigma_ele", "system.sample_period_s", "sim.n_samples",
+             "sim.master_seed", "quantize_source")
 
-    p = sub.add_parser("psd", help="spectrum and 3-dB bandwidth of a trace")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    _add_keys(p, *_SPECTRAL)
+    p = _command(sub, "psd", "spectrum and 3-dB bandwidth of a trace",
+                 cmd_psd, *_SPECTRAL)
     p.add_argument("--trace", required=True, help="analog trace file")
-    p.set_defaults(func=cmd_psd)
 
-    p = sub.add_parser("entropy", help="min-entropy, analytic or empirical")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out-dir", help="also write the report here")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="stdout format")
-    _add_keys(p, "system.linewidth_hz", "system.delay_s", *_ADC)
+    p = _command(sub, "entropy", "min-entropy, analytic or empirical",
+                 cmd_entropy, "system.linewidth_hz", "system.delay_s", *_ADC,
+                 prints=True)
     p.add_argument("--sigma-q2", type=float,
                    help="variance mode: measured quantum-noise variance (V^2)")
     p.add_argument("--codes", help="empirical mode: code trace file")
     p.add_argument("--histogram-csv", help="also write a code histogram CSV")
-    p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("sweep", help="grid search over (linewidth, delay)")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    _add_keys(p, *_ADC, "system.sample_period_s", *_SPECTRAL, "sim.n_samples",
-              "sim.master_seed", "sweep.linewidths_hz", "sweep.delays_s",
-              "entropy_method")
-    p.set_defaults(func=cmd_sweep)
+    _command(sub, "sweep", "grid search over (linewidth, delay)", cmd_sweep,
+             *_ADC, "system.sample_period_s", *_SPECTRAL, "sim.n_samples",
+             "sim.master_seed", "sweep.linewidths_hz", "sweep.delays_s",
+             "entropy_method")
 
-    p = sub.add_parser("extract", help="Toeplitz-hash a code trace to bits")
-    p.add_argument("--out-dir", default=".", help="output directory")
+    p = _command(sub, "extract", "Toeplitz-hash a code trace to bits",
+                 cmd_extract)
     p.add_argument("--codes", required=True, help="code trace file")
     p.add_argument("--n-in", type=int, required=True, help="input block bits")
     p.add_argument("--n-out", type=int, help="output block bits")
@@ -567,20 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int,
                    help="master seed of the extractor seed (64-bit)")
     p.add_argument("--seed-file", help="raw binary extractor seed")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("invert-variance",
-                       help="phase-noise variance from measured variances")
-    p.add_argument("--out-dir", help="also write the report here")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="stdout format")
+    p = _command(sub, "invert-variance",
+                 "phase-noise variance from measured variances",
+                 cmd_invert_variance, prints=True)
     p.add_argument("--sigma-m2", type=float, required=True,
                    help="measured signal variance (V^2)")
     p.add_argument("--sigma-c2", type=float, required=True,
                    help="classical noise variance (V^2)")
     p.add_argument("--amplitude", type=float, required=True,
                    help="signal peak (V)")
-    p.set_defaults(func=cmd_invert_variance)
 
     return parser
 

@@ -23,7 +23,8 @@ from .entropy import (
 )
 from .errors import InvalidParameterError, LpnError
 from .params import (DEFAULT_N_SAMPLES, SystemParams, check_n_samples,
-                     check_plateau_bins, check_welch, one_of, positive)
+                     check_plateau_bins, check_seed, check_welch, one_of,
+                     positive)
 from .rng import derive_seed
 from .simulate import quantize, quantum_noise, sample_phase_path
 from .spectral import (
@@ -59,6 +60,7 @@ class SimSettings:
         check_welch(self.nfft, self.overlap_fraction)
         check_plateau_bins(self.plateau_bins, self.nfft // 2 + 1)
         one_of("entropy_method", self.entropy_method, METHODS)
+        check_seed("seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,16 @@ in the output array; the formula, and so every variate, is unchanged.
 
 Sub-stream seeds are derived with a SplitMix64 chain, so grid sweeps
 and multi-stage pipelines get independent, order-free seeds.
+A seed or derivation index outside [0, 2**64) raises InvalidParameterError
+instead of wrapping; a call that draws no stream (zero linewidth, zero
+electronic noise) leaves its seed unchecked.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtri
+
+from .params import check_seed
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -49,14 +54,17 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     and the derivation does not depend on evaluation order of sibling
     tuples.
     """
-    s = _splitmix64(master_seed & _MASK64)
+    check_seed("master_seed", master_seed)
+    s = _splitmix64(master_seed)
     for p in parts:
-        s = _splitmix64(s ^ _splitmix64(int(p) & _MASK64))
+        check_seed("seed index", p)
+        s = _splitmix64(s ^ _splitmix64(int(p)))
     return s
 
 
 def _philox(seed: int) -> np.random.Philox:
-    return np.random.Philox(key=int(seed) & _MASK64)
+    check_seed("seed", seed)
+    return np.random.Philox(key=int(seed))
 
 
 def raw_stream(seed: int, n: int) -> np.ndarray:

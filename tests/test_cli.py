@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -174,6 +176,17 @@ class TestPsd:
     def test_missing_file_exit_code(self, tmp_path):
         assert run("psd", "--trace", tmp_path / "nope.f64",
                    "--out-dir", tmp_path) == 3
+
+    @pytest.mark.parametrize("samples,code", [(None, 3), (100, 2)],
+                             ids=["missing", "too-short"])
+    def test_failed_run_writes_no_out_dir(self, tmp_path, samples, code):
+        trace = tmp_path / "q.f64"
+        if samples is not None:
+            write_analog_trace(trace, AnalogTrace(
+                0.1 * gaussian_stream(8, samples), 1e-10, "measured"))
+        assert run("psd", "--trace", trace,
+                   "--out-dir", tmp_path / "out") == code
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("corrupt", [b"{nope", b"\xff\xfe{", b"[" * 100_000,
                                          "no-n-samples"],
@@ -423,6 +436,7 @@ class TestSweep:
             "resolved_config"]
         assert "linewidth_hz" not in resolved["system"]
         assert "delay_s" not in resolved["system"]
+        assert "sigma_ele" not in resolved["system"]  # no point adds it
         assert resolved["sweep"] == {"linewidths_hz": [5e6, 9.5e6],
                                      "delays_s": [2.5e-9, 6.5e-9]}
         cfg = tmp_path / "replay.json"
@@ -885,6 +899,55 @@ class TestResolver:
             assert key in line
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _subparsers():
+        action, = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_resolves_exactly_the_registered_keys(self, tmp_path):
+        # a config that sets every key any command can read
+        full = {}
+        for path, (_, kind, _, _) in cli._KEYS.items():
+            *parents, key = path.split(".")
+            node = full
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[key] = {int: 4, float: 1.5, list: [1.5], str: "x"}[kind]
+        cfg = tmp_path / "full.json"
+        cfg.write_text(json.dumps(full))
+
+        def leaves(conf, prefix=""):
+            for name, value in conf.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{name}.")
+                else:
+                    yield prefix + name
+
+        commands = {name: p for name, p in self._subparsers().items()
+                    if "--config" in p._option_string_actions}
+        assert sorted(commands) == ["entropy", "psd", "simulate", "sweep"]
+        for name, p in commands.items():
+            registered = {a.dest for a in p._actions if a.dest in cli._KEYS}
+            defaulted = {path for path in registered if cli._KEYS[path][2]
+                         is not None}
+            args = argparse.Namespace(**{a.dest: a.default for a in p._actions})
+            assert set(leaves(cli._resolve(args))) == defaulted, name
+            args.config = str(cfg)
+            assert set(leaves(cli._resolve(args))) == registered, name
+
+    @pytest.mark.parametrize("command,flags,cfg", [
+        ("sweep", ["--linewidths-hz", 9.5e6, "--delays-s", 2.5e-9, *NFFT_FAST],
+         {"system": {"sigma_ele": "abc"}}),
+        ("entropy", ["--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9],
+         {"system": {"sample_period_s": "abc"}})], ids=["sweep", "entropy"])
+    def test_key_a_command_does_not_read_is_ignored(self, tmp_path, command,
+                                                   flags, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(command, *flags, "--config", path,
+                   "--out-dir", tmp_path / "out") == 0
+
     @pytest.mark.parametrize("command,flag", [
         ("simulate", "--format"), ("psd", "--format"), ("sweep", "--format"),
         ("extract", "--format"), ("psd", "--seed"), ("entropy", "--seed"),
@@ -902,6 +965,21 @@ class TestResolver:
 
 
 class TestParser:
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        table = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 2:
+                table[cells[0].strip("`")] = set(
+                    re.findall(r"`(--[a-z0-9-]+)`", cells[1]))
+        parsers = TestResolver._subparsers()
+        assert sorted(table) == sorted(parsers)
+        for name, p in parsers.items():
+            flags = set(p._option_string_actions) - {"-h", "--help"}
+            assert table[name] == flags, name
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n-samples", "abc"],
         ["simulate", "--bogus"],

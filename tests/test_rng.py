@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from lpnqrng import SimSettings, evaluate_point
+from lpnqrng.errors import InvalidParameterError
 from lpnqrng.rng import (
     _GAUSS_BLOCK,
     bit_stream,
@@ -9,6 +11,9 @@ from lpnqrng.rng import (
     gaussian_stream,
     raw_stream,
 )
+from lpnqrng.simulate import sample_phase_path
+
+from conftest import base_params
 
 B = _GAUSS_BLOCK
 
@@ -78,3 +83,25 @@ def test_bit_stream_msb_first():
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
 def test_bit_stream_lengths(n):
     assert bit_stream(3, n).size == n
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_phase_path(1e6, 1e-10, 4, seed=2**64 + 7),
+    lambda: SimSettings(seed=-5),
+    lambda: evaluate_point(1e6, 1e-9, base_params(), SimSettings(seed=-5)),
+    lambda: derive_seed(-1, 0),
+    lambda: derive_seed(0, 2**64),
+    lambda: gaussian_stream(-1, 4)],
+    ids=["phase-path-2^64+7", "sim-settings", "evaluate-point",
+         "derive-master", "derive-index", "gaussian"])
+def test_seed_outside_64_bits_is_rejected_not_wrapped(call):
+    with pytest.raises(InvalidParameterError, match=r"\[0, 2\*\*64\)"):
+        call()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_draw(seed):
+    assert gaussian_stream(seed, 4).shape == (4,)
+    assert bit_stream(seed, 64).size == 64
+    assert 0 <= derive_seed(seed, seed) < 2**64
+    assert SimSettings(seed=seed).seed == seed
