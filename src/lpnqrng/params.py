@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -81,10 +82,22 @@ def check_n_samples(n_samples: int) -> None:
         raise InvalidParameterError(f"n_samples must be < 2**60, got {n_samples}")
 
 
-def check_seed(name: str, seed: int) -> None:
-    """A master seed is a 64-bit stream key: an integer in [0, 2**64)."""
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"{name} must be in [0, 2**64), got {seed}")
+def check_seed(name: str, seed: int) -> int:
+    """A master seed is a 64-bit stream key: an integer in [0, 2**64).
+
+    Any integer type is accepted (``operator.index``) and returned as a
+    Python int; a bool, a float or any other value is rejected.
+    """
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or isinstance(seed, bool):
+        raise InvalidParameterError(
+            f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    if not 0 <= value < 2**64:
+        raise InvalidParameterError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
 def check_welch(nfft: int, overlap_fraction: float) -> None:

@@ -14,8 +14,10 @@ in the output array; the formula, and so every variate, is unchanged.
 
 Sub-stream seeds are derived with a SplitMix64 chain, so grid sweeps
 and multi-stage pipelines get independent, order-free seeds.
-A seed or derivation index outside [0, 2**64) raises InvalidParameterError
-instead of wrapping; a call that draws no stream (zero linewidth, zero
+A seed or derivation index that is not an integer in [0, 2**64) raises
+InvalidParameterError instead of being truncated or wrapped; NumPy
+integer scalars are taken as Python ints before SplitMix64 or Philox
+sees them; a call that draws no stream (zero linewidth, zero
 electronic noise) leaves its seed unchecked.
 """
 from __future__ import annotations
@@ -54,17 +56,14 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     and the derivation does not depend on evaluation order of sibling
     tuples.
     """
-    check_seed("master_seed", master_seed)
-    s = _splitmix64(master_seed)
+    s = _splitmix64(check_seed("master_seed", master_seed))
     for p in parts:
-        check_seed("seed index", p)
-        s = _splitmix64(s ^ _splitmix64(int(p)))
+        s = _splitmix64(s ^ _splitmix64(check_seed("seed index", p)))
     return s
 
 
 def _philox(seed: int) -> np.random.Philox:
-    check_seed("seed", seed)
-    return np.random.Philox(key=int(seed))
+    return np.random.Philox(key=check_seed("seed", seed))
 
 
 def raw_stream(seed: int, n: int) -> np.ndarray:

@@ -17,7 +17,20 @@ computes it, so every bin is the same float64 value:
   of nfft + 1 even steps over [-pi, pi], and the grid rfftfreq(nfft, T);
 - the density scale 1/sqrt(S/T), S the sum of w**2 taken term by term
   in order, as welch's builtin ``sum`` does (a pairwise sum may round
-  differently); the mean over segments, pairwise along their axis.
+  differently);
+- the mean over segments, which welch takes as NumPy's pairwise
+  ``add.reduce`` over each bin's row of segment powers. Here it is
+  streamed as the same float64 additions, one row per segment in
+  order, each row add vectorised over all bins. A run of n rows sums
+  as follows. For n > 128, split at h = n//2 - (n//2) % 8 and add the
+  sum of the first h rows to the sum of the rest. For 8 <= n <= 128 (a
+  leaf), eight accumulators start as rows 0..7, each later full group
+  of eight rows is added into them, they combine as
+  ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), and the n % 8 tail rows are
+  added in order. For n < 8, the rows are added in order to zeros. The
+  total is divided by the segment count.
+Only one leaf's powers are held at a time, so the memory is
+O(128 * (nfft/2 + 1)) whatever the trace length.
 """
 from __future__ import annotations
 
@@ -45,6 +58,8 @@ PERSIST_BINS = 3
 # large enough to amortize the per-call FFT overhead, small enough that
 # a block's windowed rows and spectra stay in cache
 _WELCH_BLOCK_SAMPLES = 2**17
+# rows per leaf of NumPy's pairwise sum (PW_BLOCKSIZE in its loops)
+_PAIRWISE_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -104,6 +119,11 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
         One-sided density in V^2/Hz over nfft/2 + 1 bins from 0 to
         Nyquist. Integrating the density recovers the sample variance
         (Parseval) up to leakage-level error.
+
+    The mean over segments is NumPy's pairwise tree, restated as row
+    adds (module docstring): only one leaf of at most 128 segments'
+    powers is held, so the memory is O(128 * (nfft/2 + 1)) whatever
+    the trace length.
     """
     check_welch(nfft, overlap_fraction)
     x = trace.samples
@@ -116,20 +136,48 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     n_segments = (len(x) - noverlap) // step
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nfft + 1))[:-1]
     win *= 1 / np.sqrt(np.cumsum(win**2)[-1] / period)  # sequential sum
-    mean = x.mean()
     segments = sliding_window_view(x, nfft)[::step][:n_segments]
-    rows = max(1, _WELCH_BLOCK_SAMPLES // nfft)
-    # bins x segments, so the mean below is welch's pairwise sum
-    power = np.empty((nfft // 2 + 1, n_segments))
-    for s0 in range(0, n_segments, rows):
+    leaf = np.empty((min(_PAIRWISE_LEAF, n_segments), nfft // 2 + 1))
+    total = _pairwise_power(segments, x.mean(), win, leaf)
+    return PsdEstimate(fft.rfftfreq(nfft, period), total / n_segments,
+                       n_segments, nfft)
+
+
+def _pairwise_power(segments: np.ndarray, mean: float, win: np.ndarray,
+                    leaf: np.ndarray) -> np.ndarray:
+    """Sum of the segments' one-sided powers, added in NumPy's pairwise
+    order (module docstring); ``leaf`` holds one leaf's powers.
+
+    Module-level and recursive by name: a nested closure that calls
+    itself is a reference cycle, and would keep the trace alive until
+    the cyclic collector runs.
+    """
+    n = len(segments)
+    if n > _PAIRWISE_LEAF:
+        half = n // 2 - (n // 2) % 8
+        return (_pairwise_power(segments[:half], mean, win, leaf)
+                + _pairwise_power(segments[half:], mean, win, leaf))
+    power = leaf[:n]
+    rows = max(1, _WELCH_BLOCK_SAMPLES // segments.shape[1])
+    for s0 in range(0, n, rows):
         block = segments[s0:s0 + rows] - mean
         block *= win
         spectra = fft.rfft(block)
-        out = power[:, s0:s0 + rows].T
+        out = power[s0:s0 + rows]
         np.add(spectra.real**2, spectra.imag**2, out=out)
         out[:, 1:-1] *= 2  # one-sided: fold in the negative frequencies
-    return PsdEstimate(fft.rfftfreq(nfft, period), power.mean(axis=-1),
-                       n_segments, nfft)
+    groups = n - n % 8
+    if groups:
+        acc = power[:8]
+        for i in range(8, groups, 8):
+            acc += power[i:i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    else:
+        total = np.zeros(power.shape[1])
+    for row in power[groups:]:
+        total += row
+    return total
 
 
 def bandwidth_3db(psd: PsdEstimate,
@@ -149,9 +197,18 @@ def bandwidth_3db(psd: PsdEstimate,
     power = psd.power
     reference = float(np.median(power[1:plateau_bins + 1]))
     smoothed = uniform_filter1d(power, size=SMOOTH_BINS, mode="nearest")
-    below = smoothed < reference / 2.0
+    i = _first_persistent_drop(smoothed < reference / 2.0)
+    if i is None:
+        return BandwidthEstimate(psd.nyquist_hz, reference, True)
+    return BandwidthEstimate(float(psd.freqs[i]), reference, False)
+
+
+def _first_persistent_drop(below: np.ndarray) -> int | None:
+    """The first non-DC bin i with below[i : i + PERSIST_BINS + 1] all
+    true, or None when there is none."""
     window = PERSIST_BINS + 1
-    for i in range(1, n - PERSIST_BINS):
-        if below[i:i + window].all():
-            return BandwidthEstimate(float(psd.freqs[i]), reference, False)
-    return BandwidthEstimate(psd.nyquist_hz, reference, True)
+    if len(below) <= window:
+        return None
+    persists = sliding_window_view(below[1:], window).all(axis=1)
+    i = int(persists.argmax())
+    return i + 1 if persists[i] else None

@@ -105,3 +105,33 @@ def test_seed_range_ends_draw(seed):
     assert bit_stream(seed, 64).size == 64
     assert 0 <= derive_seed(seed, seed) < 2**64
     assert SimSettings(seed=seed).seed == seed
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SimSettings(seed=1.5),
+    lambda: gaussian_stream(1.5, 3),
+    lambda: derive_seed(1.5, 0),
+    lambda: derive_seed(0, 2.0),
+    lambda: derive_seed(True, 0),
+    lambda: derive_seed(0, False),
+    lambda: bit_stream(np.True_, 8),
+    lambda: SimSettings(seed="7")],
+    ids=["sim-settings-float", "gaussian-float", "derive-master-float",
+         "derive-index-float", "derive-master-bool", "derive-index-bool",
+         "numpy-bool", "string"])
+def test_seed_that_is_not_an_integer_is_rejected(call):
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.uint8])
+def test_numpy_integer_seed_draws_the_python_int_stream(kind):
+    # a NumPy scalar must not reach SplitMix64's multiplies, which would
+    # wrap with a RuntimeWarning (an error under this suite's filters)
+    assert derive_seed(kind(3)) == derive_seed(3)
+    assert derive_seed(kind(3), kind(200)) == derive_seed(3, 200)
+    assert np.array_equal(gaussian_stream(kind(3), 5), gaussian_stream(3, 5))
+    assert np.array_equal(bit_stream(kind(3), 70), bit_stream(3, 70))
+    assert SimSettings(seed=kind(3)).seed == 3
+    top = np.uint64(2**64 - 1)
+    assert derive_seed(top, top) == derive_seed(2**64 - 1, 2**64 - 1)

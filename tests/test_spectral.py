@@ -1,15 +1,22 @@
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal
 from scipy.ndimage import uniform_filter1d
 
-from lpnqrng import bandwidth_3db, estimate_psd, gaussian_stream
+from lpnqrng import (SimSettings, bandwidth_3db, estimate_psd, evaluate_point,
+                     gaussian_stream)
 from lpnqrng.errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
 from lpnqrng.simulate import AnalogTrace
-from lpnqrng.spectral import _WELCH_BLOCK_SAMPLES, PsdEstimate
+from lpnqrng.spectral import (_WELCH_BLOCK_SAMPLES, PERSIST_BINS, PsdEstimate,
+                              _first_persistent_drop)
 
-from conftest import TAU_S, quantum_trace, white_trace
+from conftest import TAU_S, base_params, quantum_trace, white_trace
 
 FS = 1.0 / TAU_S
 
@@ -98,6 +105,29 @@ class TestEstimatePsd:
         assert np.array_equal(psd.freqs, freqs)
         assert np.array_equal(psd.power, power)
 
+    # segment counts at the edges of NumPy's pairwise tree: below one
+    # 8-row group, around a 128-row leaf and its splits, the sweep (1023)
+    # and lab_trace (2047) counts, and past NumPy's 8192-element buffer;
+    # two half-overlapped segments are too short a trace, so 2 runs at 0;
+    # welch transforms one segment at a time, so 8193 runs once
+    @pytest.mark.parametrize("n_segments,overlap", [(2, 0.0)] + [
+        (n, overlap) for n in (3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136,
+                               255, 257, 1023, 2047)
+        for overlap in (0.0, 0.5)] + [(8193, 0.5)])
+    def test_matches_scipy_welch_at_pairwise_tree_edges(self, n_segments,
+                                                        overlap):
+        nfft = 16
+        noverlap = int(overlap * nfft)
+        step = nfft - noverlap
+        n = noverlap + n_segments * step + step // 3
+        x = 0.3 * gaussian_stream(n_segments, n) + 0.05
+        psd = estimate_psd(AnalogTrace(x, TAU_S, "measured"), nfft, overlap)
+        _, power = signal.welch(
+            x - x.mean(), FS, "hann", nperseg=nfft, noverlap=noverlap,
+            nfft=nfft, detrend=False, return_onesided=True, scaling="density")
+        assert psd.n_segments == n_segments
+        assert np.array_equal(psd.power, power)
+
     def test_too_short(self):
         q = quantum_trace(9.5e6, 25, 2**12, seed=1)
         with pytest.raises(TraceTooShortError):
@@ -111,6 +141,40 @@ class TestEstimatePsd:
         q = quantum_trace(9.5e6, 25, 2**13, seed=1)
         with pytest.raises(InvalidParameterError):
             estimate_psd(q, **{"nfft": 1024, "overlap_fraction": 0.5, **kwargs})
+
+
+class TestPsdMemory:
+    @staticmethod
+    def psd_peak_bytes(n_samples):
+        trace = AnalogTrace(np.sin(0.1 * np.arange(n_samples)), TAU_S,
+                            "measured")
+        tracemalloc.start()
+        try:
+            estimate_psd(trace, nfft=8192)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_trace(self):
+        short, long = self.psd_peak_bytes(2**20), self.psd_peak_bytes(2**22)
+        assert long <= 1.05 * short
+
+    def test_sweep_path_leaves_no_reference_cycle(self):
+        sim = SimSettings(n_samples=2**16, nfft=1024, seed=5)
+        trace = white_trace(0.3, 2**16, seed=6)
+
+        def run():
+            evaluate_point(9.5e6, 2.5e-9, base_params(), sim)
+            estimate_psd(trace, nfft=1024)
+
+        run()  # first-call imports and caches are not per-call garbage
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def single_pole_psd(fc, nfft=8192):
@@ -147,6 +211,23 @@ class TestBandwidth3db:
         psd = PsdEstimate(np.empty(0), np.empty(0), 0, 0)
         with pytest.raises(EmptyPsdError):
             bandwidth_3db(psd)
+
+    @staticmethod
+    def first_drop_by_loop(below):
+        for i in range(1, len(below) - PERSIST_BINS):
+            if below[i:i + PERSIST_BINS + 1].all():
+                return i
+        return None
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=64))
+    @example([True] * 9)
+    @example([False] * 5 + [True] * 4)  # at the last legal index, n - 4
+    @example([False] * 6 + [True] * 3)  # a drop too short to persist
+    @example([True, False, True, True, True, False, True, True])  # none
+    @settings(max_examples=150, deadline=None)
+    def test_persistence_scan_matches_the_loop(self, pattern):
+        below = np.array(pattern)
+        assert _first_persistent_drop(below) == self.first_drop_by_loop(below)
 
     def test_plateau_bins_validation(self):
         with pytest.raises(InvalidParameterError):
