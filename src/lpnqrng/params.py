@@ -82,21 +82,42 @@ def check_n_samples(n_samples: int) -> None:
         raise InvalidParameterError(f"n_samples must be < 2**60, got {n_samples}")
 
 
+def _integer(value) -> int | None:
+    """``value`` as a Python int when it has an integer type
+    (``operator.index``) other than bool; None otherwise."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def check_seed(name: str, seed: int) -> int:
     """A master seed is a 64-bit stream key: an integer in [0, 2**64).
 
     Any integer type is accepted (``operator.index``) and returned as a
     Python int; a bool, a float or any other value is rejected.
     """
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = None
-    if value is None or isinstance(seed, bool):
+    value = _integer(seed)
+    if value is None:
         raise InvalidParameterError(
             f"{name} must be an integer in [0, 2**64), got {seed!r}")
     if not 0 <= value < 2**64:
         raise InvalidParameterError(f"{name} must be in [0, 2**64), got {value}")
+    return value
+
+
+def check_count(name: str, n: int) -> int:
+    """A number of values to draw: an integer >= 0.
+
+    Any integer type is accepted (``operator.index``) and returned as a
+    Python int; a bool, a float or any other value is rejected.
+    """
+    value = _integer(n)
+    if value is None or value < 0:
+        raise InvalidParameterError(
+            f"{name} must be an integer >= 0, got {n!r}")
     return value
 
 

@@ -11,6 +11,13 @@ stream to variates simple enough to restate in one sentence:
 
 The variates are computed in cache-sized blocks of the stream, in place
 in the output array; the formula, and so every variate, is unchanged.
+The stream is split into at most one part per CPU the process may run
+on, every part starting at a multiple of the block size, and the parts
+run at once. Part p starting at variate ``start`` keys its own
+generator with the counter ``start // 4``, because Philox 4x64 yields
+four words per counter step; so each part draws exactly the words a
+single generator would, and the output is the same whatever the core
+count or CPU affinity.
 
 Sub-stream seeds are derived with a SplitMix64 chain, so grid sweeps
 and multi-stage pipelines get independent, order-free seeds.
@@ -18,14 +25,17 @@ A seed or derivation index that is not an integer in [0, 2**64) raises
 InvalidParameterError instead of being truncated or wrapped; NumPy
 integer scalars are taken as Python ints before SplitMix64 or Philox
 sees them; a call that draws no stream (zero linewidth, zero
-electronic noise) leaves its seed unchecked.
+electronic noise) leaves its seed unchecked. A count of values to draw
+must be an integer >= 0 of any integer type; anything else raises
+InvalidParameterError.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtri
 
-from .params import check_seed
+from . import _parallel
+from .params import check_count, check_seed
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -62,13 +72,10 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     return s
 
 
-def _philox(seed: int) -> np.random.Philox:
-    return np.random.Philox(key=check_seed("seed", seed))
-
-
 def raw_stream(seed: int, n: int) -> np.ndarray:
     """n raw 64-bit words from Philox keyed with ``seed``."""
-    return _philox(seed).random_raw(n)
+    bitgen = np.random.Philox(key=check_seed("seed", seed))
+    return bitgen.random_raw(check_count("n", n))
 
 
 def gaussian_stream(seed: int, n: int) -> np.ndarray:
@@ -77,10 +84,21 @@ def gaussian_stream(seed: int, n: int) -> np.ndarray:
     The inverse-CDF construction truncates the support at about
     +-8.2 sigma (the extreme quantiles reachable with 53-bit
     uniforms); the effect on moments is far below statistical
-    resolution at any practical sample count.
+    resolution at any practical sample count. The stream is drawn in
+    parts split at multiples of the block size (module docstring).
     """
-    out = np.empty(n)
-    bitgen = _philox(seed)
+    seed = check_seed("seed", seed)
+    out = np.empty(check_count("n", n))
+    _parallel.run_parts(len(out), _GAUSS_BLOCK,
+                        lambda a, b: _gaussian_part(seed, a, out[a:b]))
+    return out
+
+
+def _gaussian_part(seed: int, start: int, out: np.ndarray) -> None:
+    """Variates start .. start + len(out) of the stream, into ``out``;
+    ``start`` is a multiple of 4, the words per Philox counter step."""
+    bitgen = np.random.Philox(key=seed, counter=start // 4)
+    n = len(out)
     for i in range(0, n, _GAUSS_BLOCK):
         raw = bitgen.random_raw(min(_GAUSS_BLOCK, n - i))
         raw >>= np.uint64(11)
@@ -88,11 +106,11 @@ def gaussian_stream(seed: int, n: int) -> np.ndarray:
         np.add(raw, 0.5, out=u)
         u *= 2.0**-53
         ndtri(u, out=u)
-    return out
 
 
 def bit_stream(seed: int, n_bits: int) -> np.ndarray:
     """n_bits 0/1 values from the Philox stream, MSB-first per word."""
+    n_bits = check_count("n_bits", n_bits)
     if n_bits == 0:
         return np.empty(0, dtype=np.uint8)
     n_words = (n_bits + 63) // 64

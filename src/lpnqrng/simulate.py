@@ -17,11 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _parallel
 from .errors import InvalidParameterError, PathTooShortError
 from .params import AdcSpec, check_n_samples, non_negative, one_of, positive
 from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
+
+# samples per unit of quantum_noise's split: a smaller part costs more
+# to hand to a thread than its sines take
+_PART_QUANTUM = 2**15
 
 LABEL_QUANTUM = "quantum"
 LABEL_MEASURED = "measured"
@@ -121,7 +126,10 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     """Delayed self-interference output A*sin(theta[m+k] - theta[m]).
 
     The result has len(path) - k samples and every sample lies in
-    [-amplitude, amplitude].
+    [-amplitude, amplitude]. The samples are computed in at most one
+    part per CPU the process may run on, split at multiples of 2**15
+    samples; each sample is the same subtract, sin and scale whatever
+    the split, so the output does not depend on the core count.
     """
     if k < 1:
         raise InvalidParameterError(f"delay index must be >= 1, got {k}")
@@ -130,10 +138,19 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     if len(theta) <= k:
         raise PathTooShortError(
             f"path of {len(theta)} samples cannot support delay index {k}")
-    q = np.subtract(theta[k:], theta[:-k])
-    np.sin(q, out=q)
-    q *= amplitude
+    q = np.empty(len(theta) - k)
+    _parallel.run_parts(len(q), _PART_QUANTUM, lambda a, b: _interfere(
+        theta, k, amplitude, a, q[a:b]))
     return AnalogTrace(q, path.sample_period_s, LABEL_QUANTUM)
+
+
+def _interfere(theta: np.ndarray, k: int, amplitude: float, start: int,
+               out: np.ndarray) -> None:
+    """Samples start .. start + len(out) of quantum_noise, into ``out``."""
+    end = start + len(out)
+    np.subtract(theta[start + k:end + k], theta[start:end], out=out)
+    np.sin(out, out=out)
+    out *= amplitude
 
 
 def add_electronic_noise(trace: AnalogTrace, sigma_ele: float,

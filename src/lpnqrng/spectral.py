@@ -30,7 +30,11 @@ computes it, so every bin is the same float64 value:
   added in order. For n < 8, the rows are added in order to zeros. The
   total is divided by the segment count.
 Only one leaf's powers are held at a time, so the memory is
-O(128 * (nfft/2 + 1)) whatever the trace length.
+O(128 * (nfft/2 + 1)) whatever the trace length. A leaf's blocks are
+split into at most one part per CPU the process may run on, each part
+a run of whole blocks, and the parts are transformed at once; every
+block is the one a single thread would transform, and the adds run on
+the calling thread, so every bin is the same whatever the core count.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 from scipy.ndimage import uniform_filter1d
 
+from . import _parallel
 from .errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
 from .params import check_plateau_bins, check_welch
 from .simulate import AnalogTrace
@@ -123,7 +128,7 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     The mean over segments is NumPy's pairwise tree, restated as row
     adds (module docstring): only one leaf of at most 128 segments'
     powers is held, so the memory is O(128 * (nfft/2 + 1)) whatever
-    the trace length.
+    the trace length. The transforms run on up to one thread per CPU.
     """
     check_welch(nfft, overlap_fraction)
     x = trace.samples
@@ -159,13 +164,8 @@ def _pairwise_power(segments: np.ndarray, mean: float, win: np.ndarray,
                 + _pairwise_power(segments[half:], mean, win, leaf))
     power = leaf[:n]
     rows = max(1, _WELCH_BLOCK_SAMPLES // segments.shape[1])
-    for s0 in range(0, n, rows):
-        block = segments[s0:s0 + rows] - mean
-        block *= win
-        spectra = fft.rfft(block)
-        out = power[s0:s0 + rows]
-        np.add(spectra.real**2, spectra.imag**2, out=out)
-        out[:, 1:-1] *= 2  # one-sided: fold in the negative frequencies
+    _parallel.run_parts(n, rows, lambda a, b: _one_sided_power(
+        segments[a:b], mean, win, power[a:b], rows))
     groups = n - n % 8
     if groups:
         acc = power[:8]
@@ -178,6 +178,18 @@ def _pairwise_power(segments: np.ndarray, mean: float, win: np.ndarray,
     for row in power[groups:]:
         total += row
     return total
+
+
+def _one_sided_power(segments: np.ndarray, mean: float, win: np.ndarray,
+                     power: np.ndarray, rows: int) -> None:
+    """The segments' one-sided powers, into ``power``, ``rows`` at a time."""
+    for s0 in range(0, len(segments), rows):
+        block = segments[s0:s0 + rows] - mean
+        block *= win
+        spectra = fft.rfft(block)
+        out = power[s0:s0 + rows]
+        np.add(spectra.real**2, spectra.imag**2, out=out)
+        out[:, 1:-1] *= 2  # one-sided: fold in the negative frequencies
 
 
 def bandwidth_3db(psd: PsdEstimate,

@@ -9,11 +9,13 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import lpnqrng
+from lpnqrng import _parallel
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +63,38 @@ def test_sweep_call_shapes_bind():
     base = lpnqrng.SystemParams(5e6, 1.5e-9)
     inspect.signature(lpnqrng.optimizer.evaluate_point).bind(
         5e6, 1.5e-9, base, sim)
+
+
+def test_spans_stay_on_the_calling_thread(spans, monkeypatch):
+    # the tracer keeps one stack of open spans; a traced function entered
+    # from a pool thread would push onto it out of order
+    class ThreadTracer(spans.Tracer):
+        def span(self, name):
+            self.threads.append(threading.get_ident())
+            return super().span(name)
+
+    # 2**18 samples at nfft 4096 make 126 Welch segments, four blocks of
+    # a leaf, so the variates, the sines and the transforms all split
+    sim = lpnqrng.SimSettings(n_samples=2**18, nfft=4096, seed=3)
+    runs = {}
+    for n in (1, 2):
+        monkeypatch.setattr(_parallel, "workers", lambda: n)
+        tracer = ThreadTracer()
+        tracer.threads = []
+        with tracer.installed():
+            tracer.op = 0
+            lpnqrng.optimizer.evaluate_point(40e6, 4.5e-9,
+                                             lpnqrng.SystemParams(5e6, 1.5e-9),
+                                             sim)
+        runs[n] = tracer
+    serial, split = runs[1], runs[2]
+    assert set(split.threads) == {threading.main_thread().ident}
+    assert len(split.threads) == len(split.spans)
+    for s in split.spans:
+        assert s.start <= s.end
+        if s.parent is not None:
+            parent = split.spans[s.parent]
+            assert parent.start <= s.start and s.end <= parent.end
+    assert [s.name for s in split.spans] == [s.name for s in serial.spans]
+    for counter in ("rng.variates", "spectral.segments"):
+        assert split.counts[counter] == serial.counts[counter] > 0

@@ -135,3 +135,28 @@ def test_numpy_integer_seed_draws_the_python_int_stream(kind):
     assert SimSettings(seed=kind(3)).seed == 3
     top = np.uint64(2**64 - 1)
     assert derive_seed(top, top) == derive_seed(2**64 - 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: gaussian_stream(1, -3), "n"),
+    (lambda: raw_stream(1, -3), "n"),
+    (lambda: bit_stream(1, -3), "n_bits"),
+    (lambda: gaussian_stream(1, 3.0), "n"),
+    (lambda: raw_stream(1, "4"), "n"),
+    (lambda: gaussian_stream(1, True), "n"),
+    (lambda: bit_stream(1, np.True_), "n_bits"),
+    (lambda: bit_stream(1, np.float64(8)), "n_bits")],
+    ids=["gaussian-negative", "raw-negative", "bits-negative",
+         "gaussian-float", "raw-string", "gaussian-bool", "bits-numpy-bool",
+         "bits-numpy-float"])
+def test_count_that_is_not_a_non_negative_integer_is_rejected(call, name):
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^{name} must be an integer >= 0, got "):
+        call()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint16])
+def test_numpy_integer_count_draws_the_python_int_stream(kind):
+    assert np.array_equal(gaussian_stream(3, kind(5)), gaussian_stream(3, 5))
+    assert np.array_equal(raw_stream(3, kind(5)), raw_stream(3, 5))
+    assert np.array_equal(bit_stream(3, kind(70)), bit_stream(3, 70))
