@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveVarianceError,
     VarianceOutOfRangeError,
 )
-from .params import AdcSpec, non_negative, positive
+from .params import AdcSpec, check_count, non_negative, positive
 from .rng import derive_seed, gaussian_stream
 from .simulate import (LABEL_QUANTUM, TWO_PI, AnalogTrace, QuantizedTrace,
                        quantize, quantize_value)
@@ -168,8 +168,7 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
     derive_seed(seed, p), so runs with nearby seeds share no chunk.
     """
     _validate_model(sigma2, amplitude, adc)
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
+    n_samples = check_count("n_samples", n_samples, 1)
     sigma = math.sqrt(sigma2)
     counts = np.zeros(adc.n_codes, dtype=np.int64)
     for part, start in enumerate(range(0, n_samples, _MC_CHUNK)):

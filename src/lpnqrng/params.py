@@ -3,6 +3,7 @@
 This module owns the parameter rules. Each is one function, called where
 the value enters: a JSON reader, a typed settings object, or a public
 function. The two range rules for physical reals reject NaN and +-inf.
+Every integer parameter takes any integer type but bool (``_integer``).
 """
 from __future__ import annotations
 
@@ -76,9 +77,7 @@ def one_of(name: str, value, choices: tuple[str, ...]) -> str:
 def check_n_samples(n_samples: int) -> None:
     """A phase path holds the theta(0) = 0 origin and at least one step,
     and fewer than 2**60 float64 samples: NumPy sizes no 2**63-byte array."""
-    if n_samples < 2:
-        raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
-    if n_samples >= 2**60:
+    if check_count("n_samples", n_samples, 2) >= 2**60:
         raise InvalidParameterError(f"n_samples must be < 2**60, got {n_samples}")
 
 
@@ -108,23 +107,25 @@ def check_seed(name: str, seed: int) -> int:
     return value
 
 
-def check_count(name: str, n: int) -> int:
-    """A number of values to draw: an integer >= 0.
+def check_count(name: str, n: int, least: int = 0) -> int:
+    """A number of values: an integer >= ``least``.
 
     Any integer type is accepted (``operator.index``) and returned as a
     Python int; a bool, a float or any other value is rejected.
     """
     value = _integer(n)
-    if value is None or value < 0:
+    if value is None or value < least:
         raise InvalidParameterError(
-            f"{name} must be an integer >= 0, got {n!r}")
+            f"{name} must be an integer >= {least}, got {n!r}")
     return value
 
 
 def check_welch(nfft: int, overlap_fraction: float) -> None:
     """Welch segments: a power-of-two length and an overlap in [0, 1)."""
-    if nfft < 2 or (nfft & (nfft - 1)) != 0:
-        raise InvalidParameterError(f"nfft must be a power of two, got {nfft}")
+    n = _integer(nfft)
+    if n is None or n < 2 or n & (n - 1):
+        raise InvalidParameterError(
+            f"nfft must be a power-of-two integer, got {nfft!r}")
     if not 0.0 <= overlap_fraction < 1.0:
         raise InvalidParameterError(
             f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
@@ -132,9 +133,10 @@ def check_welch(nfft: int, overlap_fraction: float) -> None:
 
 def check_plateau_bins(plateau_bins: int, n_bins: int) -> None:
     """The plateau reference spans bins 1 .. plateau_bins of n_bins."""
-    if not 1 <= plateau_bins < n_bins:
-        raise InvalidParameterError(
-            f"plateau_bins must be in [1, {n_bins - 1}], got {plateau_bins}")
+    bins = _integer(plateau_bins)
+    if bins is None or not 1 <= bins < n_bins:
+        raise InvalidParameterError(f"plateau_bins must be an integer in "
+                                    f"[1, {n_bins - 1}], got {plateau_bins!r}")
 
 
 def check_toeplitz_geometry(
@@ -144,6 +146,10 @@ def check_toeplitz_geometry(
 
     ``names`` are what the error message calls the two sizes.
     """
+    for name, value in zip(names, (input_bits, output_bits)):
+        if _integer(value) is None:
+            raise InvalidParameterError(
+                f"{name} must be an integer, got {value!r}")
     in_name, out_name = names
     if input_bits < 1:
         raise InvalidParameterError(f"{in_name} must be >= 1, got {input_bits}")
@@ -179,9 +185,11 @@ class AdcSpec:
     range: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or not 2 <= self.bits <= 16:
+        bits = _integer(self.bits)
+        if bits is None or not 2 <= bits <= 16:
             raise InvalidParameterError(
                 f"adc bits must be an integer in [2, 16], got {self.bits!r}")
+        object.__setattr__(self, "bits", bits)  # a NumPy int is not JSON
         positive("adc.range", self.range)
 
     @property

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _parallel
 from .errors import InvalidParameterError, PathTooShortError
-from .params import AdcSpec, check_n_samples, non_negative, one_of, positive
+from .params import (AdcSpec, check_count, check_n_samples, non_negative,
+                     one_of, positive)
 from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
@@ -81,11 +82,16 @@ class QuantizedTrace:
 
     def __post_init__(self) -> None:
         positive("sample_period_s", self.sample_period_s)
-        codes = np.asarray(self.codes, dtype=np.int16)
+        codes = np.asarray(self.codes)
+        if not np.issubdtype(codes.dtype, np.integer):
+            raise InvalidParameterError(
+                f"codes must have an integer dtype, got {codes.dtype}")
+        # on the values as given: a cast first would wrap them
         if codes.size and (codes.min() < self.adc.code_min
                            or codes.max() > self.adc.code_max):
             raise InvalidParameterError("codes outside the ADC code range")
-        object.__setattr__(self, "codes", _freeze(codes))
+        object.__setattr__(self, "codes",
+                           _freeze(codes.astype(np.int16, copy=False)))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -131,8 +137,7 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     samples; each sample is the same subtract, sin and scale whatever
     the split, so the output does not depend on the core count.
     """
-    if k < 1:
-        raise InvalidParameterError(f"delay index must be >= 1, got {k}")
+    k = check_count("delay index", k, 1)
     positive("amplitude", amplitude)
     theta = path.samples
     if len(theta) <= k:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -124,10 +125,10 @@ def test_benchmark_op_digest_is_the_same_at_every_worker_count(
         assert digests[0] == pipeline.PINNED_DIGESTS[workload]
 
 
-def test_concurrent_callers_share_the_pool(monkeypatch):
+def test_concurrent_callers_draw_their_own_bytes(monkeypatch):
     # more workers than cores, callers on several threads at once, and
-    # short switch intervals: a lost update to the lazily created pool
-    # or a part written to the wrong slice changes the bytes
+    # short switch intervals: a part written to the wrong slice, or to
+    # another caller's array, changes the bytes
     n = 3 * B + 7
     expected = [gaussian_stream(seed, n) for seed in range(6)]
     set_workers(monkeypatch, 3)
@@ -150,6 +151,29 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["first-part", "worker-part"])
+def test_a_part_error_reaches_the_caller_after_every_part(monkeypatch,
+                                                          failing):
+    # the raising part waits until the other has started, and the other
+    # then sleeps: its mark is set only if the call joined it
+    set_workers(monkeypatch, 2)
+    started, finished = threading.Event(), threading.Event()
+    threads = threading.active_count()
+
+    def part(a, b):
+        if a == failing:
+            assert started.wait(timeout=60)
+            raise ValueError(f"part {a}")
+        started.set()
+        time.sleep(0.2)
+        finished.set()
+
+    with pytest.raises(ValueError, match=f"^part {failing}$"):
+        _parallel.run_parts(2, 1, part)
+    assert finished.is_set()
+    assert threading.active_count() == threads
 
 
 def run_python(code: str) -> str:
@@ -177,22 +201,31 @@ def test_import_and_one_part_calls_start_no_thread():
         counts.append(threading.active_count())
         print(counts)
     """)
-    assert out == "[1, 1, 2]"
+    assert out == "[1, 1, 1]"  # no thread outlives a two-part call
 
 
-def test_call_from_a_pool_thread_runs_inline():
-    # with two workers the pool has one thread; a nested split would
-    # wait on a part queued behind the task waiting for it
+def test_call_from_a_worker_thread_draws_the_same_bytes():
+    # a split inside a running part starts threads of its own; one that
+    # waited on its caller's threads would hang until the timeout
     out = run_python("""
+        import threading
         import numpy as np
         from lpnqrng import _parallel, gaussian_stream
         _parallel.workers = lambda: 2
         want = gaussian_stream(3, 5 * 2**15)
-        got = _parallel._executor().submit(gaussian_stream, 3,
-                                           5 * 2**15).result(timeout=60)
-        print(np.array_equal(got, want))
+        got = {}
+
+        def part(a, b):
+            if a == 1:  # part [1, 2), on a thread the call started
+                got[threading.current_thread().name] = gaussian_stream(
+                    3, 5 * 2**15)
+
+        _parallel.run_parts(2, 1, part)
+        [(name, z)] = got.items()
+        print(name != threading.main_thread().name, np.array_equal(z, want),
+              threading.active_count())
     """)
-    assert out == "True"
+    assert out == "True True 1"
 
 
 def _child_stream(conn):
@@ -200,12 +233,11 @@ def _child_stream(conn):
     conn.close()
 
 
-# forking a process that has threads warns on newer Pythons; the child
-# here runs only this package's code, whose pool the fork hook drops
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+# forking a process that has threads warns on newer Pythons, and the
+# suite makes warnings errors: a thread left by the parent's call fails
 def test_forked_child_draws_the_parents_bytes(monkeypatch):
     set_workers(monkeypatch, 2)
-    want = gaussian_stream(3, 5 * B)  # the parent's pool now exists
+    want = gaussian_stream(3, 5 * B)  # a two-part call, joined
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_child_stream, args=(child,))

@@ -10,12 +10,17 @@ from lpnqrng import (
     SimSettings,
     SweepGrid,
     SystemParams,
+    ToeplitzSpec,
     add_electronic_noise,
     analytic_min_entropy,
+    bandwidth_3db,
     delay_index,
+    estimate_psd,
     evaluate_point,
     forward_variance,
+    gaussian_stream,
     invert_variance,
+    monte_carlo_code_histogram,
     phase_variance,
     quantum_noise,
     quantum_variance_from_measurement,
@@ -172,6 +177,57 @@ def test_range_rules_at_every_entry_point(site, value):
     with pytest.raises(error) as exc:
         call(x)
     assert type(exc.value) is error
+
+
+_LONG_TRACE = AnalogTrace(gaussian_stream(0, 64), 1e-10, "measured")
+_PSD = estimate_psd(_LONG_TRACE, 16)
+
+#: every public entry point that takes an integer: a call feeding it x,
+#: and a value it accepts
+INTEGER_SITES = {
+    "SimSettings.n_samples": (lambda x: SimSettings(n_samples=x), 4096),
+    "SimSettings.nfft": (lambda x: SimSettings(nfft=x), 8192),
+    "SimSettings.plateau_bins": (lambda x: SimSettings(plateau_bins=x), 16),
+    "sample_phase_path.n_samples": (
+        lambda x: sample_phase_path(1e6, 1e-10, x, seed=0), 4),
+    "quantum_noise.k": (lambda x: quantum_noise(_PATH, x, 0.5), 2),
+    "estimate_psd.nfft": (lambda x: estimate_psd(_LONG_TRACE, x), 16),
+    "bandwidth_3db.plateau_bins": (lambda x: bandwidth_3db(_PSD, x), 2),
+    "ToeplitzSpec.input_bits": (
+        lambda x: ToeplitzSpec(x, 4, np.zeros(11, np.uint8)), 8),
+    "ToeplitzSpec.output_bits": (
+        lambda x: ToeplitzSpec(8, x, np.zeros(11, np.uint8)), 4),
+    "AdcSpec.bits": (lambda x: AdcSpec(bits=x), 8),
+    "monte_carlo_code_histogram.n_samples": (
+        lambda x: monte_carlo_code_histogram(0.3, 0.5, AdcSpec(), x, seed=0),
+        10),
+}
+
+
+@pytest.mark.parametrize("kind", ["integral-float", "fraction", "bool",
+                                  "string", "numpy-float"])
+@pytest.mark.parametrize("site", list(INTEGER_SITES))
+def test_integer_rule_at_every_entry_point(site, kind):
+    call, good = INTEGER_SITES[site]
+    x = {"integral-float": float(good), "fraction": good + 0.5,
+         "bool": True, "string": str(good),
+         "numpy-float": np.float64(good)}[kind]
+    with pytest.raises(InvalidParameterError) as exc:
+        call(x)
+    assert repr(x) in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint16])
+@pytest.mark.parametrize("site", list(INTEGER_SITES))
+def test_numpy_integers_are_integers_at_every_entry_point(site, kind):
+    call, good = INTEGER_SITES[site]
+    call(kind(good))
+
+
+def test_numpy_integer_adc_bits_are_stored_as_an_int():
+    adc = AdcSpec(bits=np.int64(8))
+    assert type(adc.bits) is int and adc == AdcSpec()
+    assert adc.to_dict() == {"bits": 8, "range": 1.0}
 
 
 class TestOneOf:

@@ -19,7 +19,7 @@ from lpnqrng.errors import (
     InvalidParameterError,
     PathTooShortError,
 )
-from lpnqrng.simulate import AnalogTrace, quantize_value
+from lpnqrng.simulate import AnalogTrace, QuantizedTrace, quantize_value
 
 from conftest import chunk_se_of_variance, quantum_trace
 
@@ -185,3 +185,26 @@ class TestQuantize:
         b = quantize_value(x + adc.delta, adc)
         if adc.code_min < a < adc.code_max and adc.code_min < b < adc.code_max:
             assert b - a == 1
+
+
+class TestQuantizedTrace:
+    @pytest.mark.parametrize("codes", [
+        np.array([65541]), np.array([-129]), np.array([128], np.uint8),
+        np.array([2**63], np.uint64)],
+        ids=["wraps-to-5", "below", "uint8-above", "uint64-above"])
+    def test_out_of_range_codes_rejected_before_the_cast(self, adc8, codes):
+        with pytest.raises(InvalidParameterError, match="ADC code range"):
+            QuantizedTrace(codes, adc8, 1e-10)
+
+    @pytest.mark.parametrize("codes", [[1.7], [-0.9], [1.0], [True]],
+                             ids=["1.7", "-0.9", "1.0", "bool"])
+    def test_codes_without_an_integer_dtype_rejected(self, adc8, codes):
+        with pytest.raises(InvalidParameterError, match="integer dtype"):
+            QuantizedTrace(np.array(codes), adc8, 1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
+    def test_integer_codes_in_range_are_kept_as_int16(self, adc8, dtype):
+        codes = np.array([0, 5, 127], dtype=dtype)
+        qt = QuantizedTrace(codes, adc8, 1e-10)
+        assert qt.codes.dtype == np.int16
+        assert np.array_equal(qt.codes, [0, 5, 127])
