@@ -56,7 +56,7 @@ from scipy import fft
 from scipy.special import erfc
 
 from .errors import InvalidParameterError, LengthMismatchError, TooFewBitsError
-from .params import check_toeplitz_geometry
+from .params import check_count, check_toeplitz_geometry
 from .simulate import QuantizedTrace
 
 GF2_BACKEND = "numpy"
@@ -97,9 +97,7 @@ def codes_to_bits(codes: np.ndarray, bits_per_code: int) -> np.ndarray:
     bytes unpack MSB first, and its last bits_per_code bits are the
     code's two's-complement bits.
     """
-    if not 1 <= bits_per_code <= 16:
-        raise InvalidParameterError(
-            f"bits_per_code must be in [1, 16], got {bits_per_code}")
+    bits_per_code = check_count("bits_per_code", bits_per_code, 1, 16)
     n_bytes = 1 if bits_per_code <= 8 else 2
     words = np.unpackbits(np.asarray(codes).astype(f">u{n_bytes}").view(np.uint8))
     return words.reshape(-1, 8 * n_bytes)[:, 8 * n_bytes - bits_per_code:].ravel()
@@ -127,7 +125,9 @@ class ToeplitzSpec:
     seed_bits: np.ndarray
 
     def __post_init__(self) -> None:
-        check_toeplitz_geometry(self.input_bits, self.output_bits)
+        n_in, n_out = check_toeplitz_geometry(self.input_bits, self.output_bits)
+        object.__setattr__(self, "input_bits", n_in)  # a NumPy int is not JSON
+        object.__setattr__(self, "output_bits", n_out)
         seed = np.asarray(self.seed_bits, dtype=np.uint8)
         want = self.input_bits + self.output_bits - 1
         if seed.ndim != 1 or len(seed) != want:

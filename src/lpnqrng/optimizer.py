@@ -11,6 +11,7 @@ isolation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import product
 
 from .entropy import (
@@ -22,9 +23,8 @@ from .entropy import (
     validate_amplitude,
 )
 from .errors import InvalidParameterError, LpnError
-from .params import (DEFAULT_N_SAMPLES, SystemParams, check_n_samples,
-                     check_plateau_bins, check_seed, check_welch, one_of,
-                     positive)
+from .params import (DEFAULT_N_SAMPLES, SystemParams, check_count,
+                     check_n_samples, check_seed, check_welch, one_of, positive)
 from .rng import derive_seed
 from .simulate import quantize, quantum_noise, sample_phase_path
 from .spectral import (
@@ -56,11 +56,13 @@ class SimSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_n_samples(self.n_samples)
-        check_welch(self.nfft, self.overlap_fraction)
-        check_plateau_bins(self.plateau_bins, self.nfft // 2 + 1)
+        keep = partial(object.__setattr__, self)  # a NumPy int is not JSON
+        keep("n_samples", check_n_samples(self.n_samples))
+        keep("nfft", check_welch(self.nfft, self.overlap_fraction))
+        keep("plateau_bins", check_count("plateau_bins", self.plateau_bins,
+                                         1, self.nfft // 2))
         one_of("entropy_method", self.entropy_method, METHODS)
-        check_seed("seed", self.seed)
+        keep("seed", check_seed("seed", self.seed))
 
 
 @dataclass(frozen=True)

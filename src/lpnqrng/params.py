@@ -3,7 +3,8 @@
 This module owns the parameter rules. Each is one function, called where
 the value enters: a JSON reader, a typed settings object, or a public
 function. The two range rules for physical reals reject NaN and +-inf.
-Every integer parameter takes any integer type but bool (``_integer``).
+Every integer parameter goes through ``check_count`` (a seed through
+``check_seed``): any integer type but bool, returned as a Python int.
 """
 from __future__ import annotations
 
@@ -74,13 +75,6 @@ def one_of(name: str, value, choices: tuple[str, ...]) -> str:
     return value
 
 
-def check_n_samples(n_samples: int) -> None:
-    """A phase path holds the theta(0) = 0 origin and at least one step,
-    and fewer than 2**60 float64 samples: NumPy sizes no 2**63-byte array."""
-    if check_count("n_samples", n_samples, 2) >= 2**60:
-        raise InvalidParameterError(f"n_samples must be < 2**60, got {n_samples}")
-
-
 def _integer(value) -> int | None:
     """``value`` as a Python int when it has an integer type
     (``operator.index``) other than bool; None otherwise."""
@@ -107,55 +101,45 @@ def check_seed(name: str, seed: int) -> int:
     return value
 
 
-def check_count(name: str, n: int, least: int = 0) -> int:
-    """A number of values: an integer >= ``least``.
+def check_count(name: str, n: int, least: int = 0,
+                most: int | None = None) -> int:
+    """An integer >= ``least``, and <= ``most`` when it is given.
 
     Any integer type is accepted (``operator.index``) and returned as a
     Python int; a bool, a float or any other value is rejected.
     """
     value = _integer(n)
-    if value is None or value < least:
+    if value is None or value < least or (most is not None and value > most):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise InvalidParameterError(
-            f"{name} must be an integer >= {least}, got {n!r}")
+            f"{name} must be an integer {bound}, got {n!r}")
     return value
 
 
-def check_welch(nfft: int, overlap_fraction: float) -> None:
-    """Welch segments: a power-of-two length and an overlap in [0, 1)."""
-    n = _integer(nfft)
-    if n is None or n < 2 or n & (n - 1):
+def check_n_samples(n_samples: int) -> int:
+    """A phase path holds the theta(0) = 0 origin and at least one step,
+    and fewer than 2**60 float64 samples: NumPy sizes no 2**63-byte array."""
+    return check_count("n_samples", n_samples, 2, 2**60 - 1)
+
+
+def check_welch(nfft: int, overlap_fraction: float) -> int:
+    """Welch segments: a power-of-two length (returned), overlap in [0, 1)."""
+    n = check_count("nfft", nfft, 2)
+    if n & (n - 1):
         raise InvalidParameterError(
             f"nfft must be a power-of-two integer, got {nfft!r}")
     if not 0.0 <= overlap_fraction < 1.0:
         raise InvalidParameterError(
             f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
+    return n
 
 
-def check_plateau_bins(plateau_bins: int, n_bins: int) -> None:
-    """The plateau reference spans bins 1 .. plateau_bins of n_bins."""
-    bins = _integer(plateau_bins)
-    if bins is None or not 1 <= bins < n_bins:
-        raise InvalidParameterError(f"plateau_bins must be an integer in "
-                                    f"[1, {n_bins - 1}], got {plateau_bins!r}")
-
-
-def check_toeplitz_geometry(
-        input_bits: int, output_bits: int,
-        names: tuple[str, str] = ("input_bits", "output_bits")) -> None:
-    """A Toeplitz hash maps input_bits >= 1 bits to 1 .. input_bits bits.
-
-    ``names`` are what the error message calls the two sizes.
-    """
-    for name, value in zip(names, (input_bits, output_bits)):
-        if _integer(value) is None:
-            raise InvalidParameterError(
-                f"{name} must be an integer, got {value!r}")
-    in_name, out_name = names
-    if input_bits < 1:
-        raise InvalidParameterError(f"{in_name} must be >= 1, got {input_bits}")
-    if not 1 <= output_bits <= input_bits:
-        raise InvalidParameterError(
-            f"{out_name} must be in [1, {in_name}], got {output_bits}")
+def check_toeplitz_geometry(input_bits: int, output_bits: int,
+                            names=("input_bits", "output_bits")) -> tuple[int, int]:
+    """A Toeplitz hash maps input_bits >= 1 bits to 1 .. input_bits bits
+    (both returned); ``names`` are what the error message calls them."""
+    n_in = check_count(names[0], input_bits, 1)
+    return n_in, check_count(names[1], output_bits, 1, n_in)
 
 
 def delay_index(delay_s: float, sample_period_s: float) -> int:
@@ -185,11 +169,8 @@ class AdcSpec:
     range: float = 1.0
 
     def __post_init__(self) -> None:
-        bits = _integer(self.bits)
-        if bits is None or not 2 <= bits <= 16:
-            raise InvalidParameterError(
-                f"adc bits must be an integer in [2, 16], got {self.bits!r}")
-        object.__setattr__(self, "bits", bits)  # a NumPy int is not JSON
+        object.__setattr__(  # a NumPy int is not JSON
+            self, "bits", check_count("adc bits", self.bits, 2, 16))
         positive("adc.range", self.range)
 
     @property

@@ -175,12 +175,16 @@ def quantize(trace: AnalogTrace, adc: AdcSpec) -> QuantizedTrace:
 
     code(x) = ceil(x / delta - 1/2) clamped to the code range, which
     realizes half-open bins (i*delta - delta/2, i*delta + delta/2] with
-    out-of-range inputs saturating to the end codes.
+    out-of-range inputs, +-inf included, saturating to the end codes. A
+    NaN sample has no code and raises InvalidParameterError.
     """
     codes = trace.samples / adc.delta
     codes -= 0.5
     np.ceil(codes, out=codes)
     np.clip(codes, adc.code_min, adc.code_max, out=codes)
+    # the clipped codes are finite but for NaN, which min propagates
+    if codes.size and np.isnan(codes.min()):
+        raise InvalidParameterError("a sample is NaN; it has no ADC code")
     return QuantizedTrace(codes.astype(np.int16), adc, trace.sample_period_s)
 
 

@@ -47,7 +47,7 @@ from scipy.ndimage import uniform_filter1d
 
 from . import _parallel
 from .errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
-from .params import check_plateau_bins, check_welch
+from .params import check_count, check_welch
 from .simulate import AnalogTrace
 
 DEFAULT_NFFT = 8192
@@ -130,7 +130,7 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     powers is held, so the memory is O(128 * (nfft/2 + 1)) whatever
     the trace length. The transforms run on up to one thread per CPU.
     """
-    check_welch(nfft, overlap_fraction)
+    nfft = check_welch(nfft, overlap_fraction)
     x = trace.samples
     if len(x) < 2 * nfft:
         raise TraceTooShortError(
@@ -205,7 +205,7 @@ def bandwidth_3db(psd: PsdEstimate,
     n = len(psd.freqs)
     if n == 0:
         raise EmptyPsdError("psd has no bins")
-    check_plateau_bins(plateau_bins, n)
+    plateau_bins = check_count("plateau_bins", plateau_bins, 1, n - 1)
     power = psd.power
     reference = float(np.median(power[1:plateau_bins + 1]))
     smoothed = uniform_filter1d(power, size=SMOOTH_BINS, mode="nearest")

@@ -27,16 +27,26 @@ def _sidecar(path: Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def _scalar(value):
+    """A NumPy scalar as the Python scalar JSON encodes (``json.dumps``'s
+    ``default``); TypeError for any other value."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{value!r} is not JSON serializable")
+
+
 def _write(path: str | Path, data: np.ndarray, dtype: str,
            trace: AnalogTrace | QuantizedTrace, system: SystemParams | None,
            seed: int | None, **fields) -> None:
-    """``data`` as raw ``dtype`` at ``path``, and its sidecar."""
+    """``data`` as raw ``dtype`` at ``path``, and its sidecar. The sidecar
+    is encoded first, so one that cannot be leaves no file behind."""
     path = Path(path)
-    data.astype(dtype, copy=False).tofile(path)
     meta = {"format": FORMAT_TAG, "dtype": dtype, "n_samples": len(data),
             "sample_period_s": trace.sample_period_s, "seed": seed,
             "system": None if system is None else system.to_dict(), **fields}
-    _sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(meta, indent=2, sort_keys=True, default=_scalar) + "\n"
+    data.astype(dtype, copy=False).tofile(path)
+    _sidecar(path).write_text(text)
 
 
 def _read(path: str | Path, kind: str, dtype: str,

@@ -107,8 +107,15 @@ class TestSimulate:
         cfg.write_text("{nope")
         assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
 
-    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100_000],
-                             ids=["not-utf8", "too-deep"])
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
+                   "--config", tmp_path / "nope.json",
+                   "--out-dir", tmp_path / "out") == 3
+        assert "nope.json" in one_error_line(capsys, "file-not-found")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100_000, b"[1, 2]"],
+                             ids=["not-utf8", "too-deep", "not-an-object"])
     def test_undecodable_config(self, tmp_path, capsys, raw):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(raw)
@@ -123,8 +130,9 @@ class TestSimulate:
         ({"system": {"amplitude": True}}, "system.amplitude"),
         ({"system": {"sigma_ele": False}}, "system.sigma_ele"),
         ({"system": {"linewidth_hz": "9.5e6"}}, "system.linewidth_hz"),
+        ({"quantize_source": 5}, "quantize_source"),
     ], ids=["fraction", "true", "false", "adc-bits-fraction", "amplitude-true",
-            "sigma-ele-false", "linewidth-string"])
+            "sigma-ele-false", "linewidth-string", "quantize-source-number"])
     def test_non_integer_config_value(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -176,6 +184,14 @@ class TestPsd:
     def test_missing_file_exit_code(self, tmp_path):
         assert run("psd", "--trace", tmp_path / "nope.f64",
                    "--out-dir", tmp_path) == 3
+
+    def test_data_file_gone_with_its_sidecar_left(self, tmp_path, capsys):
+        trace = tmp_path / "q.f64"
+        write_analog_trace(trace, AnalogTrace(np.zeros(8), 1e-10, "quantum"))
+        trace.unlink()
+        assert run("psd", "--trace", trace, "--out-dir", tmp_path / "out") == 3
+        one_error_line(capsys, "file-not-found")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("samples,code", [(None, 3), (100, 2)],
                              ids=["missing", "too-short"])
@@ -602,11 +618,11 @@ class TestExtract:
         assert not out.exists()
 
     @pytest.mark.parametrize("n_in,size,message", [
-        (64, ["--n-out", -200], "--n-out must be in [1, --n-in], got -200"),
-        (64, ["--n-out", 65], "--n-out must be in [1, --n-in], got 65"),
-        (0, ["--n-out", 1], "--n-in must be >= 1, got 0"),
+        (64, ["--n-out", -200], "--n-out must be an integer in [1, 64], got -200"),
+        (64, ["--n-out", 65], "--n-out must be an integer in [1, 64], got 65"),
+        (0, ["--n-out", 1], "--n-in must be an integer >= 1, got 0"),
         (64, ["--h-min", 0],
-         "output bits from --h-min must be in [1, --n-in], got 0")],
+         "output bits from --h-min must be an integer in [1, 64], got 0")],
         ids=["n-out-negative", "n-out-above-n-in", "n-in-zero", "h-min-zero"])
     def test_geometry_checked_in_one_line(self, tmp_path, capsys, n_in, size,
                                           message):
@@ -897,6 +913,14 @@ class TestResolver:
         line = one_error_line(capsys, "invalid-parameter")
         if fault == "mistyped-value":
             assert key in line
+        assert not (tmp_path / "out").exists()
+
+    def test_list_key_given_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"delays_s": 2.5e-9}}))
+        assert run("sweep", "--linewidths-hz", 9.5e6, *NFFT_FAST,
+                   "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert "sweep.delays_s" in one_error_line(capsys, "invalid-parameter")
         assert not (tmp_path / "out").exists()
 
     @staticmethod

@@ -77,7 +77,21 @@ class TestPacking:
         assert np.array_equal(got, want)
 
 
+    @pytest.mark.parametrize("width", [0, 17])
+    def test_codes_to_bits_width_outside_1_to_16_rejected(self, width):
+        with pytest.raises(InvalidParameterError) as exc:
+            codes_to_bits(np.zeros(2, np.int16), width)
+        assert str(exc.value) == (
+            f"bits_per_code must be an integer in [1, 16], got {width}")
+
+
 class TestToeplitzSpec:
+    def test_seed_bits_other_than_0_or_1_rejected(self):
+        seed = np.zeros(11, dtype=np.uint8)
+        seed[5] = 2
+        with pytest.raises(InvalidParameterError, match="seed bits must be 0 or 1"):
+            ToeplitzSpec(8, 4, seed)
+
     def test_seed_length_checked(self):
         with pytest.raises(LengthMismatchError):
             ToeplitzSpec(8, 8, np.zeros(10, dtype=np.uint8))

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,7 +33,9 @@ from lpnqrng.errors import (
     InvalidParameterError,
     NonPositiveVarianceError,
 )
-from lpnqrng.params import check_n_samples, check_toeplitz_geometry, one_of
+from lpnqrng.extractor import codes_to_bits
+from lpnqrng.params import (check_count, check_n_samples,
+                            check_toeplitz_geometry, one_of)
 
 
 class TestAdcSpec:
@@ -103,8 +107,9 @@ class TestRules:
             sample_phase_path(1e6, 1e-10, n, seed=0)
 
     @pytest.mark.parametrize("input_bits,output_bits,message", [
-        (0, 1, "input_bits must be >= 1, got 0"),
-        (4, 5, "output_bits must be in [1, input_bits], got 5")])
+        (0, 1, "input_bits must be an integer >= 1, got 0"),
+        (4, 5, "output_bits must be an integer in [1, 4], got 5")],
+        ids=["input-bits-zero", "output-bits-above-input-bits"])
     def test_toeplitz_geometry_names_the_api_fields(self, input_bits,
                                                     output_bits, message):
         # the command line passes its flags' names instead
@@ -201,6 +206,8 @@ INTEGER_SITES = {
     "monte_carlo_code_histogram.n_samples": (
         lambda x: monte_carlo_code_histogram(0.3, 0.5, AdcSpec(), x, seed=0),
         10),
+    "codes_to_bits.bits_per_code": (
+        lambda x: codes_to_bits(np.zeros(2, np.int16), x), 8),
 }
 
 
@@ -228,6 +235,40 @@ def test_numpy_integer_adc_bits_are_stored_as_an_int():
     adc = AdcSpec(bits=np.int64(8))
     assert type(adc.bits) is int and adc == AdcSpec()
     assert adc.to_dict() == {"bits": 8, "range": 1.0}
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint16])
+def test_numpy_integer_settings_are_stored_as_ints(kind):
+    sim = SimSettings(n_samples=kind(4096), nfft=kind(1024),
+                      plateau_bins=kind(8), seed=kind(3))
+    spec = ToeplitzSpec(kind(8), kind(4), np.zeros(11, np.uint8))
+    for name in ("n_samples", "nfft", "plateau_bins", "seed"):
+        assert type(getattr(sim, name)) is int
+    assert (type(spec.input_bits), type(spec.output_bits)) == (int, int)
+    assert sim == SimSettings(n_samples=4096, nfft=1024, plateau_bins=8, seed=3)
+    assert json.loads(json.dumps(asdict(sim)))["n_samples"] == 4096
+    fields = asdict(spec)
+    del fields["seed_bits"]  # an array, which no JSON holds
+    assert json.dumps(fields) == '{"input_bits": 8, "output_bits": 4}'
+
+
+def test_integer_range_ends_are_accepted_as_ints():
+    for value in (1, 4, np.uint16(4)):
+        assert type(check_count("n", value, 1, 4)) is int
+    assert check_count("n", 2**70) == 2**70
+
+
+@pytest.mark.parametrize("args,message", [
+    (("n", -1), "n must be an integer >= 0, got -1"),
+    (("n", 0, 1), "n must be an integer >= 1, got 0"),
+    (("n", 5, 1, 4), "n must be an integer in [1, 4], got 5"),
+    (("n", np.int64(0), 1, 4), "n must be an integer in [1, 4], got np.int64(0)"),
+    (("n", 2.0, 1, 4), "n must be an integer in [1, 4], got 2.0"),
+])
+def test_one_integer_range_rule(args, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        check_count(*args)
+    assert str(exc.value) == message
 
 
 class TestOneOf:

@@ -163,6 +163,20 @@ class TestQuantize:
         codes = quantize(t, adc8).codes
         assert codes[0] == 127 and codes[1] == -128
 
+    def test_infinities_saturate(self, adc8):
+        t = AnalogTrace(np.array([0.1, math.inf, -math.inf]), 1.0, "quantum")
+        assert quantize(t, adc8).codes.tolist() == [13, 127, -128]
+
+    @pytest.mark.parametrize("at", [0, 1, 4095])
+    def test_nan_has_no_code(self, adc8, at):
+        x = np.zeros(4096)
+        x[at] = math.nan
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            quantize(AnalogTrace(x, 1.0, "quantum"), adc8)
+
+    def test_empty_trace(self, adc8):
+        assert len(quantize(AnalogTrace(np.zeros(0), 1.0, "quantum"), adc8)) == 0
+
     def test_matches_scalar_form(self, adc8):
         x = np.linspace(-1.2, 1.2, 1001)
         codes = quantize(AnalogTrace(x, 1.0, "measured"), adc8).codes

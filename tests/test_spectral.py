@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy import signal
 from scipy.ndimage import uniform_filter1d
 
-from lpnqrng import (SimSettings, bandwidth_3db, estimate_psd, evaluate_point,
-                     gaussian_stream)
+from lpnqrng import (AdcSpec, SimSettings, bandwidth_3db, estimate_psd,
+                     evaluate_point, forward_variance, gaussian_stream)
 from lpnqrng.errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
 from lpnqrng.simulate import AnalogTrace
 from lpnqrng.spectral import (_WELCH_BLOCK_SAMPLES, PERSIST_BINS, PsdEstimate,
@@ -143,6 +143,54 @@ class TestEstimatePsd:
             estimate_psd(q, **{"nfft": 1024, "overlap_fraction": 0.5, **kwargs})
 
 
+def model_psd(linewidth_hz, k, amplitude, nfft, tau_s=TAU_S):
+    """The mean of estimate_psd's one-sided density under the model.
+
+    q[m] = A sin(theta[m + k] - theta[m]) has the autocorrelation
+    R(l) = A^2 exp(-k s2) sinh(s2 (k - |l|)) for |l| <= k and 0 beyond,
+    with s2 = 2 pi linewidth tau_s the variance of one phase step. A
+    Hann-windowed segment's periodogram then has the mean
+    tau_s / sum(w^2) times the transform of R(l) c_w(l), where c_w is the
+    window's autocorrelation; the taps are placed circularly in nfft.
+    """
+    s2 = 2 * np.pi * linewidth_hz * tau_s
+    lags = np.arange(-k, k + 1)
+    r = amplitude**2 * np.exp(-k * s2) * np.sinh(s2 * (k - np.abs(lags)))
+    w = signal.windows.hann(nfft, sym=False)
+    c_w = np.correlate(w, w, "full")  # lag l at index l + nfft - 1
+    taps = np.zeros(nfft)
+    np.add.at(taps, lags % nfft, r * c_w[lags + nfft - 1])
+    density = np.fft.rfft(taps).real * tau_s / np.sum(w**2)
+    density[1:-1] *= 2  # one-sided, as estimate_psd
+    return density
+
+
+class TestModelSpectrum:
+    #: the variance of a Welch mean over K Hann segments at 50% overlap is
+    #: 1 + 2 (1/6)^2 times that of K independent periodograms
+    HANN_HALF_OVERLAP = 1 + 2 * (1 / 6) ** 2
+
+    @pytest.mark.parametrize("linewidth_hz,delay_s", [
+        (9.5e6, 2.5e-9), (40e6, 1.5e-9), (5e6, 10e-9), (80e6, 6.5e-9)])
+    def test_welch_mean_matches_the_closed_form(self, linewidth_hz, delay_s):
+        k = round(delay_s / TAU_S)
+        amplitude, nfft = AdcSpec().default_amplitude(), 1024
+        psds = [estimate_psd(quantum_trace(linewidth_hz, k, 2**20, seed), nfft)
+                for seed in (11, 12, 13, 14)]
+        n_segments = sum(p.n_segments for p in psds)
+        mean = np.mean([p.power for p in psds], axis=0)
+        expected = model_psd(linewidth_hz, k, amplitude, nfft)
+        # the global mean removal biases DC only
+        z = ((mean / expected - 1)[1:]
+             * np.sqrt(n_segments / self.HANN_HALF_OVERLAP))
+        assert np.abs(z).max() <= 5
+        assert np.sqrt(np.mean(z**2)) == pytest.approx(1, rel=0.1)
+        total = expected.sum() * psds[0].df_hz
+        sigma_d2 = 2 * np.pi * linewidth_hz * k * TAU_S
+        assert total == pytest.approx(forward_variance(sigma_d2, amplitude),
+                                      rel=1e-12)
+
+
 class TestPsdMemory:
     @staticmethod
     def psd_peak_bytes(n_samples):
@@ -206,6 +254,10 @@ class TestBandwidth3db:
             q = quantum_trace(9.5e6, 65, 2**22, seed=seed)
             estimates.append(bandwidth_3db(estimate_psd(q)).b_es_hz)
         assert abs(estimates[0] - estimates[1]) <= 0.05 * min(estimates)
+
+    def test_unequal_arrays_rejected(self):
+        with pytest.raises(InvalidParameterError, match="equal length"):
+            PsdEstimate(np.zeros(5), np.zeros(4), 1, 8)
 
     def test_empty_psd(self):
         psd = PsdEstimate(np.empty(0), np.empty(0), 0, 0)

@@ -38,6 +38,37 @@ def test_analog_round_trip(tmp_path, system):
     assert meta["system"] == system.to_dict()
 
 
+def test_numpy_scalar_fields_round_trip(tmp_path, adc8):
+    system = SystemParams(linewidth_hz=np.int64(9_500_000),
+                          delay_s=np.float32(2.5e-9))
+    trace = AnalogTrace(np.array([0.25, -0.5]), np.float32(1e-10), "quantum")
+    path = tmp_path / "q.f64"
+    write_analog_trace(path, trace, system=system, seed=np.uint64(7))
+    back, meta = read_analog_trace(path)
+    assert back.sample_period_s == float(np.float32(1e-10))
+    assert meta["seed"] == 7
+    assert meta["system"]["linewidth_hz"] == 9_500_000
+    assert meta["system"]["delay_s"] == float(np.float32(2.5e-9))
+    codes = QuantizedTrace(np.array([1, -1], np.int16), adc8, 1e-10)
+    write_quantized_trace(tmp_path / "c.i16", codes, system=system,
+                          seed=np.int64(3))
+    assert read_quantized_trace(tmp_path / "c.i16")[1]["seed"] == 3
+
+
+@pytest.mark.parametrize("kind", ["analog", "codes"])
+def test_a_sidecar_that_cannot_be_encoded_leaves_no_file(tmp_path, adc8, kind):
+    path = tmp_path / "t.bin"
+    with pytest.raises(TypeError):
+        if kind == "analog":
+            write_analog_trace(path, AnalogTrace(np.zeros(2), 1e-10, "quantum"),
+                               seed=object())
+        else:
+            write_quantized_trace(path, QuantizedTrace(np.zeros(2, np.int16),
+                                                       adc8, 1e-10),
+                                  seed=object())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analog_bytes_little_endian(tmp_path):
     trace = AnalogTrace(np.array([1.0, -2.5]), 1e-10, "measured")
     path = tmp_path / "m.f64"
