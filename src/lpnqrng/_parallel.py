@@ -7,7 +7,9 @@ returns, even when a part raised, and then re-raises the first error in
 part order. So no thread outlives a call: importing the package starts
 none, a forked child inherits none, and a call from inside a part starts
 threads of its own. Parts call only private helpers, so every public
-function of the package is entered on the calling thread alone.
+function of the package is entered on the calling thread alone. A
+caller that hands each part buffers of its own takes the ranges from
+``split`` and runs the parts with ``run``.
 """
 from __future__ import annotations
 
@@ -23,18 +25,27 @@ def workers() -> int:
         return os.cpu_count() or 1
 
 
-def run_parts(n: int, quantum: int, part) -> None:
-    """``part(a, b)`` over at most ``workers()`` near-equal ranges
-    [a, b) that cover range(n), every inner bound a multiple of
-    ``quantum``; the ranges run at once."""
+def split(n: int, quantum: int) -> list[tuple[int, int]]:
+    """At most ``workers()`` near-equal ranges [a, b) that cover
+    range(n), every inner bound a multiple of ``quantum``."""
     units = -(-n // quantum)
     count = max(1, min(workers(), units))
     bounds = [min(n, units * p // count * quantum) for p in range(count + 1)]
-    first, *rest = zip(bounds, bounds[1:])
+    return list(zip(bounds, bounds[1:]))
+
+
+def run(part, calls: list[tuple]) -> None:
+    """``part(*args)`` for every ``args`` of ``calls``, all at once."""
+    first, *rest = calls
     # the pool starts at most one thread per submitted part, and leaving
     # the block joins them all, also when the first part raised
-    with ThreadPoolExecutor(count) as pool:
-        futures = [pool.submit(part, a, b) for a, b in rest]
+    with ThreadPoolExecutor(len(calls)) as pool:
+        futures = [pool.submit(part, *args) for args in rest]
         part(*first)
     for f in futures:
         f.result()
+
+
+def run_parts(n: int, quantum: int, part) -> None:
+    """``part(a, b)`` over the ranges ``split(n, quantum)``, all at once."""
+    run(part, split(n, quantum))

@@ -9,7 +9,7 @@ Raw ADC codes are serialized to bits as n-bit two's-complement words,
 most significant bit first, then split into n_in-bit blocks that are
 hashed independently with the same matrix.
 
-There is one GF(2) kernel, pure NumPy/SciPy with no build step. T @ x is
+There is one GF(2) kernel, pure NumPy with no build step. T @ x is
 the linear convolution of t' and x at indices n_in - 1 .. n_in + n_out - 2.
 Zero-padded to L, the next power of two >= n_in + n_out - 1, the
 circular convolution does not wrap into those indices, so
@@ -42,6 +42,22 @@ L = 2**32. Over the 4096 blocks of one bitgen benchmark operation the
 worst distance to the nearest integer is 5.7e-14 at p = 1, 9.5e-7 at
 p = 3 and 1.2e-2 at p = 4.
 
+The kernel runs on every core (``_parallel``). The blocks split into
+one range per part at multiples of rows * p, and each part hashes its
+range a batch of rows * p blocks at a time into its slice of the one
+output. rows is the serial batch of _BATCH_SAMPLES // L rows divided
+among the parts, so all parts together hold one serial batch. The
+caller allocates every part's working arrays (packed rows, spectrum,
+inverse transform, int64 products) before any part starts, and the
+FFTs, rint and shifts write into them: a part allocates no array. An
+array freed on a part's thread would stay in that thread's malloc
+arena, where the caller's next large temporary cannot reuse it, so the
+process's peak memory would grow with the part count. NumPy's FFT is
+used because it takes ``out=``. Which FFT library computes y does not
+change a bit: each y[r] is an integer, the bound above holds for any
+FFT of the usual O(u log L) accuracy, pocketfft in NumPy and in SciPy
+alike, so rint returns that integer whichever library computes it.
+
 ``GF2_BACKEND`` names that kernel; it is always "numpy".
 """
 from __future__ import annotations
@@ -52,9 +68,9 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft
 from scipy.special import erfc
 
+from . import _parallel
 from .errors import InvalidParameterError, LengthMismatchError, TooFewBitsError
 from .params import check_count, check_toeplitz_geometry
 from .simulate import QuantizedTrace
@@ -62,9 +78,9 @@ from .simulate import QuantizedTrace
 GF2_BACKEND = "numpy"
 
 #: packed rows are transformed _BATCH_SAMPLES // L at a time (at least
-#: one) through one reused float64 buffer, which bounds the float64 and
-#: complex128 temporaries to a few MB for any geometry; 64 rows, or 192
-#: blocks, at 2048 -> 1800
+#: one), shared out among the parts, through reused buffers, which
+#: bounds the float64 and complex128 working arrays to a few MB for any
+#: geometry; 64 rows, or 192 blocks, at 2048 -> 1800
 _BATCH_SAMPLES = 1 << 18
 
 
@@ -110,6 +126,7 @@ def pack_bits_to_bytes(bits: np.ndarray) -> bytes:
 
 def unpack_bytes_to_bits(data: bytes, n_bits: int) -> np.ndarray:
     """First n_bits of a byte string, MSB first."""
+    n_bits = check_count("n_bits", n_bits)
     avail = 8 * len(data)
     if avail < n_bits:
         raise LengthMismatchError(f"need {n_bits} bits, file holds {avail}")
@@ -169,22 +186,45 @@ class ToeplitzSpec:
     @cached_property
     def _seed_spectrum(self) -> np.ndarray:
         """rfft of t', zero-padded to L."""
-        return fft.rfft(self._diagonals, n=self._fft_length)
+        return np.fft.rfft(self._diagonals, n=self._fft_length)
 
 
 def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
     """out[b] = T @ blocks[b] mod 2 for an (n_blocks, n_in) 0/1 array."""
     n_in, n_out, length = spec.input_bits, spec.output_bits, spec._fft_length
+    # read here, so no cached property is first computed on a part's thread
+    lanes, seed_spectrum = spec._lanes, spec._seed_spectrum
     n_blocks = blocks.shape[0]
-    lanes = spec._lanes
-    shift = n_in.bit_length()
-    rows = min(max(_BATCH_SAMPLES // length, 1), -(-n_blocks // lanes))
+    batch = min(max(_BATCH_SAMPLES // length, 1), -(-n_blocks // lanes))
+    rows = -(-batch // _parallel.workers())
+    ranges = _parallel.split(n_blocks, rows * lanes)
     out = np.empty((n_blocks, n_out), dtype=np.uint8)
-    # packed rows, zero-padded to L once: only [:, :n_in] is ever written.
-    # Allocated after out: the other order leaves a heap hole that raises
-    # the bitgen benchmark's peak RSS from 169 to 184 MB.
-    x = np.zeros((rows, length))
-    for first in range(0, n_blocks, rows * lanes):
+    # Every part's buffers, allocated after out: a buffer allocated before
+    # it left a heap hole that raised the bitgen benchmark's peak RSS from
+    # 169 to 184 MB. x is zero-padded to L once: only [..., :n_in] is
+    # ever written.
+    shape = (len(ranges), rows)
+    x = np.zeros(shape + (length,))
+    spectrum = np.empty(shape + (length // 2 + 1,), dtype=np.complex128)
+    y = np.empty(shape + (length,))
+    products = np.empty(shape + (n_out,), dtype=np.int64)
+    _parallel.run(
+        lambda p, a, b: _toeplitz_part(
+            blocks[a:b], seed_spectrum, lanes, x[p], spectrum[p], y[p],
+            products[p], out[a:b]),
+        [(p, a, b) for p, (a, b) in enumerate(ranges)])
+    return out
+
+
+def _toeplitz_part(blocks: np.ndarray, seed_spectrum: np.ndarray, lanes: int,
+                   x: np.ndarray, spectrum: np.ndarray, y: np.ndarray,
+                   products: np.ndarray, out: np.ndarray) -> None:
+    """_toeplitz_apply of ``blocks`` into ``out``, len(x) rows of lanes
+    blocks at a time, through the caller's buffers (module doc)."""
+    n_in, n_out = blocks.shape[1], out.shape[1]
+    shift = n_in.bit_length()
+    rows = len(x)
+    for first in range(0, len(blocks), rows * lanes):
         group = blocks[first:first + rows * lanes]
         n_rows = -(-len(group) // lanes)
         # x_g = sum_i 2**(shift * i) * group[g * lanes + i], by Horner's rule
@@ -194,20 +234,21 @@ def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
             packed *= 2.0**shift
             lane = group[i::lanes]
             packed[:len(lane)] += lane
-        spectrum = fft.rfft(x[:n_rows], axis=1)
-        spectrum *= spec._seed_spectrum
-        y = fft.irfft(spectrum, n=length, axis=1, overwrite_x=True)
-        v = y[:, n_in - 1:n_in - 1 + n_out]
-        v = np.rint(v, out=v).astype(np.int64)
-        for i in range(lanes):
+        np.fft.rfft(x[:n_rows], axis=1, out=spectrum[:n_rows])
+        spectrum[:n_rows] *= seed_spectrum
+        np.fft.irfft(spectrum[:n_rows], n=x.shape[1], axis=1, out=y[:n_rows])
+        v = products[:n_rows]
+        np.rint(y[:n_rows, n_in - 1:n_in - 1 + n_out], out=v, casting="unsafe")
+        for i in range(lanes):  # v is rint(y) >> (shift * i) here
             dest = out[first + i:first + len(group):lanes]
-            np.bitwise_and(v[:len(dest)] >> (shift * i), 1, out=dest,
-                           casting="unsafe")
-    return out
+            np.bitwise_and(v[:len(dest)], 1, out=dest, casting="unsafe")
+            v >>= shift
 
 
 def output_bits_for(h_min_bits: float, adc_bits: int, input_bits: int) -> int:
     """Output block size floor(h_min / n * input_bits) for n-bit codes."""
+    adc_bits = check_count("adc_bits", adc_bits, 2, 16)
+    input_bits = check_count("input_bits", input_bits, 1)
     if not 0 <= h_min_bits <= adc_bits:
         raise InvalidParameterError(
             f"h_min must be in [0, {adc_bits}], got {h_min_bits}")

@@ -56,9 +56,10 @@ class SimSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        keep = partial(object.__setattr__, self)  # a NumPy int is not JSON
+        keep = partial(object.__setattr__, self)  # a NumPy scalar is not JSON
         keep("n_samples", check_n_samples(self.n_samples))
         keep("nfft", check_welch(self.nfft, self.overlap_fraction))
+        keep("overlap_fraction", float(self.overlap_fraction))
         keep("plateau_bins", check_count("plateau_bins", self.plateau_bins,
                                          1, self.nfft // 2))
         one_of("entropy_method", self.entropy_method, METHODS)

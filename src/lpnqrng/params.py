@@ -2,9 +2,11 @@
 
 This module owns the parameter rules. Each is one function, called where
 the value enters: a JSON reader, a typed settings object, or a public
-function. The two range rules for physical reals reject NaN and +-inf.
-Every integer parameter goes through ``check_count`` (a seed through
-``check_seed``): any integer type but bool, returned as a Python int.
+function. The two range rules for physical reals reject NaN and +-inf
+and return the value as a Python float. Every integer parameter goes
+through ``check_count`` (a seed through ``check_seed``): any integer
+type but bool, returned as a Python int. Settings objects store what
+the rules return, so they stay JSON-able when given NumPy scalars.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import DelayTooSmallError, InvalidParameterError
 
@@ -54,17 +56,19 @@ def as_float(value) -> float:
 
 
 def positive(name: str, value: float, error=InvalidParameterError) -> float:
-    """``value`` if it is > 0 and finite; raises ``error`` otherwise."""
+    """``value`` as a Python float if it is > 0 and finite; raises
+    ``error`` otherwise."""
     if not (value > 0 and math.isfinite(value)):
         raise error(f"{name} must be > 0 and finite, got {value!r}")
-    return value
+    return float(value)
 
 
 def non_negative(name: str, value: float, error=InvalidParameterError) -> float:
-    """``value`` if it is >= 0 and finite; raises ``error`` otherwise."""
+    """``value`` as a Python float if it is >= 0 and finite; raises
+    ``error`` otherwise."""
     if not (value >= 0 and math.isfinite(value)):
         raise error(f"{name} must be >= 0 and finite, got {value!r}")
-    return value
+    return float(value)
 
 
 def one_of(name: str, value, choices: tuple[str, ...]) -> str:
@@ -171,7 +175,7 @@ class AdcSpec:
     def __post_init__(self) -> None:
         object.__setattr__(  # a NumPy int is not JSON
             self, "bits", check_count("adc bits", self.bits, 2, 16))
-        positive("adc.range", self.range)
+        object.__setattr__(self, "range", positive("adc.range", self.range))
 
     @property
     def delta(self) -> float:
@@ -218,12 +222,16 @@ class SystemParams:
     adc: AdcSpec = field(default_factory=AdcSpec)
 
     def __post_init__(self) -> None:
-        if self.amplitude is None:
-            object.__setattr__(self, "amplitude", self.adc.default_amplitude())
-        non_negative("linewidth_hz", self.linewidth_hz)
-        positive("amplitude", self.amplitude)
-        non_negative("sigma_ele", self.sigma_ele)
-        self.delay_samples  # checks delay_s, sample_period_s and k >= 1
+        keep = partial(object.__setattr__, self)  # a NumPy scalar is not JSON
+        amplitude = (self.adc.default_amplitude() if self.amplitude is None
+                     else self.amplitude)
+        keep("linewidth_hz", non_negative("linewidth_hz", self.linewidth_hz))
+        keep("amplitude", positive("amplitude", amplitude))
+        keep("sigma_ele", non_negative("sigma_ele", self.sigma_ele))
+        keep("delay_s", positive("delay_s", self.delay_s))
+        keep("sample_period_s",
+             positive("sample_period_s", self.sample_period_s))
+        self.delay_samples  # checks k >= 1
 
     @cached_property
     def delay_samples(self) -> int:

@@ -64,7 +64,8 @@ class AnalogTrace:
 
     def __post_init__(self) -> None:
         one_of("trace label", self.label, LABELS)
-        positive("sample_period_s", self.sample_period_s)
+        object.__setattr__(self, "sample_period_s",
+                           positive("sample_period_s", self.sample_period_s))
         object.__setattr__(self, "samples",
                            _freeze(np.asarray(self.samples, dtype=np.float64)))
 
@@ -81,7 +82,8 @@ class QuantizedTrace:
     sample_period_s: float
 
     def __post_init__(self) -> None:
-        positive("sample_period_s", self.sample_period_s)
+        object.__setattr__(self, "sample_period_s",
+                           positive("sample_period_s", self.sample_period_s))
         codes = np.asarray(self.codes)
         if not np.issubdtype(codes.dtype, np.integer):
             raise InvalidParameterError(

@@ -1,9 +1,11 @@
 """The threaded layers give the same bytes whatever the worker count.
 
-``gaussian_stream``, ``quantum_noise`` and ``estimate_psd`` split their
-work into one part per CPU the process may run on (``_parallel``). Each
-test here sets the worker count to 1, 2 and 3 and compares every result
-with an independent serial oracle or with the one-worker result.
+``gaussian_stream``, ``quantum_noise``, ``estimate_psd`` and the
+Toeplitz extractor split their work into one part per CPU the process
+may run on (``_parallel``). Each test here sets the worker count to 1, 2
+and 3 and compares every result with an independent serial oracle or
+with the one-worker result. The extractor's parts share the caller's
+buffers, so its memory peak must not grow with the part count either.
 """
 import importlib.util
 import multiprocessing
@@ -13,6 +15,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +23,13 @@ import pytest
 from scipy import signal
 from scipy.special import ndtri
 
-from lpnqrng import (AdcSpec, SimSettings, _parallel, estimate_psd,
-                     evaluate_point, gaussian_stream, quantum_noise,
+from lpnqrng import (AdcSpec, SimSettings, ToeplitzSpec, _parallel,
+                     estimate_psd, evaluate_point, extract_block,
+                     extract_stream, gaussian_stream, quantum_noise,
                      sample_phase_path)
+from lpnqrng.extractor import _BATCH_SAMPLES, codes_to_bits
 from lpnqrng.rng import _GAUSS_BLOCK, raw_stream
-from lpnqrng.simulate import AnalogTrace, PhasePath
+from lpnqrng.simulate import AnalogTrace, PhasePath, QuantizedTrace
 
 from conftest import TAU_S, base_params
 
@@ -99,6 +104,100 @@ def test_evaluate_point_is_the_same_at_every_worker_count(monkeypatch, method):
     assert points[1] == points[0] and points[2] == points[0]
 
 
+def random_codes(adc_bits, n_in, n_blocks, seed):
+    """Codes holding n_blocks whole blocks and a partial one."""
+    rng = np.random.default_rng(seed)
+    adc = AdcSpec(bits=adc_bits)
+    n_codes = -(-(n_blocks * n_in + 1) // adc_bits)
+    codes = rng.integers(adc.code_min, adc.code_max + 1, n_codes)
+    return QuantizedTrace(codes, adc, TAU_S)
+
+
+def random_spec(n_in, n_out, seed):
+    rng = np.random.default_rng(seed)
+    return ToeplitzSpec(n_in, n_out, rng.integers(0, 2, n_in + n_out - 1))
+
+
+def dense_extract(codes, spec):
+    """The dense matrix product, block by block."""
+    bits = codes_to_bits(codes.codes, codes.adc.bits)
+    n_blocks = bits.size // spec.input_bits
+    blocks = bits[:n_blocks * spec.input_bits].reshape(n_blocks, -1)
+    product = blocks.astype(np.int64) @ spec.matrix().T.astype(np.int64)
+    return (product & 1).astype(np.uint8).reshape(-1)
+
+
+def part_quantum(spec, workers):
+    """Blocks per batch of one part at full batches (rows * lanes)."""
+    rows = max(_BATCH_SAMPLES // spec._fft_length, 1)
+    return -(-rows // workers) * spec._lanes
+
+
+def check_extract_stream(monkeypatch, workers, codes, spec):
+    expected = dense_extract(codes, spec)
+    set_workers(monkeypatch, workers)
+    assert np.array_equal(extract_stream(codes, spec), expected)
+
+
+# 1 and 2 blocks are fewer than the parts at 2 and 3 workers; q blocks
+# fill every row of one part's batch
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("q_times,plus", [
+    (0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_extract_stream_matches_dense_product_at_every_worker_count(
+        monkeypatch, workers, q_times, plus):
+    spec = random_spec(2048, 1800, 21)
+    n_blocks = q_times * part_quantum(spec, workers) + plus
+    check_extract_stream(monkeypatch, workers,
+                         random_codes(8, 2048, n_blocks, 22), spec)
+
+
+# each call makes one part per worker; at 2047 -> 1000 each part also
+# runs several batches
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("adc_bits,n_in,n_out,n_blocks", [
+    (6, 100, 60, 1001),
+    (12, 2047, 1000, 301),
+    (16, 33, 33, 2000),
+])
+def test_extract_stream_geometries_at_every_worker_count(
+        monkeypatch, workers, adc_bits, n_in, n_out, n_blocks):
+    spec = random_spec(n_in, n_out, n_in)
+    check_extract_stream(monkeypatch, workers,
+                         random_codes(adc_bits, n_in, n_blocks, n_out), spec)
+
+
+def test_extract_stream_peak_memory_does_not_grow_with_parts(monkeypatch):
+    # a part that allocated its own working arrays would add a serial
+    # batch's worth of them per part
+    spec = random_spec(2048, 1800, 5)
+    codes = random_codes(8, 2048, 4096, 6)
+    extract_block(np.zeros(2048, dtype=np.uint8), spec)  # fills the caches
+    peaks = []
+    for n in WORKER_COUNTS:
+        set_workers(monkeypatch, n)
+        tracemalloc.start()
+        try:
+            extract_stream(codes, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) <= 1.05 * peaks[0], peaks
+
+
+def test_extract_block_starts_no_thread(monkeypatch):
+    set_workers(monkeypatch, 3)
+    spec = random_spec(2048, 1800, 7)
+    block = np.random.default_rng(8).integers(0, 2, 2048).astype(np.uint8)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    bits = extract_block(block, spec)
+    assert not started
+    expected = (spec.matrix().astype(np.int64) @ block) & 1
+    assert np.array_equal(bits, expected)
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     spec = importlib.util.spec_from_file_location("perfbench_pipeline",
@@ -125,23 +224,18 @@ def test_benchmark_op_digest_is_the_same_at_every_worker_count(
         assert digests[0] == pipeline.PINNED_DIGESTS[workload]
 
 
-def test_concurrent_callers_draw_their_own_bytes(monkeypatch):
-    # more workers than cores, callers on several threads at once, and
-    # short switch intervals: a part written to the wrong slice, or to
-    # another caller's array, changes the bytes
-    n = 3 * B + 7
-    expected = [gaussian_stream(seed, n) for seed in range(6)]
-    set_workers(monkeypatch, 3)
-    got = [None] * len(expected)
+def run_concurrently(calls):
+    """Every call on its own thread at once, with short switch intervals."""
+    got = [None] * len(calls)
 
     def call(i):
-        got[i] = gaussian_stream(i, n)
+        got[i] = calls[i]()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=call, args=(i,))
-                   for i in range(len(expected))]
+                   for i in range(len(calls))]
         for t in threads:
             t.start()
         for t in threads:
@@ -149,6 +243,29 @@ def test_concurrent_callers_draw_their_own_bytes(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    return got
+
+
+# more workers than cores, callers on several threads at once, and short
+# switch intervals: a part written to the wrong slice, or to another
+# caller's array, changes the bytes
+def test_concurrent_callers_draw_their_own_bytes(monkeypatch):
+    n = 3 * B + 7
+    expected = [gaussian_stream(seed, n) for seed in range(6)]
+    set_workers(monkeypatch, 3)
+    got = run_concurrently([lambda seed=seed: gaussian_stream(seed, n)
+                            for seed in range(6)])
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+
+
+def test_concurrent_callers_extract_their_own_bits(monkeypatch):
+    spec = random_spec(2048, 1800, 9)
+    traces = [random_codes(8, 2048, 40 + 7 * i, i) for i in range(6)]
+    expected = [dense_extract(codes, spec) for codes in traces]
+    set_workers(monkeypatch, 3)
+    got = run_concurrently([lambda codes=codes: extract_stream(codes, spec)
+                            for codes in traces])
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
 

@@ -33,7 +33,8 @@ from lpnqrng.errors import (
     InvalidParameterError,
     NonPositiveVarianceError,
 )
-from lpnqrng.extractor import codes_to_bits
+from lpnqrng.extractor import (codes_to_bits, output_bits_for,
+                               unpack_bytes_to_bits)
 from lpnqrng.params import (check_count, check_n_samples,
                             check_toeplitz_geometry, one_of)
 
@@ -208,6 +209,11 @@ INTEGER_SITES = {
         10),
     "codes_to_bits.bits_per_code": (
         lambda x: codes_to_bits(np.zeros(2, np.int16), x), 8),
+    "unpack_bytes_to_bits.n_bits": (
+        lambda x: unpack_bytes_to_bits(b"\xff\x00", x), 13),
+    "output_bits_for.adc_bits": (lambda x: output_bits_for(5.0, x, 2048), 8),
+    "output_bits_for.input_bits": (
+        lambda x: output_bits_for(5.0, 8, x), 2048),
 }
 
 
@@ -250,6 +256,42 @@ def test_numpy_integer_settings_are_stored_as_ints(kind):
     fields = asdict(spec)
     del fields["seed_bits"]  # an array, which no JSON holds
     assert json.dumps(fields) == '{"input_bits": 8, "output_bits": 4}'
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: unpack_bytes_to_bits(b"\xff\x00", -3),
+     "n_bits must be an integer >= 0, got -3"),
+    (lambda: output_bits_for(5.0, 8, -2048),
+     "input_bits must be an integer >= 1, got -2048"),
+    (lambda: output_bits_for(0.0, 0, 2048),
+     "adc_bits must be an integer in [2, 16], got 0"),
+    (lambda: output_bits_for(5.0, 17, 2048),
+     "adc_bits must be an integer in [2, 16], got 17"),
+], ids=["n_bits-negative", "input_bits-negative", "adc_bits-zero",
+        "adc_bits-above-16"])
+def test_extractor_integer_ranges(call, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64])
+def test_numpy_real_settings_are_stored_as_floats(kind):
+    params = SystemParams(np.int64(9_500_000), kind(2.5e-9),
+                          amplitude=kind(0.5), sigma_ele=np.int64(0),
+                          sample_period_s=kind(1e-10),
+                          adc=AdcSpec(range=kind(1)))
+    grid = SweepGrid((np.int64(9_500_000),), (kind(2.5e-9),), params,
+                     SimSettings(overlap_fraction=kind(0.25)))
+    traces = (AnalogTrace(np.zeros(4), kind(1e-10), "quantum"),
+              QuantizedTrace(np.zeros(4, np.int16), AdcSpec(), kind(1e-10)))
+    fields = params.to_dict()
+    reals = [v for k, v in fields.items() if k != "adc"]
+    reals += [fields["adc"]["range"], *grid.linewidths_hz, *grid.delays_s,
+              grid.sim.overlap_fraction, *(t.sample_period_s for t in traces)]
+    assert all(type(v) is float for v in reals)
+    json.dumps(fields)
+    json.dumps(asdict(grid))
 
 
 def test_integer_range_ends_are_accepted_as_ints():

@@ -12,6 +12,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lpnqrng
@@ -65,7 +66,26 @@ def test_sweep_call_shapes_bind():
         5e6, 1.5e-9, base, sim)
 
 
-def test_spans_stay_on_the_calling_thread(spans, monkeypatch):
+def _evaluate_point():
+    # 2**18 samples at nfft 4096 make 126 Welch segments, four blocks of
+    # a leaf, so the variates, the sines and the transforms all split
+    sim = lpnqrng.SimSettings(n_samples=2**18, nfft=4096, seed=3)
+    lpnqrng.optimizer.evaluate_point(40e6, 4.5e-9,
+                                     lpnqrng.SystemParams(5e6, 1.5e-9), sim)
+
+
+def _extract_stream():
+    # 1000 blocks at 2048 -> 1800 split into one part per worker
+    rng = np.random.default_rng(3)
+    adc = lpnqrng.AdcSpec(bits=8)
+    codes = lpnqrng.QuantizedTrace(rng.integers(-128, 128, 256_000), adc,
+                                   1e-10)
+    spec = lpnqrng.ToeplitzSpec(2048, 1800, rng.integers(0, 2, 3847))
+    lpnqrng.extractor.extract_stream(codes, spec)
+
+
+def check_spans_stay_on_the_calling_thread(spans, monkeypatch, call,
+                                           counters):
     # the tracer keeps one stack of open spans; a traced function entered
     # from a pool thread would push onto it out of order
     class ThreadTracer(spans.Tracer):
@@ -73,9 +93,6 @@ def test_spans_stay_on_the_calling_thread(spans, monkeypatch):
             self.threads.append(threading.get_ident())
             return super().span(name)
 
-    # 2**18 samples at nfft 4096 make 126 Welch segments, four blocks of
-    # a leaf, so the variates, the sines and the transforms all split
-    sim = lpnqrng.SimSettings(n_samples=2**18, nfft=4096, seed=3)
     runs = {}
     for n in (1, 2):
         monkeypatch.setattr(_parallel, "workers", lambda: n)
@@ -83,9 +100,7 @@ def test_spans_stay_on_the_calling_thread(spans, monkeypatch):
         tracer.threads = []
         with tracer.installed():
             tracer.op = 0
-            lpnqrng.optimizer.evaluate_point(40e6, 4.5e-9,
-                                             lpnqrng.SystemParams(5e6, 1.5e-9),
-                                             sim)
+            call()
         runs[n] = tracer
     serial, split = runs[1], runs[2]
     assert set(split.threads) == {threading.main_thread().ident}
@@ -96,5 +111,18 @@ def test_spans_stay_on_the_calling_thread(spans, monkeypatch):
             parent = split.spans[s.parent]
             assert parent.start <= s.start and s.end <= parent.end
     assert [s.name for s in split.spans] == [s.name for s in serial.spans]
-    for counter in ("rng.variates", "spectral.segments"):
+    for counter in counters:
         assert split.counts[counter] == serial.counts[counter] > 0
+
+
+def test_spans_stay_on_the_calling_thread(spans, monkeypatch):
+    check_spans_stay_on_the_calling_thread(
+        spans, monkeypatch, _evaluate_point,
+        ("rng.variates", "spectral.segments"))
+
+
+def test_extract_stream_spans_stay_on_the_calling_thread(spans, monkeypatch):
+    check_spans_stay_on_the_calling_thread(
+        spans, monkeypatch, _extract_stream,
+        ("extractor.blocks", "extractor.output_bits",
+         "extractor.kernel_word_ops"))
