@@ -7,9 +7,12 @@ returns, even when a part raised, and then re-raises the first error in
 part order. So no thread outlives a call: importing the package starts
 none, a forked child inherits none, and a call from inside a part starts
 threads of its own. Parts call only private helpers, so every public
-function of the package is entered on the calling thread alone. A
-caller that hands each part buffers of its own takes the ranges from
-``split`` and runs the parts with ``run``.
+function of the package is entered on the calling thread alone.
+
+There is one protocol: a caller takes the ranges from ``split`` and
+runs its parts with ``run``, as ``run(part, split(n, quantum))``. A
+caller that hands each part buffers of its own passes the part's index
+with its range.
 """
 from __future__ import annotations
 
@@ -44,8 +47,3 @@ def run(part, calls: list[tuple]) -> None:
         part(*first)
     for f in futures:
         f.result()
-
-
-def run_parts(n: int, quantum: int, part) -> None:
-    """``part(a, b)`` over the ranges ``split(n, quantum)``, all at once."""
-    run(part, split(n, quantum))

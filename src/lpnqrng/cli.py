@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +35,6 @@ from .entropy import (
 from .errors import (
     AllPointsFailedError,
     AmbiguousInputError,
-    DelayTooSmallError,
     InvalidParameterError,
     LpnError,
     TraceTooShortError,
@@ -53,8 +51,8 @@ from .extractor import (
 )
 from .optimizer import SimSettings, SweepGrid, sweep
 from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES, AdcSpec,
-                     SystemParams, as_float, as_int, check_seed,
-                     check_toeplitz_geometry, one_of)
+                     SystemParams, as_float, as_int, check_amplitude,
+                     check_seed, check_toeplitz_geometry, one_of)
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -320,7 +318,7 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
             histogram = str(args.histogram_csv)
     else:
         adc = AdcSpec(**system.get("adc", {}))
-        amplitude = system.get("amplitude", adc.default_amplitude())
+        amplitude = check_amplitude(system.get("amplitude"), adc)
         if args.sigma_q2 is not None:
             sigma2 = invert_variance(args.sigma_q2, amplitude)
             resolved = {"mode": "variance", "sigma_q2": args.sigma_q2}
@@ -345,47 +343,33 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> dict:
     conf = _resolve(args)
-    check_seed("sim.master_seed", conf["sim"]["master_seed"])
-    grids = conf.get("sweep", {})
-    linewidths, delays = grids.get("linewidths_hz"), grids.get("delays_s")
-    if not linewidths or not delays:
+    sim, system, grids = conf["sim"], conf.get("system", {}), conf.get("sweep", {})
+    check_seed("sim.master_seed", sim["master_seed"])
+    if not grids.get("linewidths_hz") or not grids.get("delays_s"):
         raise InvalidParameterError(
             "sweep needs linewidths_hz and delays_s (flags or config)")
-
-    # the base template carries everything but the design point; it is
-    # instantiated with the most forgiving grid corner so that a single
-    # too-small delay fails per point instead of failing the whole grid
-    try:
-        system = _system({**conf.get("system", {}), "delay_s": max(delays),
-                          "linewidth_hz": min(linewidths)})
-    except DelayTooSmallError as exc:
-        raise AllPointsFailedError(
-            f"every grid delay rounds below one sample: {exc}") from exc
-    sim, spectral_cfg = conf["sim"], conf["spectral"]
     grid = SweepGrid(
-        linewidths_hz=linewidths, delays_s=delays, base=system,
+        **grids, **{**system, "adc": AdcSpec(**system.get("adc", {}))},
         sim=SimSettings(n_samples=sim["n_samples"], seed=sim["master_seed"],
-                        entropy_method=conf["entropy_method"], **spectral_cfg))
+                        entropy_method=conf["entropy_method"],
+                        **conf["spectral"]))
     result = sweep(grid)
     if result.best is None:
-        raise AllPointsFailedError(
-            f"all {len(grid.linewidths_hz) * len(grid.delays_s)} points failed")
+        raise AllPointsFailedError(f"all {len(result.failures)} points failed")
 
     csv_path = _out_dir(args) / "sweep.csv"
     rows = [p.to_dict() for p in result.points]
     csv_path.write_text(_csv(list(rows[0]), [row.values() for row in rows]))
     b = result.best
-    # the grid is the design, and no point adds electronic noise
-    echo = system.to_dict()
-    del echo["linewidth_hz"], echo["delay_s"], echo["sigma_ele"]
     return {
-        "resolved_config": {**conf, "system": echo, "sweep": {
+        "resolved_config": {**conf, "system": {
+            "amplitude": grid.amplitude, "sample_period_s": grid.sample_period_s,
+            "adc": grid.adc.to_dict()}, "sweep": {
             "linewidths_hz": list(grid.linewidths_hz),
             "delays_s": list(grid.delays_s)}},
         "seeds": {"master": sim["master_seed"], "per_point": [
             {"linewidth_hz": lw, "delay_s": d, "seed": seed}
-            for (lw, d), seed in zip(product(grid.linewidths_hz, grid.delays_s),
-                                     result.seeds)]},
+            for lw, d, seed in grid.point_seeds()]},
         "results": {
             "best": b.to_dict(),
             "ties": [p.to_dict() for p in result.ties],

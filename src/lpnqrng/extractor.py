@@ -72,7 +72,7 @@ from scipy.special import erfc
 
 from . import _parallel
 from .errors import InvalidParameterError, LengthMismatchError, TooFewBitsError
-from .params import check_count, check_toeplitz_geometry
+from .params import check_bits, check_count, check_toeplitz_geometry
 from .simulate import QuantizedTrace
 
 GF2_BACKEND = "numpy"
@@ -145,13 +145,12 @@ class ToeplitzSpec:
         n_in, n_out = check_toeplitz_geometry(self.input_bits, self.output_bits)
         object.__setattr__(self, "input_bits", n_in)  # a NumPy int is not JSON
         object.__setattr__(self, "output_bits", n_out)
-        seed = np.asarray(self.seed_bits, dtype=np.uint8)
+        seed = np.asarray(self.seed_bits)
         want = self.input_bits + self.output_bits - 1
         if seed.ndim != 1 or len(seed) != want:
             raise LengthMismatchError(
                 f"seed must hold exactly {want} bits, got {seed.shape}")
-        if seed.size and seed.max() > 1:
-            raise InvalidParameterError("seed bits must be 0 or 1")
+        seed = check_bits("seed bits", seed)
         seed.setflags(write=False)
         object.__setattr__(self, "seed_bits", seed)
 
@@ -257,11 +256,11 @@ def output_bits_for(h_min_bits: float, adc_bits: int, input_bits: int) -> int:
 
 def extract_block(block: np.ndarray, spec: ToeplitzSpec) -> np.ndarray:
     """Hash one input_bits-long 0/1 block to output_bits bits."""
-    bits = np.asarray(block, dtype=np.uint8)
+    bits = np.asarray(block)
     if bits.ndim != 1 or len(bits) != spec.input_bits:
         raise LengthMismatchError(
             f"block must hold exactly {spec.input_bits} bits, got {bits.shape}")
-    return _toeplitz_apply(spec, bits[None, :])[0]
+    return _toeplitz_apply(spec, check_bits("block", bits)[None, :])[0]
 
 
 def extract_stream(codes: QuantizedTrace, spec: ToeplitzSpec) -> np.ndarray:
@@ -280,10 +279,10 @@ def extract_stream(codes: QuantizedTrace, spec: ToeplitzSpec) -> np.ndarray:
 
 
 def _as_bit_array(bits: np.ndarray, minimum: int) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
     if arr.size < minimum:
         raise TooFewBitsError(f"need at least {minimum} bits, got {arr.size}")
-    return arr
+    return check_bits("bits", arr)
 
 
 def monobit_test(bits: np.ndarray) -> float:

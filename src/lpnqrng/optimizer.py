@@ -10,9 +10,9 @@ isolation.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import product
 
 from .entropy import (
     METHOD_ANALYTIC,
@@ -23,7 +23,8 @@ from .entropy import (
     validate_amplitude,
 )
 from .errors import InvalidParameterError, LpnError
-from .params import (DEFAULT_N_SAMPLES, SystemParams, check_count,
+from .params import (DEFAULT_N_SAMPLES, DEFAULT_SAMPLE_PERIOD_S, AdcSpec,
+                     SystemParams, check_amplitude, check_count,
                      check_n_samples, check_seed, check_welch, one_of, positive)
 from .rng import derive_seed
 from .simulate import quantize, quantum_noise, sample_phase_path
@@ -68,25 +69,41 @@ class SimSettings:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """A (linewidth, delay) grid around a base design. Each grid is a
-    nonempty set of positive values, kept as a sorted tuple, so the order
-    it is given in changes neither the points nor their seeds."""
+    """A (linewidth, delay) grid of designs that share a converter, a
+    signal amplitude and a sample period; ``amplitude=None`` means the
+    converter's default, as in SystemParams. Each grid is a nonempty set
+    of positive values, kept as a sorted tuple, so the order it is given
+    in changes neither the points nor their seeds. A delay that rounds
+    below one sample fails at its points, in ``sweep``, not here."""
 
     linewidths_hz: tuple[float, ...]
     delays_s: tuple[float, ...]
-    base: SystemParams
     sim: SimSettings
+    adc: AdcSpec = field(default_factory=AdcSpec)
+    amplitude: float | None = None
+    sample_period_s: float = DEFAULT_SAMPLE_PERIOD_S
 
     def __post_init__(self) -> None:
+        keep = partial(object.__setattr__, self)
         for name in ("linewidths_hz", "delays_s"):
             values = tuple(sorted(positive(name, v) for v in getattr(self, name)))
             if not values or len(set(values)) < len(values):
                 raise InvalidParameterError(
                     f"{name} must be a nonempty set, got {getattr(self, name)}")
-            object.__setattr__(self, name, values)
+            keep(name, values)
+        keep("amplitude", check_amplitude(self.amplitude, self.adc))
+        keep("sample_period_s",
+             positive("sample_period_s", self.sample_period_s))
         if self.sim.entropy_method == METHOD_ANALYTIC:
             # every point would fail the model's amplitude rule
-            validate_amplitude(self.base.amplitude, self.base.adc)
+            validate_amplitude(self.amplitude, self.adc)
+
+    def point_seeds(self) -> Iterator[tuple[float, float, int]]:
+        """(linewidth, delay, seed) of every point in grid order, linewidth
+        major: point (i, j) takes seed derive_seed(sim.seed, i, j)."""
+        for i, lw in enumerate(self.linewidths_hz):
+            for j, d in enumerate(self.delays_s):
+                yield lw, d, derive_seed(self.sim.seed, i, j)
 
 
 @dataclass(frozen=True)
@@ -117,8 +134,6 @@ class SweepResult:
     failures: tuple[PointFailure, ...]
     best: SweepPoint | None
     ties: tuple[SweepPoint, ...]
-    #: the seed of every grid point, failed or not, in grid order
-    seeds: tuple[int, ...]
 
 
 def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
@@ -164,22 +179,23 @@ def _pick_best(points: list[SweepPoint]) -> tuple[SweepPoint | None,
 def sweep(grid: SweepGrid) -> SweepResult:
     """Evaluate the full grid and record the optimum.
 
-    Each point (i, j) uses seed derive_seed(master, i, j). Failures of
-    individual points are collected, not raised; the best point is the
-    maximum rate with ties broken toward the smallest delay, then the
-    smallest linewidth.
+    Points run in ``grid.point_seeds()`` order, each with its own seed.
+    Each point's SystemParams is built inside the point's evaluation, so
+    a failure of one point, such as a delay that rounds below one
+    sample, is collected, not raised; the best point is the maximum rate
+    with ties broken toward the smallest delay, then the smallest
+    linewidth.
     """
-    seeds = tuple(derive_seed(grid.sim.seed, i, j)
-                  for i in range(len(grid.linewidths_hz))
-                  for j in range(len(grid.delays_s)))
     points: list[SweepPoint] = []
     failures: list[PointFailure] = []
-    for (lw, d), seed in zip(product(grid.linewidths_hz, grid.delays_s), seeds):
+    for lw, d, seed in grid.point_seeds():
         try:
-            points.append(evaluate_point(lw, d, grid.base,
+            design = SystemParams(lw, d, amplitude=grid.amplitude, adc=grid.adc,
+                                  sample_period_s=grid.sample_period_s)
+            points.append(evaluate_point(lw, d, design,
                                          replace(grid.sim, seed=seed)))
         except LpnError as exc:
             failures.append(PointFailure(lw, d, exc.code, str(exc)))
     best, ties = _pick_best(points)
     return SweepResult(points=tuple(points), failures=tuple(failures),
-                       best=best, ties=ties, seeds=seeds)
+                       best=best, ties=ties)

@@ -5,8 +5,10 @@ the value enters: a JSON reader, a typed settings object, or a public
 function. The two range rules for physical reals reject NaN and +-inf
 and return the value as a Python float. Every integer parameter goes
 through ``check_count`` (a seed through ``check_seed``): any integer
-type but bool, returned as a Python int. Settings objects store what
-the rules return, so they stay JSON-able when given NumPy scalars.
+type but bool, returned as a Python int. A signal amplitude goes through
+``check_amplitude``, which also owns its default, and every array of
+bits through ``check_bits``. Settings objects store what the rules
+return, so they stay JSON-able when given NumPy scalars.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ import numbers
 import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
+
+import numpy as np
 
 from .errors import DelayTooSmallError, InvalidParameterError
 
@@ -146,6 +150,21 @@ def check_toeplitz_geometry(input_bits: int, output_bits: int,
     return n_in, check_count(names[1], output_bits, 1, n_in)
 
 
+def check_bits(name: str, bits) -> np.ndarray:
+    """``bits`` as a uint8 array if it has an integer or bool dtype and
+    every value is 0 or 1; raises InvalidParameterError otherwise, where
+    a uint8 cast would truncate 0.7 to 0 or wrap -1 to 255."""
+    arr = np.asarray(bits)
+    kind = arr.dtype.kind
+    if kind not in "biu":
+        raise InvalidParameterError(
+            f"{name} must be 0 or 1 in an integer or bool array, got {arr.dtype}")
+    if arr.size and (arr.max() > 1 or kind == "i" and arr.min() < 0):
+        raise InvalidParameterError(
+            f"{name} must be 0 or 1, got values in [{arr.min()}, {arr.max()}]")
+    return arr.astype(np.uint8, copy=False)
+
+
 def delay_index(delay_s: float, sample_period_s: float) -> int:
     """Delay expressed in samples: round(delay / tau_s), ties away from zero.
 
@@ -205,6 +224,14 @@ class AdcSpec:
         return cls(bits=as_int(d["bits"]), range=as_float(d["range"]))
 
 
+def check_amplitude(amplitude: float | None, adc: AdcSpec) -> float:
+    """The signal peak of a design on ``adc``: ``amplitude`` if it is > 0
+    and finite, or the converter's default when it is None."""
+    if amplitude is None:
+        return adc.default_amplitude()
+    return positive("amplitude", amplitude)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Complete description of one design point.
@@ -223,10 +250,8 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         keep = partial(object.__setattr__, self)  # a NumPy scalar is not JSON
-        amplitude = (self.adc.default_amplitude() if self.amplitude is None
-                     else self.amplitude)
         keep("linewidth_hz", non_negative("linewidth_hz", self.linewidth_hz))
-        keep("amplitude", positive("amplitude", amplitude))
+        keep("amplitude", check_amplitude(self.amplitude, self.adc))
         keep("sigma_ele", non_negative("sigma_ele", self.sigma_ele))
         keep("delay_s", positive("delay_s", self.delay_s))
         keep("sample_period_s",

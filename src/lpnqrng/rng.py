@@ -89,8 +89,8 @@ def gaussian_stream(seed: int, n: int) -> np.ndarray:
     """
     seed = check_seed("seed", seed)
     out = np.empty(check_count("n", n))
-    _parallel.run_parts(len(out), _GAUSS_BLOCK,
-                        lambda a, b: _gaussian_part(seed, a, out[a:b]))
+    _parallel.run(lambda a, b: _gaussian_part(seed, a, out[a:b]),
+                  _parallel.split(len(out), _GAUSS_BLOCK))
     return out
 
 

@@ -146,8 +146,8 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
         raise PathTooShortError(
             f"path of {len(theta)} samples cannot support delay index {k}")
     q = np.empty(len(theta) - k)
-    _parallel.run_parts(len(q), _PART_QUANTUM, lambda a, b: _interfere(
-        theta, k, amplitude, a, q[a:b]))
+    _parallel.run(lambda a, b: _interfere(theta, k, amplitude, a, q[a:b]),
+                  _parallel.split(len(q), _PART_QUANTUM))
     return AnalogTrace(q, path.sample_period_s, LABEL_QUANTUM)
 
 

@@ -111,7 +111,9 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     Parameters
     ----------
     trace : AnalogTrace
-        Input samples; the global mean is removed before windowing.
+        Input samples; the global mean is removed before windowing. A
+        NaN or infinite sample makes the mean non-finite and raises
+        InvalidParameterError.
     nfft : int
         Segment length, a power of two. The trace must hold at least
         two segments.
@@ -141,9 +143,14 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     n_segments = (len(x) - noverlap) // step
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nfft + 1))[:-1]
     win *= 1 / np.sqrt(np.cumsum(win**2)[-1] / period)  # sequential sum
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+        mean = x.mean()
+    if not np.isfinite(mean):
+        raise InvalidParameterError(
+            f"trace samples must be finite, got a mean of {mean}")
     segments = sliding_window_view(x, nfft)[::step][:n_segments]
     leaf = np.empty((min(_PAIRWISE_LEAF, n_segments), nfft // 2 + 1))
-    total = _pairwise_power(segments, x.mean(), win, leaf)
+    total = _pairwise_power(segments, mean, win, leaf)
     return PsdEstimate(fft.rfftfreq(nfft, period), total / n_segments,
                        n_segments, nfft)
 
@@ -164,8 +171,8 @@ def _pairwise_power(segments: np.ndarray, mean: float, win: np.ndarray,
                 + _pairwise_power(segments[half:], mean, win, leaf))
     power = leaf[:n]
     rows = max(1, _WELCH_BLOCK_SAMPLES // segments.shape[1])
-    _parallel.run_parts(n, rows, lambda a, b: _one_sided_power(
-        segments[a:b], mean, win, power[a:b], rows))
+    _parallel.run(lambda a, b: _one_sided_power(
+        segments[a:b], mean, win, power[a:b], rows), _parallel.split(n, rows))
     groups = n - n % 8
     if groups:
         acc = power[:8]
@@ -200,7 +207,8 @@ def bandwidth_3db(psd: PsdEstimate,
     ``plateau_bins`` non-DC bins. The cutoff is the lowest frequency at
     which the smoothed power falls below half the reference and stays
     below it for the next three bins. With no such crossing the
-    estimate saturates at Nyquist.
+    estimate saturates at Nyquist. A reference that is not finite
+    raises InvalidParameterError.
     """
     n = len(psd.freqs)
     if n == 0:
@@ -208,6 +216,9 @@ def bandwidth_3db(psd: PsdEstimate,
     plateau_bins = check_count("plateau_bins", plateau_bins, 1, n - 1)
     power = psd.power
     reference = float(np.median(power[1:plateau_bins + 1]))
+    if not np.isfinite(reference):
+        raise InvalidParameterError(
+            f"psd plateau reference level must be finite, got {reference}")
     smoothed = uniform_filter1d(power, size=SMOOTH_BINS, mode="nearest")
     i = _first_persistent_drop(smoothed < reference / 2.0)
     if i is None:

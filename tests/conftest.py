@@ -18,7 +18,8 @@ def default_amplitude(adc8) -> float:
 
 
 def base_params(tau_s: float = TAU_S) -> SystemParams:
-    """Template used by sweeps; the design point is overridden per call."""
+    """The ``base`` of an evaluate_point call, which takes the design
+    point from its own arguments; a SweepGrid takes no SystemParams."""
     return SystemParams(linewidth_hz=9.5e6, delay_s=2.5e-9, sample_period_s=tau_s)
 
 

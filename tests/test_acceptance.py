@@ -80,7 +80,7 @@ def test_criterion_3_sweep_reproduction():
     k_curves = []
     for master in (1, 2, 3):
         grid = SweepGrid(linewidths_hz=(9.5e6,), delays_s=DELAY_GRID,
-                         base=base_params(), sim=SimSettings(seed=master))
+                         sim=SimSettings(seed=master))
         res = sweep(grid)
         assert not res.failures
         bests.append((res.best.linewidth_hz, res.best.delay_s))

@@ -470,9 +470,11 @@ class TestSweep:
         assert len(report["results"]["failures"]) == 1
         assert report["results"]["failures"][0]["error"] == "delay-too-small"
 
-    def test_all_points_failed(self, tmp_path):
+    def test_all_points_failed(self, tmp_path, capsys):
         assert run("sweep", "--linewidths-hz", 9.5e6, "--delays-s", 0.04e-9,
                    "--seed", 4, "--out-dir", tmp_path, *NFFT_FAST) == 4
+        assert one_error_line(capsys, "all-points-failed").endswith(
+            "all 1 points failed")
 
     def test_missing_grid(self, tmp_path):
         assert run("sweep", "--out-dir", tmp_path) == 2

@@ -23,7 +23,7 @@ FAST_SIM = SimSettings(n_samples=2**15, nfft=1024, seed=99)
 
 def fast_grid(**overrides):
     kwargs = dict(linewidths_hz=(9.5e6,), delays_s=(2.5e-9, 6.5e-9),
-                  base=base_params(), sim=FAST_SIM)
+                  sim=FAST_SIM)
     kwargs.update(overrides)
     return SweepGrid(**kwargs)
 
@@ -90,7 +90,7 @@ class TestSweep:
                                  seed=derive_seed(grid.sim.seed, 0, j))
             reversed_points.append(
                 evaluate_point(grid.linewidths_hz[0], grid.delays_s[j],
-                               grid.base, sim_ij))
+                               base_params(), sim_ij))
         assert tuple(reversed(reversed_points)) == res.points
 
     def test_best_matches_max(self):
@@ -117,7 +117,8 @@ class TestSweep:
                               delays_s=(6.5e-9, 2.5e-9))
         assert reversed_ == ordered
         a, b = sweep(ordered), sweep(reversed_)
-        assert (a.points, a.seeds) == (b.points, b.seeds)
+        assert ((a.points, list(ordered.point_seeds()))
+                == (b.points, list(reversed_.point_seeds())))
         with pytest.raises(InvalidParameterError, match="nonempty set"):
             fast_grid(linewidths_hz=(9.5e6, 5e6, 9.5e6))
 
@@ -133,9 +134,12 @@ class TestSweep:
     def test_seeds_cover_every_point_in_grid_order(self):
         grid = fast_grid(linewidths_hz=(5e6, 9.5e6), delays_s=(0.04e-9, 2.5e-9))
         res = sweep(grid)
-        assert len(res.failures) == 2
-        assert res.seeds == tuple(derive_seed(grid.sim.seed, i, j)
-                                  for i in range(2) for j in range(2))
+        assert [(f.linewidth_hz, f.delay_s) for f in res.failures] == [
+            (5e6, 0.04e-9), (9.5e6, 0.04e-9)]
+        assert list(grid.point_seeds()) == [
+            (lw, d, derive_seed(grid.sim.seed, i, j))
+            for i, lw in enumerate((5e6, 9.5e6))
+            for j, d in enumerate((0.04e-9, 2.5e-9))]
 
 
 def mk_point(k, delay, linewidth=9.5e6, saturated=False):

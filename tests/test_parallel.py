@@ -288,7 +288,7 @@ def test_a_part_error_reaches_the_caller_after_every_part(monkeypatch,
         finished.set()
 
     with pytest.raises(ValueError, match=f"^part {failing}$"):
-        _parallel.run_parts(2, 1, part)
+        _parallel.run(part, _parallel.split(2, 1))
     assert finished.is_set()
     assert threading.active_count() == threads
 
@@ -337,7 +337,7 @@ def test_call_from_a_worker_thread_draws_the_same_bytes():
                 got[threading.current_thread().name] = gaussian_stream(
                     3, 5 * 2**15)
 
-        _parallel.run_parts(2, 1, part)
+        _parallel.run(part, _parallel.split(2, 1))
         [(name, z)] = got.items()
         print(name != threading.main_thread().name, np.array_equal(z, want),
               threading.active_count())

@@ -19,13 +19,16 @@ from lpnqrng import (
     delay_index,
     estimate_psd,
     evaluate_point,
+    extract_block,
     forward_variance,
     gaussian_stream,
     invert_variance,
+    monobit_test,
     monte_carlo_code_histogram,
     phase_variance,
     quantum_noise,
     quantum_variance_from_measurement,
+    runs_test,
     sample_phase_path,
 )
 from lpnqrng.errors import (
@@ -35,7 +38,7 @@ from lpnqrng.errors import (
 )
 from lpnqrng.extractor import (codes_to_bits, output_bits_for,
                                unpack_bytes_to_bits)
-from lpnqrng.params import (check_count, check_n_samples,
+from lpnqrng.params import (check_bits, check_count, check_n_samples,
                             check_toeplitz_geometry, one_of)
 
 
@@ -165,9 +168,15 @@ RANGE_SITES = {
     "QuantizedTrace.sample_period_s": (
         lambda x: QuantizedTrace(np.zeros(4, np.int16), AdcSpec(), x), 0.0),
     "SweepGrid.linewidths_hz": (
-        lambda x: SweepGrid((x,), (2.5e-9,), _BASE, SimSettings()), 0.0),
+        lambda x: SweepGrid((x,), (2.5e-9,), SimSettings()), 0.0),
     "SweepGrid.delays_s": (
-        lambda x: SweepGrid((9.5e6,), (x,), _BASE, SimSettings()), 0.0),
+        lambda x: SweepGrid((9.5e6,), (x,), SimSettings()), 0.0),
+    "SweepGrid.amplitude": (
+        lambda x: SweepGrid((9.5e6,), (2.5e-9,), SimSettings(), amplitude=x),
+        0.0),
+    "SweepGrid.sample_period_s": (
+        lambda x: SweepGrid((9.5e6,), (2.5e-9,), SimSettings(),
+                            sample_period_s=x), 0.0),
     "SimSettings.overlap_fraction": (
         lambda x: SimSettings(overlap_fraction=x), 1.0),
 }
@@ -237,6 +246,51 @@ def test_numpy_integers_are_integers_at_every_entry_point(site, kind):
     call(kind(good))
 
 
+_SPEC = ToeplitzSpec(4, 2, np.array([1, 0, 1, 1, 0], np.uint8))
+
+#: every public entry point that takes an array of bits: a call feeding
+#: it x, and the number of bits it takes
+BIT_SITES = {
+    "ToeplitzSpec.seed_bits": (lambda x: ToeplitzSpec(4, 2, x), 5),
+    "extract_block.block": (lambda x: extract_block(x, _SPEC), 4),
+    "monobit_test.bits": (monobit_test, 200),
+    "runs_test.bits": (runs_test, 200),
+}
+
+
+@pytest.mark.parametrize("kind", ["fraction", "integral-float", "two",
+                                  "minus-one"])
+@pytest.mark.parametrize("site", list(BIT_SITES))
+def test_bit_rule_at_every_entry_point(site, kind):
+    call, n = BIT_SITES[site]
+    # a uint8 cast would read 0.7 as the bit 0, and -1 as 255
+    x = {"fraction": np.r_[0.7, np.ones(n - 1)], "integral-float": np.ones(n),
+         "two": np.full(n, 2), "minus-one": np.full(n, -1)}[kind]
+    with pytest.raises(InvalidParameterError) as exc:
+        call(x)
+    assert "must be 0 or 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", [bool, np.int8, np.int64, np.uint8])
+@pytest.mark.parametrize("site", list(BIT_SITES))
+def test_integer_and_bool_bits_are_bits_at_every_entry_point(site, kind):
+    call, n = BIT_SITES[site]
+    call((np.arange(n) % 2).astype(kind))
+
+
+def test_bit_rule_returns_uint8_and_names_the_values():
+    bits = check_bits("bits", [True, False, True])
+    assert bits.dtype == np.uint8 and bits.tolist() == [1, 0, 1]
+    assert check_bits("bits", np.zeros(0, np.int64)).dtype == np.uint8
+    with pytest.raises(InvalidParameterError) as exc:
+        check_bits("bits", np.array([0, 1, -1, 2]))
+    assert str(exc.value) == "bits must be 0 or 1, got values in [-1, 2]"
+    with pytest.raises(InvalidParameterError) as exc:
+        check_bits("seed bits", [0.5, 1, 0, 1, 1])
+    assert str(exc.value) == (
+        "seed bits must be 0 or 1 in an integer or bool array, got float64")
+
+
 def test_numpy_integer_adc_bits_are_stored_as_an_int():
     adc = AdcSpec(bits=np.int64(8))
     assert type(adc.bits) is int and adc == AdcSpec()
@@ -281,14 +335,16 @@ def test_numpy_real_settings_are_stored_as_floats(kind):
                           amplitude=kind(0.5), sigma_ele=np.int64(0),
                           sample_period_s=kind(1e-10),
                           adc=AdcSpec(range=kind(1)))
-    grid = SweepGrid((np.int64(9_500_000),), (kind(2.5e-9),), params,
-                     SimSettings(overlap_fraction=kind(0.25)))
+    grid = SweepGrid((np.int64(9_500_000),), (kind(2.5e-9),),
+                     SimSettings(overlap_fraction=kind(0.25)), adc=params.adc,
+                     amplitude=kind(0.5), sample_period_s=kind(1e-10))
     traces = (AnalogTrace(np.zeros(4), kind(1e-10), "quantum"),
               QuantizedTrace(np.zeros(4, np.int16), AdcSpec(), kind(1e-10)))
     fields = params.to_dict()
     reals = [v for k, v in fields.items() if k != "adc"]
     reals += [fields["adc"]["range"], *grid.linewidths_hz, *grid.delays_s,
-              grid.sim.overlap_fraction, *(t.sample_period_s for t in traces)]
+              grid.amplitude, grid.sample_period_s, grid.sim.overlap_fraction,
+              *(t.sample_period_s for t in traces)]
     assert all(type(v) is float for v in reals)
     json.dumps(fields)
     json.dumps(asdict(grid))
@@ -327,7 +383,7 @@ class TestOneOf:
         (lambda: AnalogTrace(np.zeros(4), 1e-10, "other"),
          "trace label must be 'quantum' or 'measured', got 'other'"),
         # both sites read the method from SimSettings, which rejects it
-        (lambda: SweepGrid((9.5e6,), (2.5e-9,), _BASE,
+        (lambda: SweepGrid((9.5e6,), (2.5e-9,),
                            SimSettings(entropy_method="other")),
          "entropy_method must be 'analytic' or 'empirical', got 'other'"),
         (lambda: evaluate_point(9.5e6, 2.5e-9, _BASE,
