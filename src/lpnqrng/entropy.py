@@ -24,7 +24,6 @@ from .errors import (
     ClassicalExceedsMeasuredError,
     EmptyTraceError,
     InvalidParameterError,
-    NonPositiveVarianceError,
     VarianceOutOfRangeError,
 )
 from .params import AdcSpec, check_count, non_negative, positive
@@ -48,20 +47,24 @@ class EntropyReport:
     p_c: float
     p_r: float
     p_max: float
-    h_min: float
     sigma2: float | None
     method: str
+
+    @property
+    def h_min(self) -> float:
+        # 0.0 - x, not -x: P_max = 1 gives h = +0.0, never -0.0
+        return 0.0 - math.log2(self.p_max)
 
 
 def phase_variance(linewidth_hz: float, delay_s: float) -> float:
     """Phase-difference variance 2*pi*linewidth*delay in rad^2."""
     non_negative("linewidth_hz", linewidth_hz)
-    non_negative("delay_s", delay_s)
+    positive("delay_s", delay_s)
     return TWO_PI * (linewidth_hz * delay_s)
 
 
 def _validate_model(sigma2: float, amplitude: float, adc: AdcSpec) -> None:
-    positive("sigma2", sigma2, NonPositiveVarianceError)
+    non_negative("sigma2", sigma2)
     validate_amplitude(amplitude, adc)
 
 
@@ -101,9 +104,14 @@ def _interval_probability(lower: np.ndarray, upper: np.ndarray, sigma2: float,
 
 def _code_range_probabilities(first: int, last: int, sigma2: float,
                               amplitude: float, adc: AdcSpec) -> np.ndarray:
-    """Probabilities of codes first .. last; a bin above A gets exactly 0."""
+    """Probabilities of codes first .. last; a bin above A gets exactly 0.
+
+    Zero variance is a point mass at code 0, since A*sin(0) = 0.
+    """
     d = adc.delta
     centers = np.arange(first, last + 1, dtype=np.float64) * d
+    if sigma2 == 0.0:
+        return (centers == 0.0).astype(np.float64)
     return _interval_probability(centers - d / 2, centers + d / 2,
                                  sigma2, amplitude)
 
@@ -122,20 +130,15 @@ def analytic_min_entropy(sigma2: float, amplitude: float,
 
     The distribution is symmetric about code 0 and has no mass above A,
     so codes 0 (P_C) to top (P_R), the ADC's code of A, take every value
-    it has. Zero variance means no phase diffusion: all mass sits in the
-    center code, so P_C = 1, P_R = 0 and h = 0. Negative or NaN variance
-    raises NonPositiveVarianceError.
+    it has. Zero variance means no phase diffusion: all mass sits in
+    code 0, so P_C = 1 and h = 0. Negative, infinite or NaN variance
+    raises InvalidParameterError.
     """
-    if sigma2 == 0.0:
-        validate_amplitude(amplitude, adc)
-        return EntropyReport(p_c=1.0, p_r=0.0, p_max=1.0, h_min=0.0,
-                             sigma2=sigma2, method=METHOD_ANALYTIC)
     _validate_model(sigma2, amplitude, adc)
     top = quantize_value(amplitude, adc)
     p = _code_range_probabilities(0, top, sigma2, amplitude, adc)
-    p_max = float(p.max())
-    return EntropyReport(p_c=float(p[0]), p_r=float(p[top]), p_max=p_max,
-                         h_min=-math.log2(p_max), sigma2=sigma2,
+    return EntropyReport(p_c=float(p[0]), p_r=float(p[top]),
+                         p_max=float(p.max()), sigma2=sigma2,
                          method=METHOD_ANALYTIC)
 
 
@@ -150,11 +153,10 @@ def code_histogram(qt: QuantizedTrace) -> np.ndarray:
 def empirical_min_entropy(qt: QuantizedTrace) -> EntropyReport:
     """Plug-in min-entropy -log2(max code frequency) of a code trace."""
     freq = code_histogram(qt) / len(qt)
-    p_max = float(freq.max())
     # P_R is the frequency of the topmost occupied code
     return EntropyReport(p_c=float(freq[-qt.adc.code_min]),
                          p_r=float(freq[np.flatnonzero(freq)[-1]]),
-                         p_max=p_max, h_min=-math.log2(p_max), sigma2=None,
+                         p_max=float(freq.max()), sigma2=None,
                          method=METHOD_EMPIRICAL)
 
 

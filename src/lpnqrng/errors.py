@@ -37,10 +37,6 @@ class EmptyPsdError(LpnError):
     code = "empty-psd"
 
 
-class NonPositiveVarianceError(LpnError):
-    code = "non-positive-variance"
-
-
 class LengthMismatchError(LpnError):
     code = "length-mismatch"
 

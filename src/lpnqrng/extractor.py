@@ -90,7 +90,7 @@ def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
     Accepts a 1-D array (one row) or a 2-D array (one row per line);
     rows are zero-padded up to a multiple of 64 bits.
     """
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = check_bits("bits", bits)
     squeeze = arr.ndim == 1
     if squeeze:
         arr = arr[None, :]
@@ -121,7 +121,7 @@ def codes_to_bits(codes: np.ndarray, bits_per_code: int) -> np.ndarray:
 
 def pack_bits_to_bytes(bits: np.ndarray) -> bytes:
     """Pack a 0/1 sequence into bytes, MSB first; pads the tail with zeros."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+    return np.packbits(check_bits("bits", bits)).tobytes()
 
 
 def unpack_bytes_to_bits(data: bytes, n_bits: int) -> np.ndarray:

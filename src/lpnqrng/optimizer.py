@@ -25,7 +25,8 @@ from .entropy import (
 from .errors import InvalidParameterError, LpnError
 from .params import (DEFAULT_N_SAMPLES, DEFAULT_SAMPLE_PERIOD_S, AdcSpec,
                      SystemParams, check_amplitude, check_count,
-                     check_n_samples, check_seed, check_welch, one_of, positive)
+                     check_n_samples, check_seed, check_welch, non_negative,
+                     one_of, positive)
 from .rng import derive_seed
 from .simulate import quantize, quantum_noise, sample_phase_path
 from .spectral import (
@@ -71,10 +72,11 @@ class SimSettings:
 class SweepGrid:
     """A (linewidth, delay) grid of designs that share a converter, a
     signal amplitude and a sample period; ``amplitude=None`` means the
-    converter's default, as in SystemParams. Each grid is a nonempty set
-    of positive values, kept as a sorted tuple, so the order it is given
-    in changes neither the points nor their seeds. A delay that rounds
-    below one sample fails at its points, in ``sweep``, not here."""
+    converter's default, as in SystemParams. Each grid is a nonempty set,
+    kept as a sorted tuple, so the order it is given in changes neither
+    the points nor their seeds; linewidths are >= 0 and delays > 0, as
+    in SystemParams. A delay that rounds below one sample fails at its
+    points, in ``sweep``, not here."""
 
     linewidths_hz: tuple[float, ...]
     delays_s: tuple[float, ...]
@@ -85,8 +87,9 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         keep = partial(object.__setattr__, self)
-        for name in ("linewidths_hz", "delays_s"):
-            values = tuple(sorted(positive(name, v) for v in getattr(self, name)))
+        for name, rule in (("linewidths_hz", non_negative),
+                           ("delays_s", positive)):
+            values = tuple(sorted(rule(name, v) for v in getattr(self, name)))
             if not values or len(set(values)) < len(values):
                 raise InvalidParameterError(
                     f"{name} must be a nonempty set, got {getattr(self, name)}")

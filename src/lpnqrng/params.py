@@ -59,19 +59,21 @@ def as_float(value) -> float:
     return float(value)
 
 
-def positive(name: str, value: float, error=InvalidParameterError) -> float:
+def positive(name: str, value: float) -> float:
     """``value`` as a Python float if it is > 0 and finite; raises
-    ``error`` otherwise."""
+    InvalidParameterError otherwise."""
     if not (value > 0 and math.isfinite(value)):
-        raise error(f"{name} must be > 0 and finite, got {value!r}")
+        raise InvalidParameterError(
+            f"{name} must be > 0 and finite, got {value!r}")
     return float(value)
 
 
-def non_negative(name: str, value: float, error=InvalidParameterError) -> float:
+def non_negative(name: str, value: float) -> float:
     """``value`` as a Python float if it is >= 0 and finite; raises
-    ``error`` otherwise."""
+    InvalidParameterError otherwise."""
     if not (value >= 0 and math.isfinite(value)):
-        raise error(f"{name} must be >= 0 and finite, got {value!r}")
+        raise InvalidParameterError(
+            f"{name} must be >= 0 and finite, got {value!r}")
     return float(value)
 
 

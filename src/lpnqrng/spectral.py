@@ -11,7 +11,9 @@ triggering early.
 ``detrend=False``, density scaling) bit for bit, but keeps only squared
 magnitudes and has no per-segment Python loop: segments are a
 strided view of the trace, transformed a few rows at a time so each
-block stays in cache. With T = 1/fs, the rest is computed as welch
+block stays in cache. The transforms are NumPy's FFT, which wraps the
+same pocketfft as the SciPy FFT that welch calls, and which loads no
+``scipy.fft`` at import. With T = 1/fs, the rest is computed as welch
 computes it, so every bin is the same float64 value:
 - the periodic Hann window w = 1/2 + 1/2 cos(phi), phi the first nfft
   of nfft + 1 even steps over [-pi, pi], and the grid rfftfreq(nfft, T);
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft
 from scipy.ndimage import uniform_filter1d
 
 from . import _parallel
@@ -74,7 +75,6 @@ class PsdEstimate:
     freqs: np.ndarray
     power: np.ndarray
     n_segments: int
-    nfft: int
 
     def __post_init__(self) -> None:
         f = np.asarray(self.freqs, dtype=np.float64)
@@ -151,8 +151,8 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     segments = sliding_window_view(x, nfft)[::step][:n_segments]
     leaf = np.empty((min(_PAIRWISE_LEAF, n_segments), nfft // 2 + 1))
     total = _pairwise_power(segments, mean, win, leaf)
-    return PsdEstimate(fft.rfftfreq(nfft, period), total / n_segments,
-                       n_segments, nfft)
+    return PsdEstimate(np.fft.rfftfreq(nfft, period), total / n_segments,
+                       n_segments)
 
 
 def _pairwise_power(segments: np.ndarray, mean: float, win: np.ndarray,
@@ -193,7 +193,7 @@ def _one_sided_power(segments: np.ndarray, mean: float, win: np.ndarray,
     for s0 in range(0, len(segments), rows):
         block = segments[s0:s0 + rows] - mean
         block *= win
-        spectra = fft.rfft(block)
+        spectra = np.fft.rfft(block)
         out = power[s0:s0 + rows]
         np.add(spectra.real**2, spectra.imag**2, out=out)
         out[:, 1:-1] *= 2  # one-sided: fold in the negative frequencies

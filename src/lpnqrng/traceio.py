@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, MissingMetadataError
-from .params import AdcSpec, SystemParams, as_float, as_int, one_of, positive
+from .params import (AdcSpec, SystemParams, as_float, as_int, check_seed,
+                     one_of, positive)
 from .simulate import LABELS, AnalogTrace, QuantizedTrace
 
 FORMAT_TAG = "lpnqrng-trace/1"
@@ -27,24 +28,18 @@ def _sidecar(path: Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def _scalar(value):
-    """A NumPy scalar as the Python scalar JSON encodes (``json.dumps``'s
-    ``default``); TypeError for any other value."""
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"{value!r} is not JSON serializable")
-
-
 def _write(path: str | Path, data: np.ndarray, dtype: str,
            trace: AnalogTrace | QuantizedTrace, system: SystemParams | None,
            seed: int | None, **fields) -> None:
-    """``data`` as raw ``dtype`` at ``path``, and its sidecar. The sidecar
-    is encoded first, so one that cannot be leaves no file behind."""
+    """``data`` as raw ``dtype`` at ``path``, and its sidecar. The seed is
+    checked and the sidecar encoded first, so a bad one leaves no file."""
     path = Path(path)
+    if seed is not None:
+        seed = check_seed("seed", seed)
     meta = {"format": FORMAT_TAG, "dtype": dtype, "n_samples": len(data),
             "sample_period_s": trace.sample_period_s, "seed": seed,
             "system": None if system is None else system.to_dict(), **fields}
-    text = json.dumps(meta, indent=2, sort_keys=True, default=_scalar) + "\n"
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     data.astype(dtype, copy=False).tofile(path)
     _sidecar(path).write_text(text)
 

@@ -294,6 +294,27 @@ class TestEntropy:
         assert report["results"]["h_min_bits"] == 0.0
         assert report["results"]["method"] == "empirical"
 
+    def test_zero_entropy_is_positive_zero_by_either_route(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "run"
+        design = ["--linewidth-hz", 0, "--delay-s", 2.5e-9]
+        assert run("simulate", *design, "--n-samples", 4096,
+                   "--out-dir", out) == 0
+        capsys.readouterr()
+        for argv in (["--codes", out / "codes.i16"], design):
+            assert run("entropy", *argv) == 0
+            printed = capsys.readouterr().out
+            h = json.loads(printed)["results"]["h_min_bits"]
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+            assert '"h_min_bits": 0.0' in printed
+
+    def test_zero_delay_rejected(self, capsys):
+        # the rule simulate applies to the same key
+        assert run("entropy", "--linewidth-hz", 1e6, "--delay-s", 0) == 2
+        assert one_error_line(capsys, "invalid-parameter") == (
+            "lpnqrng: error: invalid-parameter: delay_s must be > 0 and "
+            "finite, got 0.0")
+
     def test_histogram_export(self, tmp_path, capsys, adc8):
         path = tmp_path / "c.i16"
         codes = np.array([0, 0, 1, -1], dtype=np.int16)
@@ -867,11 +888,13 @@ class TestEntryPoint:
 
     def test_import_loads_no_signal_or_stats(self):
         # scipy.signal pulls in scipy.stats and some 400 more modules,
-        # most of the start-up time of every command
+        # most of the start-up time of every command; Welch and the
+        # extractor use NumPy's FFT
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c", "import lpnqrng, sys; print(sorted("
-             "m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"],
+             "m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft') "
+             "if m in sys.modules))"],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr

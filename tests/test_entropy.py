@@ -24,7 +24,6 @@ from lpnqrng.errors import (
     ClassicalExceedsMeasuredError,
     EmptyTraceError,
     InvalidParameterError,
-    NonPositiveVarianceError,
     VarianceOutOfRangeError,
 )
 from lpnqrng.rng import raw_stream
@@ -87,8 +86,11 @@ class TestBinProbability:
         assert code_probabilities(0.4, default_amplitude, adc8)[0] == 0.0
 
     def test_non_positive_variance(self, adc8, default_amplitude):
-        with pytest.raises(NonPositiveVarianceError):
-            code_probabilities(0.0, default_amplitude, adc8)
+        # zero variance is a point mass at code 0; below zero is no variance
+        probs = code_probabilities(0.0, default_amplitude, adc8)
+        assert probs[-adc8.code_min] == 1.0 and probs.sum() == 1.0
+        with pytest.raises(InvalidParameterError):
+            code_probabilities(-1e-9, default_amplitude, adc8)
 
     def test_clipping_amplitude_rejected(self, adc8):
         with pytest.raises(InvalidParameterError):
@@ -159,8 +161,14 @@ class TestAnalyticMinEntropy:
         assert math.copysign(1.0, rep.h_min) == 1.0 and rep.h_min == 0.0
         assert rep.sigma2 == 0.0 and rep.method == "analytic"
         for sigma2 in (-1e-9, -1.0, math.nan):
-            with pytest.raises(NonPositiveVarianceError):
+            with pytest.raises(InvalidParameterError):
                 analytic_min_entropy(sigma2, default_amplitude, adc8)
+
+    def test_zero_variance_below_half_a_code_puts_p_r_in_code_0(self, adc8):
+        # A < delta/2: the ADC's code of A is code 0, so P_R is P_C
+        rep = analytic_min_entropy(0.0, 0.001, adc8)
+        assert (rep.p_c, rep.p_r, rep.p_max, rep.h_min) == (1.0, 1.0, 1.0, 0.0)
+        assert analytic_min_entropy(1e-3, 0.001, adc8).p_r == 1.0
 
     def test_product_invariance_exact(self, adc8, default_amplitude):
         for dv, tl in [(9.5e6, 6.5e-9), (9.5e6, 2.5e-9)]:
@@ -232,7 +240,7 @@ class TestEmpiricalMinEntropy:
     def test_constant_trace(self, adc8):
         qt = QuantizedTrace(np.full(1000, 17, dtype=np.int16), adc8, 1e-10)
         rep = empirical_min_entropy(qt)
-        assert rep.h_min == 0.0
+        assert rep.h_min == 0.0 and math.copysign(1.0, rep.h_min) == 1.0
         assert rep.p_max == 1.0
         assert rep.method == "empirical"
 
@@ -273,6 +281,13 @@ class TestMonteCarloHistogram:
         occupied = np.flatnonzero(counts) + adc8.code_min
         top = quantize_value(default_amplitude, adc8)
         assert occupied.min() >= -top and occupied.max() <= top
+
+    @pytest.mark.parametrize("amplitude", [0.001, 0.5, 127.0 / 128.0])
+    def test_zero_variance_matches_the_analytic_point_mass(self, adc8,
+                                                           amplitude):
+        counts = monte_carlo_code_histogram(0.0, amplitude, adc8, 5_000, 4)
+        assert np.array_equal(
+            counts, 5_000 * code_probabilities(0.0, amplitude, adc8))
 
 
 class TestVarianceRelations:

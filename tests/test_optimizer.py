@@ -104,11 +104,23 @@ class TestSweep:
         with pytest.raises(InvalidParameterError):
             fast_grid(delays_s=(2.5e-9, 6.5e-9, 2.5e-9))
         with pytest.raises(InvalidParameterError):
-            fast_grid(linewidths_hz=(0.0, 9.5e6))
+            fast_grid(linewidths_hz=(-1.0, 9.5e6))
         with pytest.raises(InvalidParameterError):
             fast_grid(linewidths_hz=(9.5e6, float("nan")))
         with pytest.raises(InvalidParameterError):
             fast_grid(delays_s=(2.5e-9, float("inf")))
+
+    @pytest.mark.parametrize("method", ["analytic", "empirical"])
+    def test_zero_linewidth_is_a_zero_rate_grid_point(self, method):
+        grid = fast_grid(linewidths_hz=(0.0, 9.5e6), delays_s=(2.5e-9,),
+                         sim=replace(FAST_SIM, entropy_method=method))
+        res = sweep(grid)
+        zero, live = res.points
+        assert res.failures == () and zero.linewidth_hz == 0.0
+        assert zero.saturated and zero.h_min_bits == 0.0
+        assert zero.k_bits_per_s == 0.0
+        assert np.copysign(1.0, zero.k_bits_per_s) == 1.0
+        assert res.best == live and live.linewidth_hz == 9.5e6
 
     def test_grid_order_is_not_part_of_the_grid(self):
         # linewidths 5e6, 9.5e6 and the two delays, given in reverse

@@ -16,6 +16,7 @@ from lpnqrng import (
     add_electronic_noise,
     analytic_min_entropy,
     bandwidth_3db,
+    code_probabilities,
     delay_index,
     estimate_psd,
     evaluate_point,
@@ -31,12 +32,9 @@ from lpnqrng import (
     runs_test,
     sample_phase_path,
 )
-from lpnqrng.errors import (
-    DelayTooSmallError,
-    InvalidParameterError,
-    NonPositiveVarianceError,
-)
+from lpnqrng.errors import DelayTooSmallError, InvalidParameterError
 from lpnqrng.extractor import (codes_to_bits, output_bits_for,
+                               pack_bits_to_bytes, pack_bits_to_words,
                                unpack_bytes_to_bits)
 from lpnqrng.params import (check_bits, check_count, check_n_samples,
                             check_toeplitz_geometry, one_of)
@@ -127,7 +125,7 @@ _TRACE = AnalogTrace(np.zeros(8), 1e-10, "quantum")
 _BASE = SystemParams(linewidth_hz=9.5e6, delay_s=2.5e-9)
 
 #: every public entry point that takes a physical real: a call feeding it
-#: x, the error that site raises, and one finite value out of its range
+#: x, and one finite value out of its range
 RANGE_SITES = {
     "SystemParams.linewidth_hz": (
         lambda x: SystemParams(linewidth_hz=x, delay_s=1e-9), -1.0),
@@ -151,7 +149,7 @@ RANGE_SITES = {
     "add_electronic_noise.sigma_ele": (
         lambda x: add_electronic_noise(_TRACE, x, seed=0), -0.1),
     "phase_variance.linewidth_hz": (lambda x: phase_variance(x, 1e-9), -1.0),
-    "phase_variance.delay_s": (lambda x: phase_variance(1e6, x), -1e-9),
+    "phase_variance.delay_s": (lambda x: phase_variance(1e6, x), 0.0),
     "forward_variance.sigma2": (lambda x: forward_variance(x, 1.0), -0.1),
     "forward_variance.amplitude": (lambda x: forward_variance(0.1, x), 0.0),
     "invert_variance.sigma_q2": (lambda x: invert_variance(x, 1.0), -0.1),
@@ -161,14 +159,18 @@ RANGE_SITES = {
     "quantum_variance_from_measurement.sigma_c2": (
         lambda x: quantum_variance_from_measurement(1.0, x), -0.1),
     "analytic_min_entropy.sigma2": (
-        lambda x: analytic_min_entropy(x, 0.5, AdcSpec()), -0.1,
-        NonPositiveVarianceError),
+        lambda x: analytic_min_entropy(x, 0.5, AdcSpec()), -0.1),
+    "code_probabilities.sigma2": (
+        lambda x: code_probabilities(x, 0.5, AdcSpec()), -0.1),
+    "monte_carlo_code_histogram.sigma2": (
+        lambda x: monte_carlo_code_histogram(x, 0.5, AdcSpec(), 10, seed=0),
+        -0.1),
     "AnalogTrace.sample_period_s": (
         lambda x: AnalogTrace(np.zeros(4), x, "quantum"), 0.0),
     "QuantizedTrace.sample_period_s": (
         lambda x: QuantizedTrace(np.zeros(4, np.int16), AdcSpec(), x), 0.0),
     "SweepGrid.linewidths_hz": (
-        lambda x: SweepGrid((x,), (2.5e-9,), SimSettings()), 0.0),
+        lambda x: SweepGrid((x,), (2.5e-9,), SimSettings()), -1.0),
     "SweepGrid.delays_s": (
         lambda x: SweepGrid((9.5e6,), (x,), SimSettings()), 0.0),
     "SweepGrid.amplitude": (
@@ -185,13 +187,18 @@ RANGE_SITES = {
 @pytest.mark.parametrize("value", ["nan", "+inf", "-inf", "out-of-range"])
 @pytest.mark.parametrize("site", list(RANGE_SITES))
 def test_range_rules_at_every_entry_point(site, value):
-    call, out_of_range, *error = RANGE_SITES[site]
-    error = error[0] if error else InvalidParameterError
+    call, out_of_range = RANGE_SITES[site]
     x = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf,
          "out-of-range": out_of_range}[value]
-    with pytest.raises(error) as exc:
+    with pytest.raises(InvalidParameterError) as exc:
         call(x)
-    assert type(exc.value) is error
+    assert type(exc.value) is InvalidParameterError
+
+
+@pytest.mark.parametrize("site", [site for site in RANGE_SITES
+                                  if site.endswith(".sigma2")])
+def test_zero_phase_variance_is_in_range_at_every_sigma2_site(site):
+    RANGE_SITES[site][0](0.0)
 
 
 _LONG_TRACE = AnalogTrace(gaussian_stream(0, 64), 1e-10, "measured")
@@ -255,6 +262,8 @@ BIT_SITES = {
     "extract_block.block": (lambda x: extract_block(x, _SPEC), 4),
     "monobit_test.bits": (monobit_test, 200),
     "runs_test.bits": (runs_test, 200),
+    "pack_bits_to_bytes.bits": (pack_bits_to_bytes, 8),
+    "pack_bits_to_words.bits": (pack_bits_to_words, 64),
 }
 
 

@@ -192,7 +192,7 @@ class TestModelSpectrum:
         exact = model_psd(linewidth_hz, round(delay_s / TAU_S),
                           AdcSpec().default_amplitude(), sim.nfft)
         want = bandwidth_3db(PsdEstimate(np.fft.rfftfreq(sim.nfft, TAU_S),
-                                         exact, 1, sim.nfft), sim.plateau_bins)
+                                         exact, 1), sim.plateau_bins)
         got = evaluate_point(linewidth_hz, delay_s, base_params(), sim)
         assert not (want.saturated or got.saturated)
         assert got.b_es_hz == pytest.approx(want.b_es_hz, rel=0.04)
@@ -254,7 +254,7 @@ class TestPsdMemory:
 
 def single_pole_psd(fc, nfft=8192):
     freqs = np.linspace(0.0, FS / 2.0, nfft // 2 + 1)
-    return PsdEstimate(freqs, 1.0 / (1.0 + (freqs / fc) ** 2), 1, nfft)
+    return PsdEstimate(freqs, 1.0 / (1.0 + (freqs / fc) ** 2), 1)
 
 
 class TestBandwidth3db:
@@ -265,7 +265,7 @@ class TestBandwidth3db:
 
     def test_flat_spectrum_saturates(self):
         freqs = np.linspace(0.0, FS / 2.0, 4097)
-        psd = PsdEstimate(freqs, np.ones_like(freqs), 1, 8192)
+        psd = PsdEstimate(freqs, np.ones_like(freqs), 1)
         bw = bandwidth_3db(psd)
         assert bw.saturated
         assert bw.b_es_hz == psd.nyquist_hz
@@ -284,7 +284,7 @@ class TestBandwidth3db:
 
     def test_unequal_arrays_rejected(self):
         with pytest.raises(InvalidParameterError, match="equal length"):
-            PsdEstimate(np.zeros(5), np.zeros(4), 1, 8)
+            PsdEstimate(np.zeros(5), np.zeros(4), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_reference_rejected(self, bad):
@@ -292,10 +292,10 @@ class TestBandwidth3db:
         power = psd.power.copy()
         power[1:1 + 16] = bad  # the default plateau
         with pytest.raises(InvalidParameterError, match="must be finite"):
-            bandwidth_3db(PsdEstimate(psd.freqs, power, 1, psd.nfft))
+            bandwidth_3db(PsdEstimate(psd.freqs, power, 1))
 
     def test_empty_psd(self):
-        psd = PsdEstimate(np.empty(0), np.empty(0), 0, 0)
+        psd = PsdEstimate(np.empty(0), np.empty(0), 0)
         with pytest.raises(EmptyPsdError):
             bandwidth_3db(psd)
 

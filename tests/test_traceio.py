@@ -57,16 +57,18 @@ def test_numpy_scalar_fields_round_trip(tmp_path, adc8):
 
 @pytest.mark.parametrize("kind", ["analog", "codes"])
 def test_a_sidecar_that_cannot_be_encoded_leaves_no_file(tmp_path, adc8, kind):
+    # a seed takes the seed rule: an integer in [0, 2**64)
     path = tmp_path / "t.bin"
-    with pytest.raises(TypeError):
-        if kind == "analog":
-            write_analog_trace(path, AnalogTrace(np.zeros(2), 1e-10, "quantum"),
-                               seed=object())
-        else:
-            write_quantized_trace(path, QuantizedTrace(np.zeros(2, np.int16),
-                                                       adc8, 1e-10),
-                                  seed=object())
-    assert list(tmp_path.iterdir()) == []
+    for seed in (object(), 1.5, -1, True, 2**64):
+        with pytest.raises(InvalidParameterError):
+            if kind == "analog":
+                write_analog_trace(
+                    path, AnalogTrace(np.zeros(2), 1e-10, "quantum"), seed=seed)
+            else:
+                write_quantized_trace(
+                    path, QuantizedTrace(np.zeros(2, np.int16), adc8, 1e-10),
+                    seed=seed)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_analog_bytes_little_endian(tmp_path):
