@@ -23,8 +23,6 @@ from pathlib import Path
 
 from . import __version__
 from .entropy import (
-    METHOD_ANALYTIC,
-    METHOD_EMPIRICAL,
     analytic_min_entropy,
     code_histogram,
     empirical_min_entropy,
@@ -114,9 +112,6 @@ _KEYS = {
     "quantize_source": ("--quantize-source", str, "quantum",
                         "trace fed to the ADC model: quantum (default) "
                         "or measured"),
-    "entropy_method": ("--entropy-method", str, METHOD_ANALYTIC,
-                       f"min-entropy route: {METHOD_ANALYTIC} (default) "
-                       f"or {METHOD_EMPIRICAL}"),
 }
 
 
@@ -351,7 +346,6 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     grid = SweepGrid(
         **grids, **{**system, "adc": AdcSpec(**system.get("adc", {}))},
         sim=SimSettings(n_samples=sim["n_samples"], seed=sim["master_seed"],
-                        entropy_method=conf["entropy_method"],
                         **conf["spectral"]))
     result = sweep(grid)
     if result.best is None:
@@ -528,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(sub, "sweep", "grid search over (linewidth, delay)", cmd_sweep,
              *_ADC, "system.sample_period_s", *_SPECTRAL, "sim.n_samples",
-             "sim.master_seed", "sweep.linewidths_hz", "sweep.delays_s",
-             "entropy_method")
+             "sim.master_seed", "sweep.linewidths_hz", "sweep.delays_s")
 
     p = _command(sub, "extract", "Toeplitz-hash a code trace to bits",
                  cmd_extract)

@@ -5,8 +5,12 @@ difference dtheta ~ N(0, sigma2) onto [-A, A]. The probability of any
 ADC bin is the Gaussian mass of the preimage of that bin under the
 sine, a union of two interval families repeating with period 2*pi.
 Min-entropy is -log2 of the most probable code (Haw et al., Phys. Rev.
-Applied 3, 054004 (2015)). The distribution is symmetric about code 0,
-so the codes 0 up to the code of A take every value it has.
+Applied 3, 054004 (2015)). As in the simulated ADC, the end codes take
+every value beyond them, so any amplitude > 0 is modelled. The
+distribution is symmetric about code 0 but at the end codes, so the
+codes 0 up to the code of A take every value it has. The sweep has one
+H_min route, this analytic one; the plug-in estimate from a code trace
+serves measured codes.
 
 Variance bookkeeping for measured data lives here too: the forward map
 from phase-noise variance to quantum-noise variance, its inverse, and
@@ -23,7 +27,6 @@ from scipy.special import erf
 from .errors import (
     ClassicalExceedsMeasuredError,
     EmptyTraceError,
-    InvalidParameterError,
     VarianceOutOfRangeError,
 )
 from .params import AdcSpec, check_count, non_negative, positive
@@ -33,7 +36,6 @@ from .simulate import (LABEL_QUANTUM, TWO_PI, AnalogTrace, QuantizedTrace,
 
 METHOD_ANALYTIC = "analytic"
 METHOD_EMPIRICAL = "empirical"
-METHODS = (METHOD_ANALYTIC, METHOD_EMPIRICAL)
 
 #: samples per monte_carlo_code_histogram chunk; each chunk draws from its
 #: own derived seed, so this size is part of the histogram's stream
@@ -42,7 +44,13 @@ _MC_CHUNK = 2**22
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """P_C, P_R, the largest code probability P_max and h = -log2(P_max)."""
+    """P_C, P_R, the largest code probability P_max and h = -log2(P_max).
+
+    P_C is the probability of code 0. P_R is, in the analytic route, the
+    probability of the ADC's code of A, clamped to the code range, and in
+    the empirical route the frequency of the topmost occupied code; so at
+    zero phase variance the two read 0.0 and 1.0.
+    """
 
     p_c: float
     p_r: float
@@ -63,17 +71,9 @@ def phase_variance(linewidth_hz: float, delay_s: float) -> float:
     return TWO_PI * (linewidth_hz * delay_s)
 
 
-def _validate_model(sigma2: float, amplitude: float, adc: AdcSpec) -> None:
+def _validate_model(sigma2: float, amplitude: float) -> None:
     non_negative("sigma2", sigma2)
-    validate_amplitude(amplitude, adc)
-
-
-def validate_amplitude(amplitude: float, adc: AdcSpec) -> None:
-    """The model's rule: 0 < amplitude <= range - delta/2, so no clipping."""
-    if positive("amplitude", amplitude) > adc.range - adc.delta / 2:
-        raise InvalidParameterError(
-            f"amplitude must be in (0, range - delta/2] = (0, "
-            f"{adc.range - adc.delta / 2}], got {amplitude!r}")
+    positive("amplitude", amplitude)
 
 
 def _interval_probability(lower: np.ndarray, upper: np.ndarray, sigma2: float,
@@ -106,20 +106,26 @@ def _code_range_probabilities(first: int, last: int, sigma2: float,
                               amplitude: float, adc: AdcSpec) -> np.ndarray:
     """Probabilities of codes first .. last; a bin above A gets exactly 0.
 
-    Zero variance is a point mass at code 0, since A*sin(0) = 0.
+    Neighbouring codes share one float edge, so the bins partition the
+    line. As in :func:`quantize`, code_min takes every value at or below
+    its upper edge and code_max every value above its lower edge. Zero
+    variance is a point mass at code 0, since A*sin(0) = 0.
     """
-    d = adc.delta
-    centers = np.arange(first, last + 1, dtype=np.float64) * d
     if sigma2 == 0.0:
-        return (centers == 0.0).astype(np.float64)
-    return _interval_probability(centers - d / 2, centers + d / 2,
-                                 sigma2, amplitude)
+        return (np.arange(first, last + 1) == 0).astype(np.float64)
+    # the lower edges of codes first .. last + 1, so edges[-1] is the
+    # upper edge of code last
+    codes = np.arange(first, last + 2)
+    edges = codes * adc.delta - adc.delta / 2
+    edges = np.where(codes == adc.code_min, -np.inf, edges)
+    edges = np.where(codes > adc.code_max, np.inf, edges)
+    return _interval_probability(edges[:-1], edges[1:], sigma2, amplitude)
 
 
 def code_probabilities(sigma2: float, amplitude: float,
                        adc: AdcSpec) -> np.ndarray:
     """Analytic probabilities for every code, in code order."""
-    _validate_model(sigma2, amplitude, adc)
+    _validate_model(sigma2, amplitude)
     return _code_range_probabilities(adc.code_min, adc.code_max, sigma2,
                                      amplitude, adc)
 
@@ -129,12 +135,14 @@ def analytic_min_entropy(sigma2: float, amplitude: float,
     """Min-entropy -log2(P_max) of the quantized quantum noise under the model.
 
     The distribution is symmetric about code 0 and has no mass above A,
-    so codes 0 (P_C) to top (P_R), the ADC's code of A, take every value
-    it has. Zero variance means no phase diffusion: all mass sits in
-    code 0, so P_C = 1 and h = 0. Negative, infinite or NaN variance
-    raises InvalidParameterError.
+    so codes 0 (P_C) to top (P_R), the ADC's code of A clamped to
+    code_max, take every value it has. That holds when A clips too:
+    code_max then collects the mirror image of both code_min and
+    code_min + 1, so it is at least as probable as either. Zero variance
+    means no phase diffusion: all mass sits in code 0, so P_C = 1 and
+    h = 0. Negative, infinite or NaN variance raises InvalidParameterError.
     """
-    _validate_model(sigma2, amplitude, adc)
+    _validate_model(sigma2, amplitude)
     top = quantize_value(amplitude, adc)
     p = _code_range_probabilities(0, top, sigma2, amplitude, adc)
     return EntropyReport(p_c=float(p[0]), p_r=float(p[top]),
@@ -169,7 +177,7 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
     processes in chunks to bound memory. Chunk p draws from
     derive_seed(seed, p), so runs with nearby seeds share no chunk.
     """
-    _validate_model(sigma2, amplitude, adc)
+    _validate_model(sigma2, amplitude)
     n_samples = check_count("n_samples", n_samples, 1)
     sigma = math.sqrt(sigma2)
     counts = np.zeros(adc.n_codes, dtype=np.int64)

@@ -1,8 +1,8 @@
 """Grid search for the maximum random-number generation rate.
 
 Each (linewidth, delay) candidate is simulated, its entropy-source
-bandwidth estimated from the spectrum, its min-entropy computed either
-analytically or from the quantized trace, and the achievable rate
+bandwidth estimated from the spectrum, its min-entropy computed from
+the analytic model at the exact delay, and the achievable rate
 scored as K = 2 * B_ES * H_min. Every grid point gets its own seed
 derived from the master seed and the point's indices, so results do
 not depend on evaluation order and single points can be reproduced in
@@ -14,21 +14,14 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
-from .entropy import (
-    METHOD_ANALYTIC,
-    METHODS,
-    analytic_min_entropy,
-    empirical_min_entropy,
-    phase_variance,
-    validate_amplitude,
-)
+from .entropy import analytic_min_entropy, phase_variance
 from .errors import InvalidParameterError, LpnError
-from .params import (DEFAULT_N_SAMPLES, DEFAULT_SAMPLE_PERIOD_S, AdcSpec,
-                     SystemParams, check_amplitude, check_count,
-                     check_n_samples, check_seed, check_welch, non_negative,
-                     one_of, positive)
+from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES,
+                     DEFAULT_SAMPLE_PERIOD_S, AdcSpec, SystemParams,
+                     check_amplitude, check_count, check_n_samples,
+                     check_seed, check_welch, non_negative, positive)
 from .rng import derive_seed
-from .simulate import quantize, quantum_noise, sample_phase_path
+from .simulate import quantum_noise, sample_phase_path
 from .spectral import (
     DEFAULT_NFFT,
     DEFAULT_OVERLAP,
@@ -44,18 +37,18 @@ TIE_RTOL = 1e-12
 @dataclass(frozen=True)
 class SimSettings:
     """Per-evaluation simulation controls, checked by the simulator's and
-    the estimator's rules. ``entropy_method`` picks the min-entropy route.
+    the estimator's rules.
 
     ``seed`` is the stream seed of a single evaluation; in a sweep it
-    acts as the master seed from which per-point seeds are derived.
+    acts as the master seed from which per-point seeds are derived. It
+    defaults to the master seed of ``lpnqrng sweep``.
     """
 
     n_samples: int = DEFAULT_N_SAMPLES
     nfft: int = DEFAULT_NFFT
     overlap_fraction: float = DEFAULT_OVERLAP
     plateau_bins: int = DEFAULT_PLATEAU_BINS
-    entropy_method: str = METHOD_ANALYTIC
-    seed: int = 0
+    seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self) -> None:
         keep = partial(object.__setattr__, self)  # a NumPy scalar is not JSON
@@ -64,7 +57,6 @@ class SimSettings:
         keep("overlap_fraction", float(self.overlap_fraction))
         keep("plateau_bins", check_count("plateau_bins", self.plateau_bins,
                                          1, self.nfft // 2))
-        one_of("entropy_method", self.entropy_method, METHODS)
         keep("seed", check_seed("seed", self.seed))
 
 
@@ -97,9 +89,6 @@ class SweepGrid:
         keep("amplitude", check_amplitude(self.amplitude, self.adc))
         keep("sample_period_s",
              positive("sample_period_s", self.sample_period_s))
-        if self.sim.entropy_method == METHOD_ANALYTIC:
-            # every point would fail the model's amplitude rule
-            validate_amplitude(self.amplitude, self.adc)
 
     def point_seeds(self) -> Iterator[tuple[float, float, int]]:
         """(linewidth, delay, seed) of every point in grid order, linewidth
@@ -143,10 +132,9 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
                    sim: SimSettings) -> SweepPoint:
     """Simulate one design point and score its generation rate.
 
-    The spectrum (and hence the bandwidth estimate) always comes from
-    the simulated quantum trace. Min-entropy follows ``sim.entropy_method``:
-    analytic at the exact delay, not the sample-rounded one, or empirical
-    from the quantized quantum trace itself.
+    The spectrum (and hence the bandwidth estimate) comes from the
+    simulated quantum trace. Min-entropy has one route: the analytic
+    model at the exact delay, not the sample-rounded one.
     """
     params = replace(base, linewidth_hz=linewidth_hz, delay_s=delay_s)
     q = quantum_noise(sample_phase_path(linewidth_hz, params.sample_period_s,
@@ -154,11 +142,8 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
                       params.delay_samples, params.amplitude)
     bw = bandwidth_3db(estimate_psd(q, sim.nfft, sim.overlap_fraction),
                        sim.plateau_bins)
-    if sim.entropy_method == METHOD_ANALYTIC:
-        h = analytic_min_entropy(phase_variance(linewidth_hz, delay_s),
-                                 params.amplitude, params.adc).h_min
-    else:
-        h = empirical_min_entropy(quantize(q, params.adc)).h_min
+    h = analytic_min_entropy(phase_variance(linewidth_hz, delay_s),
+                             params.amplitude, params.adc).h_min
     b = bw.b_es_hz
     return SweepPoint(linewidth_hz=linewidth_hz, delay_s=delay_s, b_es_hz=b,
                       h_min_bits=h, k_bits_per_s=2.0 * b * h, f_s_hz=2.0 * b,

@@ -187,7 +187,9 @@ class AdcSpec:
 
     The interval is split into 2**bits half-open bins (i*delta - delta/2,
     i*delta + delta/2] for codes i in [-2**(bits-1), 2**(bits-1) - 1],
-    with bin width delta = range / 2**(bits-1).
+    with bin width delta = range / 2**(bits-1). The end codes saturate:
+    code_min also takes every value below the interval and code_max
+    every value above it.
     """
 
     bits: int = 8
@@ -239,8 +241,8 @@ class SystemParams:
     """Complete description of one design point.
 
     ``amplitude`` defaults to 21/32 of the ADC range when omitted; it is
-    independently configurable for sensitivity studies but must stay at
-    or below range - delta/2 for the analytic entropy model to apply.
+    independently configurable for sensitivity studies, and one above
+    range - delta/2 clips at the end codes.
     """
 
     linewidth_hz: float

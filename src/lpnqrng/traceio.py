@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, MissingMetadataError
-from .params import (AdcSpec, SystemParams, as_float, as_int, check_seed,
-                     one_of, positive)
+from .params import (AdcSpec, SystemParams, as_float, as_int, check_count,
+                     check_seed, one_of, positive)
 from .simulate import LABELS, AnalogTrace, QuantizedTrace
 
 FORMAT_TAG = "lpnqrng-trace/1"
@@ -65,9 +65,10 @@ def _read(path: str | Path, kind: str, dtype: str,
         raise MissingMetadataError(f"{side} is not a {FORMAT_TAG} sidecar")
     if meta.get("kind") != kind:
         raise InvalidParameterError(f"{path} is not a {kind!r} trace")
-    converters = {"n_samples": as_int, "sample_period_s":
-                  lambda v: positive("sample_period_s", as_float(v)),
-                  **converters}
+    converters = {
+        "n_samples": lambda v: check_count("n_samples", as_int(v)),
+        "sample_period_s": lambda v: positive("sample_period_s", as_float(v)),
+        **converters}
     values = []
     for key, convert in converters.items():
         try:

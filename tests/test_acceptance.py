@@ -157,8 +157,10 @@ def test_criterion_5_analytic_vs_empirical_entropy():
 
 def test_criterion_6_normalization_and_symmetry():
     adc = AdcSpec(bits=8, range=1.0)
+    # range and 1.5 * range clip: the end codes take the mass beyond them
     amplitudes = {"default": adc.default_amplitude(),
-                  "range-delta": adc.range - adc.delta}
+                  "range-delta": adc.range - adc.delta,
+                  "range": adc.range, "1.5 range": 1.5 * adc.range}
     worst_norm = 0.0
     for amplitude in amplitudes.values():
         for sigma2 in np.logspace(-2, 2, 9):

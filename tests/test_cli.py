@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpnqrng import (AdcSpec, QuantizedTrace, cli, derive_seed,
-                     gaussian_stream, optimizer)
+from lpnqrng import (AdcSpec, QuantizedTrace, cli, code_probabilities,
+                     derive_seed, gaussian_stream, optimizer)
 from lpnqrng.cli import main
 from lpnqrng.simulate import AnalogTrace
 from lpnqrng.traceio import (
@@ -221,8 +221,8 @@ class TestPsd:
         assert run("psd", "--trace", path, "--out-dir", tmp_path) == 3
         one_error_line(capsys, "missing-metadata")
 
-    @pytest.mark.parametrize("value", [8.7, True],
-                             ids=["fraction", "true"])
+    @pytest.mark.parametrize("value", [8.7, True, -5],
+                             ids=["fraction", "true", "negative"])
     def test_non_integer_sidecar_n_samples(self, tmp_path, capsys, value):
         path = tmp_path / "q.f64"
         write_analog_trace(path, AnalogTrace(np.zeros(8), 1e-10, "quantum"))
@@ -350,9 +350,13 @@ class TestEntropy:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["sigma2_rad2"] > 0
 
-    def test_clipping_amplitude_rejected(self):
-        # analytic model requires the peak to stay inside the converter range
-        assert run("entropy", "--sigma-q2", 0.1, "--amplitude", 1.0) == 2
+    def test_clipping_amplitude_is_modelled(self, capsys, adc8):
+        # the model saturates at the end codes, as the ADC does, so a peak
+        # at the top of the range has the top code as its code of A
+        assert run("entropy", "--sigma-q2", 0.1, "--amplitude", 1.0) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        probs = code_probabilities(results["sigma2_rad2"], 1.0, adc8)
+        assert results["p_r"] == probs[adc8.code_max - adc8.code_min]
 
     def test_variance_mode_out_of_range(self):
         assert run("entropy", "--sigma-q2", 0.5, "--amplitude", 1.0) == 4
@@ -515,7 +519,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("argv", [
         ["--nfft", 1000], ["--overlap", 1.5], ["--plateau-bins", 0],
-        ["--n-samples", 1], ["--n-samples", 2**60], ["--amplitude", 1.0],
+        ["--n-samples", 1], ["--n-samples", 2**60], ["--amplitude", 0],
         ["--linewidths-hz", 1e7, "nan"], ["--linewidths-hz", 1e7, "inf"],
         ["--linewidths-hz", 5e6, 5e6]],
         ids=["nfft", "overlap", "plateau-bins", "n-samples", "n-samples-2^60",
@@ -528,6 +532,28 @@ class TestSweep:
         one_error_line(capsys, "invalid-parameter")
         assert len(simulated) == 0
         assert not (tmp_path / "out").exists()
+
+    def test_entropy_method_flag_is_gone(self, tmp_path, capsys):
+        # the sweep has one H_min route, the analytic model
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--entropy-method", "analytic",
+                "--linewidths-hz", 9.5e6, "--delays-s", 2.5e-9,
+                "--out-dir", tmp_path, *NFFT_FAST)
+        assert exc.value.code == 2
+        one_error_line(capsys, "invalid-parameter")
+
+    def test_default_seed_is_the_api_default(self, tmp_path):
+        # no --seed: the CLI and SimSettings share one master seed default
+        out = tmp_path / "s"
+        assert run("sweep", "--linewidths-hz", 5e6, 9.5e6,
+                   "--delays-s", 2.5e-9, 6.5e-9, "--out-dir", out,
+                   "--n-samples", 65536, "--nfft", 1024) == 0
+        result = optimizer.sweep(optimizer.SweepGrid(
+            (5e6, 9.5e6), (2.5e-9, 6.5e-9),
+            optimizer.SimSettings(n_samples=2**16, nfft=1024)))
+        rows = [p.to_dict() for p in result.points]
+        assert (out / "sweep.csv").read_text() == cli._csv(
+            list(rows[0]), [row.values() for row in rows])
 
     def test_point_dependent_failures_stay_per_point(self, tmp_path, simulated):
         # at 2**15 samples: k = 31000 leaves 1768 < 2 * nfft trace samples,
@@ -989,7 +1015,10 @@ class TestResolver:
         ("sweep", ["--linewidths-hz", 9.5e6, "--delays-s", 2.5e-9, *NFFT_FAST],
          {"system": {"sigma_ele": "abc"}}),
         ("entropy", ["--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9],
-         {"system": {"sample_period_s": "abc"}})], ids=["sweep", "entropy"])
+         {"system": {"sample_period_s": "abc"}}),
+        ("sweep", ["--linewidths-hz", 9.5e6, "--delays-s", 2.5e-9, *NFFT_FAST],
+         {"entropy_method": "bogus"})],
+        ids=["sweep", "entropy", "sweep-entropy-method"])
     def test_key_a_command_does_not_read_is_ignored(self, tmp_path, command,
                                                    flags, cfg):
         path = tmp_path / "cfg.json"

@@ -92,11 +92,35 @@ class TestBinProbability:
         with pytest.raises(InvalidParameterError):
             code_probabilities(-1e-9, default_amplitude, adc8)
 
-    def test_clipping_amplitude_rejected(self, adc8):
-        with pytest.raises(InvalidParameterError):
-            code_probabilities(0.4, adc8.range, adc8)
-        with pytest.raises(InvalidParameterError):
-            analytic_min_entropy(0.4, adc8.range, adc8)
+    @pytest.mark.parametrize("bits", [5, 12, 16])
+    def test_bins_partition_a_range_with_rounded_edges(self, bits):
+        # 0.37 V bins have edges that round; neighbouring codes share one
+        # float edge, so no sliver near the sine's turning point at +-A
+        # falls between two bins
+        adc = AdcSpec(bits, 0.37)
+        for amplitude in (adc.range - adc.delta / 2,
+                          0.5 * adc.range + adc.delta / 2, 1.2 * adc.range):
+            for sigma2 in (0.39, 3.0):
+                probs = code_probabilities(sigma2, amplitude, adc)
+                assert abs(math.fsum(probs) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("sigma2", [0.05, 0.39, 3.0])
+    @pytest.mark.parametrize("scale", [1.0, 1.5, 4.0])
+    @pytest.mark.parametrize("bits", [6, 8])
+    def test_clipping_amplitude_matches_monte_carlo(self, bits, scale, sigma2):
+        # the end codes take every value beyond them, as quantize does
+        adc = AdcSpec(bits, 1.0)
+        amplitude = scale * adc.range
+        probs = code_probabilities(sigma2, amplitude, adc)
+        assert abs(math.fsum(probs) - 1.0) < 1e-12
+        n = 2**22
+        counts = monte_carlo_code_histogram(sigma2, amplitude, adc, n,
+                                            seed=bits * 1000 + int(scale * 10))
+        expected = n * probs
+        tested = expected > 20
+        z = (counts[tested] - expected[tested]) / np.sqrt(
+            expected[tested] * (1.0 - probs[tested]))
+        assert np.abs(z).max() <= 5.0
 
 
 class TestPCenterPBoundary:
@@ -225,12 +249,13 @@ class TestAnalyticMinEntropy:
         assert rep.p_r > 0.0
         assert rep.p_r == code_probabilities(3.0, amplitude, adc)[10 - adc.code_min]
 
-    @given(st.integers(2, 12), st.floats(0.0, 1.0, exclude_min=True),
+    @given(st.integers(2, 12), st.floats(0.0, 4.0, exclude_min=True),
            st.floats(1e-3, 100.0))
     @settings(max_examples=150, deadline=None)
     def test_p_max_is_the_most_probable_code(self, bits, fraction, sigma2):
+        # fractions above 1 - delta/2 clip at the end codes
         adc = AdcSpec(bits, 1.0)
-        amplitude = fraction * (adc.range - adc.delta / 2)
+        amplitude = fraction * adc.range
         rep = analytic_min_entropy(sigma2, amplitude, adc)
         probs = code_probabilities(sigma2, amplitude, adc)
         assert rep.p_max >= probs.max() * (1.0 - 1e-12)

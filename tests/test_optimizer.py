@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +7,10 @@ from lpnqrng import (
     SimSettings,
     SweepGrid,
     SweepPoint,
+    analytic_min_entropy,
     derive_seed,
     evaluate_point,
+    phase_variance,
     sweep,
 )
 from lpnqrng.errors import InvalidParameterError
@@ -40,14 +41,10 @@ class TestEvaluatePoint:
         assert p.k_bits_per_s == 2.0 * p.b_es_hz * p.h_min_bits
         assert p.f_s_hz == 2.0 * p.b_es_hz
 
-    def test_empirical_route(self):
-        p = evaluate_point(9.5e6, 2.5e-9, base_params(),
-                           replace(FAST_SIM, entropy_method="empirical"))
-        assert 0.0 < p.h_min_bits <= 8.0
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            SimSettings(n_samples=2**15, nfft=1024, entropy_method="wrong")
+    def test_entropy_method_is_not_a_setting(self):
+        # H_min has one route, the analytic model
+        with pytest.raises(TypeError):
+            SimSettings(n_samples=2**15, nfft=1024, entropy_method="analytic")
 
     def test_deterministic(self):
         a = evaluate_point(9.5e6, 6.5e-9, base_params(), FAST_SIM)
@@ -110,10 +107,8 @@ class TestSweep:
         with pytest.raises(InvalidParameterError):
             fast_grid(delays_s=(2.5e-9, float("inf")))
 
-    @pytest.mark.parametrize("method", ["analytic", "empirical"])
-    def test_zero_linewidth_is_a_zero_rate_grid_point(self, method):
-        grid = fast_grid(linewidths_hz=(0.0, 9.5e6), delays_s=(2.5e-9,),
-                         sim=replace(FAST_SIM, entropy_method=method))
+    def test_zero_linewidth_is_a_zero_rate_grid_point(self):
+        grid = fast_grid(linewidths_hz=(0.0, 9.5e6), delays_s=(2.5e-9,))
         res = sweep(grid)
         zero, live = res.points
         assert res.failures == () and zero.linewidth_hz == 0.0
@@ -121,6 +116,15 @@ class TestSweep:
         assert zero.k_bits_per_s == 0.0
         assert np.copysign(1.0, zero.k_bits_per_s) == 1.0
         assert res.best == live and live.linewidth_hz == 9.5e6
+
+    def test_clipping_amplitude_is_modelled(self):
+        # a peak at the top of the range clips; the model's end codes do too
+        grid = fast_grid(linewidths_hz=(5e6, 9.5e6), amplitude=1.0)
+        res = sweep(grid)
+        assert res.failures == () and len(res.points) == 4
+        for p in res.points:
+            assert p.h_min_bits == analytic_min_entropy(
+                phase_variance(p.linewidth_hz, p.delay_s), 1.0, grid.adc).h_min
 
     def test_grid_order_is_not_part_of_the_grid(self):
         # linewidths 5e6, 9.5e6 and the two delays, given in reverse

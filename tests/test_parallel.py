@@ -95,10 +95,8 @@ def test_estimate_psd_matches_welch_at_every_worker_count(monkeypatch,
         assert np.array_equal(psd.power, expected)
 
 
-@pytest.mark.parametrize("method", ["analytic", "empirical"])
-def test_evaluate_point_is_the_same_at_every_worker_count(monkeypatch, method):
-    sim = SimSettings(n_samples=2**18, nfft=1024, entropy_method=method,
-                      seed=12)
+def test_evaluate_point_is_the_same_at_every_worker_count(monkeypatch):
+    sim = SimSettings(n_samples=2**18, nfft=1024, seed=12)
     points = per_worker_count(monkeypatch, lambda: evaluate_point(
         40e6, 4.5e-9, base_params(), sim).to_dict())
     assert points[1] == points[0] and points[2] == points[0]

@@ -19,7 +19,6 @@ from lpnqrng import (
     code_probabilities,
     delay_index,
     estimate_psd,
-    evaluate_point,
     extract_block,
     forward_variance,
     gaussian_stream,
@@ -122,7 +121,6 @@ class TestRules:
 
 _PATH = sample_phase_path(1e6, 1e-10, 8, seed=0)
 _TRACE = AnalogTrace(np.zeros(8), 1e-10, "quantum")
-_BASE = SystemParams(linewidth_hz=9.5e6, delay_s=2.5e-9)
 
 #: every public entry point that takes a physical real: a call feeding it
 #: x, and one finite value out of its range
@@ -160,11 +158,18 @@ RANGE_SITES = {
         lambda x: quantum_variance_from_measurement(1.0, x), -0.1),
     "analytic_min_entropy.sigma2": (
         lambda x: analytic_min_entropy(x, 0.5, AdcSpec()), -0.1),
+    "analytic_min_entropy.amplitude": (
+        lambda x: analytic_min_entropy(0.3, x, AdcSpec()), 0.0),
     "code_probabilities.sigma2": (
         lambda x: code_probabilities(x, 0.5, AdcSpec()), -0.1),
+    "code_probabilities.amplitude": (
+        lambda x: code_probabilities(0.3, x, AdcSpec()), 0.0),
     "monte_carlo_code_histogram.sigma2": (
         lambda x: monte_carlo_code_histogram(x, 0.5, AdcSpec(), 10, seed=0),
         -0.1),
+    "monte_carlo_code_histogram.amplitude": (
+        lambda x: monte_carlo_code_histogram(0.3, x, AdcSpec(), 10, seed=0),
+        0.0),
     "AnalogTrace.sample_period_s": (
         lambda x: AnalogTrace(np.zeros(4), x, "quantum"), 0.0),
     "QuantizedTrace.sample_period_s": (
@@ -391,14 +396,7 @@ class TestOneOf:
     @pytest.mark.parametrize("call,message", [
         (lambda: AnalogTrace(np.zeros(4), 1e-10, "other"),
          "trace label must be 'quantum' or 'measured', got 'other'"),
-        # both sites read the method from SimSettings, which rejects it
-        (lambda: SweepGrid((9.5e6,), (2.5e-9,),
-                           SimSettings(entropy_method="other")),
-         "entropy_method must be 'analytic' or 'empirical', got 'other'"),
-        (lambda: evaluate_point(9.5e6, 2.5e-9, _BASE,
-                                SimSettings(entropy_method="other")),
-         "entropy_method must be 'analytic' or 'empirical', got 'other'"),
-    ], ids=["trace-label", "sweep-grid", "evaluate-point"])
+    ], ids=["trace-label"])
     def test_sites(self, call, message):
         with pytest.raises(InvalidParameterError) as exc:
             call()
