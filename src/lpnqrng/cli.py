@@ -61,10 +61,9 @@ from .rng import (
 from .simulate import (
     LABELS,
     TWO_PI,
+    _quantum_trace,
     add_electronic_noise,
     quantize,
-    quantum_noise,
-    sample_phase_path,
 )
 from .spectral import (
     DEFAULT_NFFT,
@@ -227,9 +226,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     k = system.delay_samples
     phase_seed = derive_seed(master_seed, STREAM_PHASE)
     ele_seed = derive_seed(master_seed, STREAM_ELECTRONIC)
-    path = sample_phase_path(system.linewidth_hz, system.sample_period_s,
-                             n_samples, phase_seed)
-    q = quantum_noise(path, k, system.amplitude)
+    q = _quantum_trace(system.linewidth_hz, system.sample_period_s, n_samples,
+                       k, system.amplitude, phase_seed)
     m = add_electronic_noise(q, system.sigma_ele, ele_seed)
     source = q if quantize_source == "quantum" else m
     codes = quantize(source, system.adc)

@@ -174,7 +174,8 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
 
     Brute-force sampler used as an independent check of the analytic
     bin probabilities: it quantizes with the simulator's own ADC. It
-    processes in chunks to bound memory. Chunk p draws from
+    processes in chunks to bound memory, each in the array its variates
+    are drawn into. Chunk p draws from
     derive_seed(seed, p), so runs with nearby seeds share no chunk.
     """
     _validate_model(sigma2, amplitude)
@@ -183,8 +184,11 @@ def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
     counts = np.zeros(adc.n_codes, dtype=np.int64)
     for part, start in enumerate(range(0, n_samples, _MC_CHUNK)):
         m = min(_MC_CHUNK, n_samples - start)
-        theta = gaussian_stream(derive_seed(seed, part), m) * sigma
-        trace = AnalogTrace(amplitude * np.sin(theta), 1.0, LABEL_QUANTUM)
+        theta = gaussian_stream(derive_seed(seed, part), m)
+        theta *= sigma
+        np.sin(theta, out=theta)
+        theta *= amplitude
+        trace = AnalogTrace(theta, 1.0, LABEL_QUANTUM)
         counts += code_histogram(quantize(trace, adc))
     return counts
 

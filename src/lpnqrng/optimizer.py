@@ -21,7 +21,7 @@ from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES,
                      check_amplitude, check_count, check_n_samples,
                      check_seed, check_welch, non_negative, positive)
 from .rng import derive_seed
-from .simulate import quantum_noise, sample_phase_path
+from .simulate import _quantum_trace
 from .spectral import (
     DEFAULT_NFFT,
     DEFAULT_OVERLAP,
@@ -137,9 +137,8 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
     model at the exact delay, not the sample-rounded one.
     """
     params = replace(base, linewidth_hz=linewidth_hz, delay_s=delay_s)
-    q = quantum_noise(sample_phase_path(linewidth_hz, params.sample_period_s,
-                                        sim.n_samples, sim.seed),
-                      params.delay_samples, params.amplitude)
+    q = _quantum_trace(linewidth_hz, params.sample_period_s, sim.n_samples,
+                       params.delay_samples, params.amplitude, sim.seed)
     bw = bandwidth_3db(estimate_psd(q, sim.nfft, sim.overlap_fraction),
                        sim.plateau_bins)
     h = analytic_min_entropy(phase_variance(linewidth_hz, delay_s),

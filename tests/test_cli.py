@@ -11,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpnqrng import (AdcSpec, QuantizedTrace, cli, code_probabilities,
-                     derive_seed, gaussian_stream, optimizer)
+from lpnqrng import (AdcSpec, QuantizedTrace, SystemParams,
+                     add_electronic_noise, cli, code_probabilities,
+                     derive_seed, gaussian_stream, optimizer, quantize,
+                     quantum_noise, sample_phase_path)
 from lpnqrng.cli import main
+from lpnqrng.rng import STREAM_ELECTRONIC, STREAM_PHASE
 from lpnqrng.simulate import AnalogTrace
 from lpnqrng.traceio import (
     read_analog_trace,
@@ -93,6 +96,32 @@ class TestSimulate:
 
     def test_missing_design_is_validation_error(self, tmp_path):
         assert run("simulate", "--out-dir", tmp_path) == 2
+
+    # tau_s = 1e-10 s, so the delays are k = 1 (tau_s = delay) and k = 65
+    @pytest.mark.parametrize("source", ["quantum", "measured"])
+    @pytest.mark.parametrize("seed", [1, 23])
+    @pytest.mark.parametrize("delay_s", [1e-10, 6.5e-9], ids=["k1", "k65"])
+    def test_files_equal_the_api_chain(self, tmp_path, delay_s, seed, source):
+        n = 2**16 + 3
+        out = tmp_path / "cli"
+        assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", delay_s,
+                   "--sigma-ele", 0.01, "--n-samples", n, "--seed", seed,
+                   "--quantize-source", source, "--out-dir", out) == 0
+        system = SystemParams(9.5e6, delay_s, sigma_ele=0.01)
+        path = sample_phase_path(9.5e6, system.sample_period_s, n,
+                                 derive_seed(seed, STREAM_PHASE))
+        q = quantum_noise(path, system.delay_samples, system.amplitude)
+        m = add_electronic_noise(q, 0.01, derive_seed(seed, STREAM_ELECTRONIC))
+        codes = quantize(q if source == "quantum" else m, system.adc)
+        api = tmp_path / "api"
+        api.mkdir()
+        write_analog_trace(api / "quantum.f64", q, system=system, seed=seed)
+        write_analog_trace(api / "measured.f64", m, system=system, seed=seed)
+        write_quantized_trace(api / "codes.i16", codes, system=system,
+                              seed=seed)
+        for name in ("quantum.f64", "measured.f64", "codes.i16"):
+            for f in (name, f"{name}.meta.json"):
+                assert (out / f).read_bytes() == (api / f).read_bytes(), f
 
     def test_unknown_quantize_source(self, tmp_path, capsys):
         assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", 6.5e-9,
@@ -506,15 +535,15 @@ class TestSweep:
 
     @pytest.fixture
     def simulated(self, monkeypatch):
-        """The number of phase paths the sweep simulates."""
+        """The quantum traces the sweep simulates, by their arguments."""
         calls = []
-        real = optimizer.sample_phase_path
+        real = optimizer._quantum_trace
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "sample_phase_path", counted)
+        monkeypatch.setattr(optimizer, "_quantum_trace", counted)
         return calls
 
     @pytest.mark.parametrize("argv", [
@@ -579,7 +608,7 @@ class TestSweep:
         assert [(p["linewidth_hz"], p["delay_s"]) for p in per_point] == [
             (5e6, 0.04e-9), (5e6, 2.5e-9), (9.5e6, 0.04e-9), (9.5e6, 2.5e-9)]
         # the delay below one sample fails before its path is drawn
-        assert [call[3] for call in simulated] == [per_point[1]["seed"],
+        assert [call[5] for call in simulated] == [per_point[1]["seed"],
                                                    per_point[3]["seed"]]
         assert per_point[0]["seed"] == derive_seed(4, 0, 0)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,20 @@ class TestMonteCarloHistogram:
         c2 = monte_carlo_code_histogram(0.4, default_amplitude, adc8, 10_000, 3)
         assert c1.sum() == 10_000
         assert np.array_equal(c1, c2)
+
+    def test_chunk_is_computed_in_its_variates(self, adc8, default_amplitude):
+        # a chunk holds its variates, turned into A*sin in place, the
+        # quantizer's float and int16 codes: 2.25 float64 per sample, where
+        # a scaled copy and a sine array on top made 3.25
+        n = 2**20
+        monte_carlo_code_histogram(0.4, default_amplitude, adc8, 1000, 3)
+        tracemalloc.start()
+        try:
+            monte_carlo_code_histogram(0.4, default_amplitude, adc8, n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n, peak / (8 * n)
 
     def test_respects_support(self, adc8, default_amplitude):
         counts = monte_carlo_code_histogram(3.0, default_amplitude, adc8, 10_000, 9)

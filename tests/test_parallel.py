@@ -1,8 +1,8 @@
 """The threaded layers give the same bytes whatever the worker count.
 
-``gaussian_stream``, ``quantum_noise``, ``estimate_psd`` and the
-Toeplitz extractor split their work into one part per CPU the process
-may run on (``_parallel``). Each test here sets the worker count to 1, 2
+``gaussian_stream``, ``quantum_noise``, the one-buffer quantum trace
+of a design point, ``estimate_psd`` and the Toeplitz extractor split
+their work into one part per CPU the process may run on (``_parallel``). Each test here sets the worker count to 1, 2
 and 3 and compares every result with an independent serial oracle or
 with the one-worker result. The extractor's parts share the caller's
 buffers, so its memory peak must not grow with the part count either.
@@ -29,7 +29,8 @@ from lpnqrng import (AdcSpec, SimSettings, ToeplitzSpec, _parallel,
                      sample_phase_path)
 from lpnqrng.extractor import _BATCH_SAMPLES, codes_to_bits
 from lpnqrng.rng import _GAUSS_BLOCK, raw_stream
-from lpnqrng.simulate import AnalogTrace, PhasePath, QuantizedTrace
+from lpnqrng.simulate import (AnalogTrace, PhasePath, QuantizedTrace,
+                              _quantum_trace)
 
 from conftest import TAU_S, base_params
 
@@ -71,6 +72,26 @@ def test_quantum_noise_matches_formula_at_every_worker_count(monkeypatch,
     for q in per_worker_count(monkeypatch,
                               lambda: quantum_noise(path, k, amplitude)):
         assert np.array_equal(q.samples, expected)
+
+
+# k = 1 with n = 2 is a one-sample trace; at 2**17 + 3 and 3 * 2**15 + 2
+# samples the parts are longer, equal to and shorter than the heads
+# min(k, part) that each part computes before the part below writes
+QUANTUM_TRACE_CASES = [(k, k + 1) for k in (1, 25, B - 1, B, B + 5)] + [
+    (k, n) for n in (2**17 + 3, 3 * B + 2)
+    for k in (1, 25, B - 1, B, B + 5, n - 1)]
+
+
+@pytest.mark.parametrize("k,n_samples", QUANTUM_TRACE_CASES)
+def test_quantum_trace_matches_the_two_calls_at_every_worker_count(
+        monkeypatch, k, n_samples):
+    amplitude = AdcSpec().default_amplitude()
+    path = sample_phase_path(9.5e6, TAU_S, n_samples, seed=4)
+    expected = quantum_noise(path, k, amplitude).samples.tobytes()
+    for q in per_worker_count(monkeypatch, lambda: _quantum_trace(
+            9.5e6, TAU_S, n_samples, k, amplitude, 4)):
+        assert len(q) == n_samples - k
+        assert q.samples.tobytes() == expected
 
 
 # at nfft 4096 a block is 32 segments, so a full leaf of 128 splits

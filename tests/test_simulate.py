@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,21 +8,26 @@ from hypothesis import strategies as st
 
 from lpnqrng import (
     AdcSpec,
+    SimSettings,
     add_electronic_noise,
     delay_index,
+    evaluate_point,
     forward_variance,
     quantize,
     quantum_noise,
     sample_phase_path,
+    simulate,
 )
 from lpnqrng.errors import (
     DelayTooSmallError,
     InvalidParameterError,
+    LpnError,
     PathTooShortError,
 )
-from lpnqrng.simulate import AnalogTrace, QuantizedTrace, quantize_value
+from lpnqrng.simulate import (AnalogTrace, QuantizedTrace, _quantum_trace,
+                              quantize_value)
 
-from conftest import chunk_se_of_variance, quantum_trace
+from conftest import base_params, chunk_se_of_variance, quantum_trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,12 +131,99 @@ class TestQuantumNoise:
             quantum_noise(path, 10, 1.0)
 
 
+class TestQuantumTrace:
+    """The one-buffer route that evaluate_point and ``lpnqrng simulate``
+    take; its bytes at every worker count are checked in test_parallel."""
+
+    def test_equals_the_two_calls(self):
+        q = _quantum_trace(9.5e6, 1e-10, 4096, 65, 0.75, seed=8)
+        want = quantum_noise(sample_phase_path(9.5e6, 1e-10, 4096, seed=8),
+                             65, 0.75)
+        assert q.samples.tobytes() == want.samples.tobytes()
+        assert (q.sample_period_s, q.label) == (1e-10, "quantum")
+        with pytest.raises(ValueError):
+            q.samples[0] = 1.0
+
+    @pytest.mark.parametrize("seed", [3, -1, 2**64, 1.5])
+    def test_zero_linewidth_gives_positive_zeros_and_draws_nothing(
+            self, monkeypatch, seed):
+        # as in sample_phase_path: no stream is drawn, so the seed is
+        # not checked
+        def no_stream(*args):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(simulate, "gaussian_stream", no_stream)
+        q = _quantum_trace(0.0, 1e-10, 64, 5, 1.0, seed)
+        assert q.samples.tobytes() == np.zeros(59).tobytes()
+        want = quantum_noise(sample_phase_path(0.0, 1e-10, 64, seed), 5, 1.0)
+        assert q.samples.tobytes() == want.samples.tobytes()
+
+    # the two calls' order: n_samples, linewidth and period, the seed
+    # when the path draws a stream, then the delay index, the amplitude
+    # and the path length; every argument from the named one on is bad
+    ORDER = ("n_samples", "linewidth_hz", "sample_period_s", "seed",
+             "delay index", "amplitude")
+    BAD = (1, -1.0, 0.0, -1, 0, 0.0)
+
+    @pytest.mark.parametrize("first", range(len(ORDER) + 1))
+    def test_errors_come_in_the_two_calls_order(self, first):
+        # n_samples 4 with k 5 is also a path too short for the delay
+        args = [4, 9.5e6, 1e-10, 2, 5, 0.5]
+        args[first:] = self.BAD[first:]
+        n, lw, tau, seed, k, amplitude = args
+        with pytest.raises(LpnError) as got:
+            _quantum_trace(lw, tau, n, k, amplitude, seed)
+        with pytest.raises(LpnError) as want:
+            quantum_noise(sample_phase_path(lw, tau, n, seed), k, amplitude)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        if first < len(self.ORDER):
+            assert str(got.value).startswith(self.ORDER[first] + " must")
+        else:
+            assert type(got.value) is PathTooShortError
+
+    def test_evaluate_point_peak_grows_by_one_sample_per_sample(self):
+        # the trace is built where its variates are drawn: from 2**21 to
+        # 2**22 samples the peak grows by one float64 per added sample
+        # (two while the path and the trace were separate arrays)
+        evaluate_point(9.5e6, 2.5e-9, base_params(),
+                       SimSettings(n_samples=2**18, seed=3))  # warm caches
+        peaks = []
+        for n in (2**21, 2**22):
+            tracemalloc.start()
+            try:
+                evaluate_point(9.5e6, 2.5e-9, base_params(),
+                               SimSettings(n_samples=n, seed=3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = (peaks[1] - peaks[0]) / (8 * 2**21)
+        assert growth <= 1.1, growth
+        assert peaks[1] <= 45 * 2**20, peaks[1] / 2**20
+
+
 class TestElectronicNoise:
     def test_zero_sigma_is_identity(self):
         q = quantum_trace(9.5e6, 25, 1024, seed=1)
         m = add_electronic_noise(q, 0.0, seed=5)
         assert np.array_equal(m.samples, q.samples)
         assert m.label == "measured"
+
+    @pytest.mark.parametrize("seed", [5, -1])
+    def test_zero_sigma_shares_the_quantum_samples(self, seed):
+        # no stream is drawn, so the seed is not checked, and no copy
+        # of the frozen samples is made
+        q = quantum_trace(9.5e6, 25, 2**16, seed=1)
+        tracemalloc.start()
+        try:
+            m = add_electronic_noise(q, 0.0, seed=seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.samples.tobytes() == q.samples.tobytes()
+        assert peak < 8 * len(q) // 4, peak
+        with pytest.raises(ValueError):
+            m.samples[0] = 1.0
 
     def test_added_component_variance(self):
         n = 2**20
