@@ -50,7 +50,8 @@ from .extractor import (
 from .optimizer import SimSettings, SweepGrid, sweep
 from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES, AdcSpec,
                      SystemParams, as_float, as_int, check_amplitude,
-                     check_seed, check_toeplitz_geometry, one_of)
+                     check_seed, check_spectral, check_toeplitz_geometry,
+                     one_of)
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -256,6 +257,9 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 def cmd_psd(args: argparse.Namespace) -> dict:
     spectral_cfg = _resolve(args)["spectral"]
+    # the settings fail before the trace is read and Welch runs over it
+    check_spectral(spectral_cfg["nfft"], spectral_cfg["overlap_fraction"],
+                   spectral_cfg["plateau_bins"])
     trace, meta = read_analog_trace(args.trace)
     psd = estimate_psd(trace, spectral_cfg["nfft"],
                        spectral_cfg["overlap_fraction"])

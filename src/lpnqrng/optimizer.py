@@ -18,8 +18,8 @@ from .entropy import analytic_min_entropy, phase_variance
 from .errors import InvalidParameterError, LpnError
 from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES,
                      DEFAULT_SAMPLE_PERIOD_S, AdcSpec, SystemParams,
-                     check_amplitude, check_count, check_n_samples,
-                     check_seed, check_welch, non_negative, positive)
+                     check_amplitude, check_n_samples, check_seed,
+                     check_spectral, non_negative, positive)
 from .rng import derive_seed
 from .simulate import _quantum_trace
 from .spectral import (
@@ -53,10 +53,11 @@ class SimSettings:
     def __post_init__(self) -> None:
         keep = partial(object.__setattr__, self)  # a NumPy scalar is not JSON
         keep("n_samples", check_n_samples(self.n_samples))
-        keep("nfft", check_welch(self.nfft, self.overlap_fraction))
+        nfft, plateau_bins = check_spectral(self.nfft, self.overlap_fraction,
+                                            self.plateau_bins)
+        keep("nfft", nfft)
         keep("overlap_fraction", float(self.overlap_fraction))
-        keep("plateau_bins", check_count("plateau_bins", self.plateau_bins,
-                                         1, self.nfft // 2))
+        keep("plateau_bins", plateau_bins)
         keep("seed", check_seed("seed", self.seed))
 
 

@@ -144,6 +144,15 @@ def check_welch(nfft: int, overlap_fraction: float) -> int:
     return n
 
 
+def check_spectral(nfft: int, overlap_fraction: float,
+                   plateau_bins: int) -> tuple[int, int]:
+    """Welch segments as ``check_welch`` takes them, and the plateau
+    bins of their spectrum, in [1, nfft/2]; nfft and plateau_bins are
+    returned."""
+    n = check_welch(nfft, overlap_fraction)
+    return n, check_count("plateau_bins", plateau_bins, 1, n // 2)
+
+
 def check_toeplitz_geometry(input_bits: int, output_bits: int,
                             names=("input_bits", "output_bits")) -> tuple[int, int]:
     """A Toeplitz hash maps input_bits >= 1 bits to 1 .. input_bits bits

@@ -7,22 +7,27 @@ self-interference converts the phase increment over the interferometer
 delay into a voltage A*sin(dtheta), electronic noise adds on top, and
 an idealized ADC maps voltages to signed integer codes.
 
-A design point's quantum trace is built in one buffer
-(``_quantum_trace``, the route of ``evaluate_point`` and ``lpnqrng
-simulate``): the n - 1 variates that ``gaussian_stream`` returns.
+Each stage has one implementation. ``_steps`` draws the n - 1 scaled
+phase steps in the array that ``gaussian_stream`` returns.
+``sample_phase_path`` sums them into a new path behind theta[0] = 0;
+the route of ``evaluate_point`` and ``lpnqrng simulate``
+(``_quantum_trace``) sums them in place, so its buffer holds
+theta[1 .. n-1]. ``_interfere`` then writes
+q[m] = A*sin(theta[m+k] - theta[m]) for a path given as theta[0] and
+theta[1:]:
 
-- They are scaled to phase steps and summed in place, so the buffer
-  holds theta[1 .. n-1]; the origin theta[0] = 0 is implicit.
-- The buffer is then overwritten from the top down with
-  q[m] = A*sin(theta[m+k] - theta[m]) in the slot of theta[m+k], so q
-  is the view ``buf[k-1:]``. A slot is written only after every sample
-  that reads it.
-- The samples are split into parts as in ``quantum_noise``. The part
-  below a part overwrites the operands of that part's lowest
-  min(k, part) samples. So every part first computes those heads into
-  a small array, all parts at once. Then each part computes the rest
-  from its top down through a cache-sized scratch chunk, and writes its
-  head last. Part 0's head is its one sample that reads theta[0].
+- ``quantum_noise`` passes a frozen path and gets a new array;
+- the route passes its buffer ``in_place`` and gets the view
+  ``buf[k-1:]``: q[m] lies in the slot of theta[m+k], which is written
+  only after every sample that reads it.
+
+The samples are split into parts, at most one per CPU. The part below
+a part overwrites the operands of that part's lowest min(k, part)
+samples when the output aliases the path. So every part first computes
+those heads into a small array, all parts at once. Then each part
+computes the rest from its top down through a cache-sized scratch
+chunk, and writes its head last. Part 0's head is its one sample that
+reads theta[0].
 
 The route holds at most n + (parts - 1)*min(k, part) samples, plus one
 chunk per part; ``sample_phase_path`` then ``quantum_noise`` hold 2n.
@@ -40,17 +45,17 @@ import numpy as np
 
 from . import _parallel
 from .errors import InvalidParameterError, PathTooShortError
-from .params import (AdcSpec, check_count, check_n_samples, check_seed,
-                     non_negative, one_of, positive)
+from .params import (AdcSpec, check_count, check_n_samples, non_negative,
+                     one_of, positive)
 from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
 
-# samples per unit of quantum_noise's split: a smaller part costs more
+# samples per unit of _interfere's split: a smaller part costs more
 # to hand to a thread than its sines take
 _PART_QUANTUM = 2**15
 
-# samples per scratch chunk of _quantum_trace: the chunk and its
+# samples per scratch chunk of _interfere: the chunk and its
 # operands stay in cache through the subtract, sin, scale and copy
 _CHUNK = 2**13
 
@@ -141,61 +146,79 @@ def sample_phase_path(linewidth_hz: float, sample_period_s: float,
         64-bit stream seed; same seed and parameters reproduce the
         path bit for bit.
     """
-    check_n_samples(n_samples)
-    std = _step_std(linewidth_hz, sample_period_s)
-    out = np.empty(n_samples)
+    steps = _steps(linewidth_hz, sample_period_s, n_samples, seed)
+    out = np.empty(len(steps) + 1)
     out[0] = 0.0
-    if std == 0.0:
-        out[1:] = 0.0
-    else:
-        steps = gaussian_stream(seed, n_samples - 1)
-        steps *= std
-        np.cumsum(steps, out=out[1:])
+    np.cumsum(steps, out=out[1:])
     return PhasePath(out, sample_period_s)
 
 
-def _step_std(linewidth_hz: float, sample_period_s: float) -> float:
-    """Standard deviation of one phase step, sqrt(2*pi*linewidth*tau_s)."""
-    return math.sqrt(TWO_PI * non_negative("linewidth_hz", linewidth_hz)
-                     * positive("sample_period_s", sample_period_s))
-
-
-def _check_interference(n_path: int, k: int, amplitude: float) -> int:
-    """The delay index k, checked with the amplitude against a path of
-    ``n_path`` samples."""
-    k = check_count("delay index", k, 1)
-    positive("amplitude", amplitude)
-    if n_path <= k:
-        raise PathTooShortError(
-            f"path of {n_path} samples cannot support delay index {k}")
-    return k
+def _steps(linewidth_hz: float, sample_period_s: float, n_samples: int,
+           seed: int) -> np.ndarray:
+    """The n_samples - 1 phase steps of a path, scaled in the array that
+    ``gaussian_stream`` returns; zeros at zero linewidth, where no stream
+    is drawn and so the seed is not checked."""
+    n = check_n_samples(n_samples)
+    std = math.sqrt(TWO_PI * non_negative("linewidth_hz", linewidth_hz)
+                    * positive("sample_period_s", sample_period_s))
+    if std == 0.0:
+        return np.zeros(n - 1)
+    steps = gaussian_stream(seed, n - 1)
+    steps *= std
+    return steps
 
 
 def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     """Delayed self-interference output A*sin(theta[m+k] - theta[m]).
 
     The result has len(path) - k samples and every sample lies in
-    [-amplitude, amplitude]. The samples are computed in at most one
-    part per CPU the process may run on, split at multiples of 2**15
-    samples; each sample is the same subtract, sin and scale whatever
-    the split, so the output does not depend on the core count.
+    [-amplitude, amplitude]. It is a new array: the path is only read.
+    The samples are computed in at most one part per CPU the process may
+    run on, split at multiples of 2**15 samples; each sample is the same
+    subtract, sin and scale whatever the split, so the output does not
+    depend on the core count.
     """
-    theta = path.samples
-    k = _check_interference(len(theta), k, amplitude)
-    q = np.empty(len(theta) - k)
-    _parallel.run(lambda a, b: _interfere(theta[a + k:b + k], theta[a:b],
-                                          amplitude, q[a:b]),
-                  _parallel.split(len(q), _PART_QUANTUM))
+    q = _interfere(path.samples[:1], path.samples[1:], k, amplitude, False)
     return AnalogTrace(q, path.sample_period_s, LABEL_QUANTUM)
 
 
-def _interfere(later: np.ndarray, earlier: np.ndarray, amplitude: float,
-               out: np.ndarray) -> None:
-    """amplitude * sin(later - earlier) into ``out``: the one interference
-    formula, which quantum_noise and _quantum_trace share."""
-    np.subtract(later, earlier, out=out)
-    np.sin(out, out=out)
-    out *= amplitude
+def _interfere(origin: np.ndarray, theta: np.ndarray, k: int,
+               amplitude: float, in_place: bool) -> np.ndarray:
+    """q[m] = amplitude*sin(theta[m+k] - theta[m]) of the path whose
+    theta[0] is ``origin[0]`` and whose theta[1:] is ``theta``: a new
+    array, or with ``in_place`` the view theta[k-1:] (module docstring).
+    k, the amplitude and the path length are checked in that order."""
+    n = len(origin) + len(theta)  # an empty path has no origin
+    k = check_count("delay index", k, 1)
+    positive("amplitude", amplitude)
+    if n <= k:
+        raise PathTooShortError(
+            f"path of {n} samples cannot support delay index {k}")
+    out = theta[k - 1:] if in_place else np.empty(n - k)
+    parts = _parallel.split(n - k, _PART_QUANTUM)
+    heads = [np.empty(min(k, b - a) if a else 1) for a, b in parts]
+
+    def wave(m: int, top: int, dst: np.ndarray) -> None:
+        # samples m .. top - 1; theta[j] holds the path's sample j + 1
+        earlier = theta[m - 1:top - 1] if m else origin
+        np.subtract(theta[m + k - 1:top + k - 1], earlier, out=dst)
+        np.sin(dst, out=dst)
+        dst *= amplitude
+
+    def rest(p: int, a: int, b: int) -> None:
+        low = a + len(heads[p])
+        scratch = np.empty(min(_CHUNK, b - low))
+        for top in range(b, low, -_CHUNK):
+            m = max(low, top - _CHUNK)
+            wave(m, top, scratch[:top - m])
+            out[m:top] = scratch[:top - m]
+        out[a:low] = heads[p]
+
+    # every head is computed before any part writes ``out``
+    _parallel.run(lambda p, a: wave(a, a + len(heads[p]), heads[p]),
+                  [(p, a) for p, (a, _) in enumerate(parts)])
+    _parallel.run(rest, [(p, a, b) for p, (a, b) in enumerate(parts)])
+    return out
 
 
 def _quantum_trace(linewidth_hz: float, sample_period_s: float,
@@ -204,41 +227,10 @@ def _quantum_trace(linewidth_hz: float, sample_period_s: float,
     """quantum_noise(sample_phase_path(linewidth_hz, sample_period_s,
     n_samples, seed), k, amplitude), byte for byte and with the same
     errors in the same order, built in one buffer (module docstring)."""
-    n = check_n_samples(n_samples)
-    std = _step_std(linewidth_hz, sample_period_s)
-    if std:  # where sample_phase_path's draw checks the seed
-        check_seed("seed", seed)
-    k = _check_interference(n, k, amplitude)
-    if not std:
-        return AnalogTrace(np.zeros(n - k), sample_period_s, LABEL_QUANTUM)
-    buf = gaussian_stream(seed, n - 1)
-    buf *= std
-    np.cumsum(buf, out=buf)  # buf[j] = theta[j + 1]
-    parts = _parallel.split(n - k, _PART_QUANTUM)
-    heads = [np.empty(min(k, b - a) if a else 1) for a, b in parts]
-
-    def head(p: int, a: int) -> None:
-        # sample m reads theta[m] from buf[m - 1]; theta[0] = 0 is no slot
-        out = heads[p]
-        earlier = buf[a - 1:a - 1 + len(out)] if a else np.zeros(1)
-        _interfere(buf[a + k - 1:a + k - 1 + len(out)], earlier, amplitude,
-                   out)
-
-    def rest(p: int, a: int, b: int) -> None:
-        low = a + len(heads[p])
-        scratch = np.empty(min(_CHUNK, b - low))
-        for top in range(b, low, -_CHUNK):
-            m = max(low, top - _CHUNK)
-            out = scratch[:top - m]
-            _interfere(buf[m + k - 1:top + k - 1], buf[m - 1:top - 1],
-                       amplitude, out)
-            buf[m + k - 1:top + k - 1] = out
-        buf[a + k - 1:low + k - 1] = heads[p]
-
-    # every head is computed before any part writes the buffer
-    _parallel.run(head, [(p, a) for p, (a, _) in enumerate(parts)])
-    _parallel.run(rest, [(p, a, b) for p, (a, b) in enumerate(parts)])
-    return AnalogTrace(buf[k - 1:], sample_period_s, LABEL_QUANTUM)
+    theta = _steps(linewidth_hz, sample_period_s, n_samples, seed)
+    np.cumsum(theta, out=theta)
+    q = _interfere(np.zeros(1), theta, k, amplitude, True)
+    return AnalogTrace(q, sample_period_s, LABEL_QUANTUM)
 
 
 def add_electronic_noise(trace: AnalogTrace, sigma_ele: float,

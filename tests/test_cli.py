@@ -205,6 +205,18 @@ class TestPsd:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["bandwidth"]["saturated"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--nfft", 1000], ["--overlap", 1.5], ["--plateau-bins", 0],
+        ["--nfft", 1024, "--plateau-bins", 513]],
+        ids=["nfft", "overlap", "plateau-bins", "plateau-bins-above-nfft/2"])
+    def test_bad_setting_fails_before_the_trace_is_read(self, tmp_path,
+                                                         capsys, argv):
+        # the trace is missing, which would exit 3 had it been read first
+        assert run("psd", "--trace", tmp_path / "nope.f64",
+                   "--out-dir", tmp_path / "out", *argv) == 2
+        one_error_line(capsys, "invalid-parameter")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_metadata_exit_code(self, tmp_path):
         orphan = tmp_path / "orphan.f64"
         orphan.write_bytes(b"\x00" * 80)

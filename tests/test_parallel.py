@@ -8,6 +8,7 @@ with the one-worker result. The extractor's parts share the caller's
 buffers, so its memory peak must not grow with the part count either.
 """
 import importlib.util
+import math
 import multiprocessing
 import os
 import subprocess
@@ -25,8 +26,7 @@ from scipy.special import ndtri
 
 from lpnqrng import (AdcSpec, SimSettings, ToeplitzSpec, _parallel,
                      estimate_psd, evaluate_point, extract_block,
-                     extract_stream, gaussian_stream, quantum_noise,
-                     sample_phase_path)
+                     extract_stream, gaussian_stream, quantum_noise)
 from lpnqrng.extractor import _BATCH_SAMPLES, codes_to_bits
 from lpnqrng.rng import _GAUSS_BLOCK, raw_stream
 from lpnqrng.simulate import (AnalogTrace, PhasePath, QuantizedTrace,
@@ -61,19 +61,6 @@ def test_gaussian_stream_matches_formula_at_every_worker_count(monkeypatch, n):
         assert np.array_equal(z, expected)
 
 
-@pytest.mark.parametrize("n_samples", [1001, 2 * B + 1, 3 * B + 7])
-@pytest.mark.parametrize("k", [1, 25])
-def test_quantum_noise_matches_formula_at_every_worker_count(monkeypatch,
-                                                            n_samples, k):
-    theta = sample_phase_path(9.5e6, TAU_S, n_samples, seed=4).samples
-    amplitude = AdcSpec().default_amplitude()
-    expected = np.sin(theta[k:] - theta[:-k]) * amplitude
-    path = PhasePath(theta, TAU_S)
-    for q in per_worker_count(monkeypatch,
-                              lambda: quantum_noise(path, k, amplitude)):
-        assert np.array_equal(q.samples, expected)
-
-
 # k = 1 with n = 2 is a one-sample trace; at 2**17 + 3 and 3 * 2**15 + 2
 # samples the parts are longer, equal to and shorter than the heads
 # min(k, part) that each part computes before the part below writes
@@ -82,16 +69,39 @@ QUANTUM_TRACE_CASES = [(k, k + 1) for k in (1, 25, B - 1, B, B + 5)] + [
     for k in (1, 25, B - 1, B, B + 5, n - 1)]
 
 
-@pytest.mark.parametrize("k,n_samples", QUANTUM_TRACE_CASES)
-def test_quantum_trace_matches_the_two_calls_at_every_worker_count(
-        monkeypatch, k, n_samples):
+def drawn_theta(n_samples, seed):
+    """The Wiener path at 9.5 MHz: the cumulative sum of scaled variates."""
+    steps = gaussian_stream(seed, n_samples - 1) * math.sqrt(
+        2 * math.pi * 9.5e6 * TAU_S)
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+@pytest.mark.parametrize("k,n_samples", [
+    (k, n) for n in (1001, 2 * B + 1, 3 * B + 7) for k in (1, 25)]
+    + QUANTUM_TRACE_CASES)
+def test_quantum_noise_matches_formula_at_every_worker_count(monkeypatch,
+                                                            k, n_samples):
+    # the public call and the one-buffer route of a design point
+    theta = drawn_theta(n_samples, 4)
     amplitude = AdcSpec().default_amplitude()
-    path = sample_phase_path(9.5e6, TAU_S, n_samples, seed=4)
-    expected = quantum_noise(path, k, amplitude).samples.tobytes()
-    for q in per_worker_count(monkeypatch, lambda: _quantum_trace(
-            9.5e6, TAU_S, n_samples, k, amplitude, 4)):
-        assert len(q) == n_samples - k
-        assert q.samples.tobytes() == expected
+    expected = amplitude * np.sin(theta[k:] - theta[:-k])
+    path = PhasePath(theta, TAU_S)
+    for q, route in per_worker_count(monkeypatch, lambda: (
+            quantum_noise(path, k, amplitude),
+            _quantum_trace(9.5e6, TAU_S, n_samples, k, amplitude, 4))):
+        assert np.array_equal(q.samples, expected)
+        assert route.samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, B + 5])
+def test_quantum_noise_reads_the_paths_own_origin(monkeypatch, k):
+    # a path is any array: theta[0] need not be the drawn origin 0
+    theta = drawn_theta(3 * B + 2, 6) + 1.7
+    expected = 0.5 * np.sin(theta[k:] - theta[:-k])
+    path = PhasePath(theta, TAU_S)
+    for q in per_worker_count(monkeypatch,
+                              lambda: quantum_noise(path, k, 0.5)):
+        assert np.array_equal(q.samples, expected)
 
 
 # at nfft 4096 a block is 32 segments, so a full leaf of 128 splits

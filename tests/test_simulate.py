@@ -24,8 +24,8 @@ from lpnqrng.errors import (
     LpnError,
     PathTooShortError,
 )
-from lpnqrng.simulate import (AnalogTrace, QuantizedTrace, _quantum_trace,
-                              quantize_value)
+from lpnqrng.simulate import (AnalogTrace, PhasePath, QuantizedTrace,
+                              _quantum_trace, quantize_value)
 
 from conftest import base_params, chunk_se_of_variance, quantum_trace
 
@@ -129,6 +129,13 @@ class TestQuantumNoise:
         path = sample_phase_path(1e6, 1e-10, 10, seed=0)
         with pytest.raises(PathTooShortError):
             quantum_noise(path, 10, 1.0)
+
+    def test_empty_path_is_counted_as_zero_samples(self):
+        # the kernel takes theta[0] apart from theta[1:]; an empty path
+        # has neither
+        with pytest.raises(PathTooShortError,
+                           match="^path of 0 samples cannot support"):
+            quantum_noise(PhasePath(np.zeros(0), 1e-10), 1, 1.0)
 
 
 class TestQuantumTrace:
