@@ -9,10 +9,52 @@ Raw ADC codes are serialized to bits as n-bit two's-complement words,
 most significant bit first, then split into n_in-bit blocks that are
 hashed independently with the same matrix.
 
-There is one GF(2) kernel, pure NumPy with no build step. T @ x is
-the linear convolution of t' and x at indices n_in - 1 .. n_in + n_out - 2.
-Zero-padded to L, the next power of two >= n_in + n_out - 1, the
-circular convolution does not wrap into those indices, so
+There are two exact GF(2) kernels, pure NumPy with no build step. The
+geometry alone picks one: the byte table runs iff L, the FFT length
+(below), is at most 2**14, and the FFT convolution when L is larger. A
+table block costs O(n_in * n_out / 64) byte operations and an FFT block
+O(L log L), so the table wins on the blocks of production and loses on
+large ones. Per 2**23 input bits on a 2-core x86-64 machine at two
+workers, ms, two runs of the median of 9 calls:
+
+    n_in -> n_out     L         FFT     table
+      512 -> 450      2**10    58-63    22-23
+     1024 -> 901      2**11    62-63       22
+     2048 -> 1800     2**12    64-66    29-30
+     4096 -> 3604     2**13    85-92    39-45
+     8192 -> 7208     2**14    70-85    59-76
+    16384 -> 14417    2**15    97-99  129-140
+
+Table kernel. With B = ceil(n_in / 8), let t'' be t' behind 8B - n_in
+zeros, so T[r][c] = t''[8B - 1 + r - c]: column c is the window of t''
+that starts at 8B - 1 - c. A block packed MSB first puts column
+8j + 7 - u at bit u of its byte j (the pad columns are zeros), and that
+column starts at 8(B - 1 - j) + u. With the byte table
+
+    H[v][s] = XOR over the set bits u of v of t''[s + u],
+
+for v in 0 .. 255 and s in 0 .. 8(B - 1) + n_out - 1,
+
+    T @ x mod 2 = XOR over j of H[x_j][8(B - 1 - j) : 8(B - 1 - j) + n_out].
+
+Every window starts on a byte boundary, so the rows of H are stored
+packed, a byte per 8 bits, and hashing one block is B gathers and XORs
+of ceil(n_out / 8) bytes. Nothing is rounded: the kernel computes the
+XOR itself, so it is exact with no bound. H is 123 KB at
+2048 -> 1800 and is built once per ``ToeplitzSpec`` from eight shifted
+copies of t'', in 0.2 ms on that machine. The blocks are packed once, then
+split into one range per part at whole batches of about _TABLE_BYTES
+packed output bytes (2330 blocks at 2048 -> 1800); a part XORs its
+range a batch at a time into its rows of the caller's packed output,
+which the caller then unpacks _UNPACK_ROWS blocks at a time into the
+one output. NumPy's gather takes no ``out=``, so a part allocates one
+window of its batch per input byte. A call with at most one batch of
+blocks starts no thread.
+
+FFT kernel. T @ x is the linear convolution of t' and x at indices
+n_in - 1 .. n_in + n_out - 2. Zero-padded to L, the next power of two
+>= n_in + n_out - 1, the circular convolution does not wrap into those
+indices, so
 
     y = irfft(rfft(x) * rfft(t'))[n_in - 1 : n_in - 1 + n_out]
 
@@ -42,7 +84,7 @@ L = 2**32. Over the 4096 blocks of one bitgen benchmark operation the
 worst distance to the nearest integer is 5.7e-14 at p = 1, 9.5e-7 at
 p = 3 and 1.2e-2 at p = 4.
 
-The kernel runs on every core (``_parallel``). The blocks split into
+The FFT kernel runs on every core (``_parallel``). The blocks split into
 one range per part at multiples of rows * p, and each part hashes its
 range a batch of rows * p blocks at a time into its slice of the one
 output. rows is the serial batch of _BATCH_SAMPLES // L rows divided
@@ -58,7 +100,7 @@ change a bit: each y[r] is an integer, the bound above holds for any
 FFT of the usual O(u log L) accuracy, pocketfft in NumPy and in SciPy
 alike, so rint returns that integer whichever library computes it.
 
-``GF2_BACKEND`` names that kernel; it is always "numpy".
+``GF2_BACKEND`` names the kernels' library; it is always "numpy".
 """
 from __future__ import annotations
 
@@ -82,6 +124,21 @@ GF2_BACKEND = "numpy"
 #: bounds the float64 and complex128 working arrays to a few MB for any
 #: geometry; 64 rows, or 192 blocks, at 2048 -> 1800
 _BATCH_SAMPLES = 1 << 18
+
+#: the table kernel hashes the blocks when L is at most this, the FFT
+#: kernel above it (module doc)
+_TABLE_MAX_LENGTH = 1 << 14
+
+#: the table kernel's parts XOR batches of about _TABLE_BYTES packed
+#: output bytes, and the blocks split at whole batches: NumPy holds the
+#: interpreter lock while it gathers the windows, so parts with smaller
+#: batches spend their time waiting for it, and a larger batch no longer
+#: fits in a core's cache
+_TABLE_BYTES = 1 << 19
+
+#: blocks per np.unpackbits call of the table kernel, whose temporary
+#: would otherwise be a second copy of the output
+_UNPACK_ROWS = 1 << 8
 
 
 def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
@@ -187,9 +244,66 @@ class ToeplitzSpec:
         """rfft of t', zero-padded to L."""
         return np.fft.rfft(self._diagonals, n=self._fft_length)
 
+    @cached_property
+    def _byte_table(self) -> np.ndarray:
+        """H, one packed row per byte value v: bit s of row v is the XOR
+        of t''[s + u] over the set bits u of v (module doc)."""
+        n_bytes = -(-self.input_bits // 8)
+        padded = np.concatenate([
+            np.zeros(8 * n_bytes - self.input_bits, dtype=np.uint8),
+            self._diagonals])
+        width = 8 * (n_bytes - 1) + self.output_bits
+        table = np.zeros((256, -(-width // 8)), dtype=np.uint8)
+        for u in range(8):  # rows 2**u .. 2**(u+1) - 1 add bit u
+            np.bitwise_xor(table[:1 << u], np.packbits(padded[u:u + width]),
+                           out=table[1 << u:2 << u])
+        return table
+
 
 def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
-    """out[b] = T @ blocks[b] mod 2 for an (n_blocks, n_in) 0/1 array."""
+    """out[b] = T @ blocks[b] mod 2 for an (n_blocks, n_in) 0/1 array,
+    by the faster kernel for the geometry (module doc)."""
+    if spec._fft_length <= _TABLE_MAX_LENGTH:
+        return _toeplitz_table(spec, blocks)
+    return _toeplitz_fft(spec, blocks)
+
+
+def _toeplitz_table(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
+    """_toeplitz_apply by the byte table (module doc)."""
+    table = spec._byte_table  # read here, not first on a part's thread
+    n_blocks, n_out = len(blocks), spec.output_bits
+    # out before the packed blocks and outputs, as in _toeplitz_fft:
+    # packing first raised the bitgen benchmark's peak RSS from 169 to
+    # 184 MB
+    out = np.empty((n_blocks, n_out), dtype=np.uint8)
+    packed = np.packbits(blocks, axis=1)
+    y = np.empty((n_blocks, -(-n_out // 8)), dtype=np.uint8)
+    rows = max(_TABLE_BYTES // y.shape[1], 1)
+    _parallel.run(lambda a, b: _table_part(packed[a:b], table, rows, y[a:b]),
+                  _parallel.split(n_blocks, rows))
+    for a in range(0, n_blocks, _UNPACK_ROWS):
+        out[a:a + _UNPACK_ROWS] = np.unpackbits(y[a:a + _UNPACK_ROWS],
+                                                axis=1, count=n_out)
+    return out
+
+
+def _table_part(packed: np.ndarray, table: np.ndarray, rows: int,
+                y: np.ndarray) -> None:
+    """y[b] = T @ x_b mod 2, packed, for the packed blocks x_b, rows
+    blocks at a time: one XOR of a window of H per input byte (module
+    doc)."""
+    n_bytes, width = packed.shape[1], y.shape[1]
+    for first in range(0, len(packed), rows):
+        group = packed[first:first + rows]
+        acc = y[first:first + rows]
+        acc[:] = 0
+        for j in range(n_bytes):
+            start = n_bytes - 1 - j
+            acc ^= table[group[:, j], start:start + width]
+
+
+def _toeplitz_fft(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
+    """_toeplitz_apply by the packed FFT convolution (module doc)."""
     n_in, n_out, length = spec.input_bits, spec.output_bits, spec._fft_length
     # read here, so no cached property is first computed on a part's thread
     lanes, seed_spectrum = spec._lanes, spec._seed_spectrum
@@ -208,17 +322,17 @@ def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
     y = np.empty(shape + (length,))
     products = np.empty(shape + (n_out,), dtype=np.int64)
     _parallel.run(
-        lambda p, a, b: _toeplitz_part(
+        lambda p, a, b: _fft_part(
             blocks[a:b], seed_spectrum, lanes, x[p], spectrum[p], y[p],
             products[p], out[a:b]),
         [(p, a, b) for p, (a, b) in enumerate(ranges)])
     return out
 
 
-def _toeplitz_part(blocks: np.ndarray, seed_spectrum: np.ndarray, lanes: int,
+def _fft_part(blocks: np.ndarray, seed_spectrum: np.ndarray, lanes: int,
                    x: np.ndarray, spectrum: np.ndarray, y: np.ndarray,
                    products: np.ndarray, out: np.ndarray) -> None:
-    """_toeplitz_apply of ``blocks`` into ``out``, len(x) rows of lanes
+    """_toeplitz_fft of ``blocks`` into ``out``, len(x) rows of lanes
     blocks at a time, through the caller's buffers (module doc)."""
     n_in, n_out = blocks.shape[1], out.shape[1]
     shift = n_in.bit_length()
@@ -289,7 +403,7 @@ def monobit_test(bits: np.ndarray) -> float:
     """Frequency test p-value: is the ones/zeros balance plausible?"""
     arr = _as_bit_array(bits, 100)
     n = arr.size
-    s = abs(2.0 * int(arr.sum()) - n) / math.sqrt(n)
+    s = abs(2.0 * np.count_nonzero(arr) - n) / math.sqrt(n)
     return float(erfc(s / math.sqrt(2.0)))
 
 
@@ -301,10 +415,10 @@ def runs_test(bits: np.ndarray) -> float:
     """
     arr = _as_bit_array(bits, 100)
     n = arr.size
-    pi = float(arr.mean())
+    pi = np.count_nonzero(arr) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return 0.0
-    v = 1 + int(np.count_nonzero(np.diff(arr)))
+    v = 1 + np.count_nonzero(arr[1:] != arr[:-1])
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return float(erfc(num / den))

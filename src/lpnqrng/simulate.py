@@ -45,8 +45,8 @@ import numpy as np
 
 from . import _parallel
 from .errors import InvalidParameterError, PathTooShortError
-from .params import (AdcSpec, check_count, check_n_samples, non_negative,
-                     one_of, positive)
+from .params import (AdcSpec, check_count, check_n_samples, check_seed,
+                     non_negative, one_of, positive)
 from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
@@ -154,13 +154,18 @@ def sample_phase_path(linewidth_hz: float, sample_period_s: float,
 
 
 def _steps(linewidth_hz: float, sample_period_s: float, n_samples: int,
-           seed: int) -> np.ndarray:
+           seed: int, check=None) -> np.ndarray:
     """The n_samples - 1 phase steps of a path, scaled in the array that
     ``gaussian_stream`` returns; zeros at zero linewidth, where no stream
-    is drawn and so the seed is not checked."""
+    is drawn and so the seed is not checked. ``check(n_samples)``, when
+    given, runs after these checks and before any array is made."""
     n = check_n_samples(n_samples)
     std = math.sqrt(TWO_PI * non_negative("linewidth_hz", linewidth_hz)
                     * positive("sample_period_s", sample_period_s))
+    if std != 0.0:
+        seed = check_seed("seed", seed)
+    if check is not None:
+        check(n)
     if std == 0.0:
         return np.zeros(n - 1)
     steps = gaussian_stream(seed, n - 1)
@@ -182,18 +187,25 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     return AnalogTrace(q, path.sample_period_s, LABEL_QUANTUM)
 
 
-def _interfere(origin: np.ndarray, theta: np.ndarray, k: int,
-               amplitude: float, in_place: bool) -> np.ndarray:
-    """q[m] = amplitude*sin(theta[m+k] - theta[m]) of the path whose
-    theta[0] is ``origin[0]`` and whose theta[1:] is ``theta``: a new
-    array, or with ``in_place`` the view theta[k-1:] (module docstring).
-    k, the amplitude and the path length are checked in that order."""
-    n = len(origin) + len(theta)  # an empty path has no origin
+def _check_delay(n: int, k: int, amplitude: float) -> int:
+    """k, the amplitude and a path of n samples checked for
+    interference, in that order; returns k."""
     k = check_count("delay index", k, 1)
     positive("amplitude", amplitude)
     if n <= k:
         raise PathTooShortError(
             f"path of {n} samples cannot support delay index {k}")
+    return k
+
+
+def _interfere(origin: np.ndarray, theta: np.ndarray, k: int,
+               amplitude: float, in_place: bool) -> np.ndarray:
+    """q[m] = amplitude*sin(theta[m+k] - theta[m]) of the path whose
+    theta[0] is ``origin[0]`` and whose theta[1:] is ``theta``: a new
+    array, or with ``in_place`` the view theta[k-1:] (module docstring).
+    Its arguments are checked by ``_check_delay``."""
+    n = len(origin) + len(theta)  # an empty path has no origin
+    k = _check_delay(n, k, amplitude)
     out = theta[k - 1:] if in_place else np.empty(n - k)
     parts = _parallel.split(n - k, _PART_QUANTUM)
     heads = [np.empty(min(k, b - a) if a else 1) for a, b in parts]
@@ -226,8 +238,10 @@ def _quantum_trace(linewidth_hz: float, sample_period_s: float,
                    seed: int) -> AnalogTrace:
     """quantum_noise(sample_phase_path(linewidth_hz, sample_period_s,
     n_samples, seed), k, amplitude), byte for byte and with the same
-    errors in the same order, built in one buffer (module docstring)."""
-    theta = _steps(linewidth_hz, sample_period_s, n_samples, seed)
+    errors in the same order, built in one buffer (module docstring).
+    Every argument is checked before the path is drawn."""
+    theta = _steps(linewidth_hz, sample_period_s, n_samples, seed,
+                   lambda n: _check_delay(n, k, amplitude))
     np.cumsum(theta, out=theta)
     q = _interfere(np.zeros(1), theta, k, amplitude, True)
     return AnalogTrace(q, sample_period_s, LABEL_QUANTUM)

@@ -217,14 +217,74 @@ class TestExtractBlock:
         assert np.array_equal(extract_block(x, spec), extract_block(x, spec))
 
 
+KERNELS = ("_toeplitz_table", "_toeplitz_fft")
+
+
 class TestKernel:
-    def test_kernel_matches_dense_oracle(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_kernel_matches_dense_oracle(self, kernel):
         rng = np.random.default_rng(13)
         for _ in range(100):
             spec = random_spec(rng)
             x = rng.integers(0, 2, spec.input_bits).astype(np.uint8)
-            got = extractor._toeplitz_apply(spec, x[None, :])[0]
+            got = getattr(extractor, kernel)(spec, x[None, :])[0]
             assert np.array_equal(got, dense_oracle(spec, x).astype(np.uint8))
+
+    # n_in and n_out off a multiple of 8, n_in < 8, 1 x 1 and whole bytes
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("n_in,n_out", [
+        (1, 1), (2, 1), (7, 7), (7, 3), (8, 8), (8, 1), (9, 9), (9, 2),
+        (15, 9), (16, 16), (17, 8), (64, 48), (100, 61), (2049, 1801)])
+    @pytest.mark.parametrize("seed", ["random", "ones"])
+    def test_kernel_edge_geometries_against_dense_oracle(self, kernel, n_in,
+                                                         n_out, seed):
+        rng = np.random.default_rng(n_in * 7 + n_out)
+        n_seed = n_in + n_out - 1
+        spec = ToeplitzSpec(n_in, n_out, (
+            rng.integers(0, 2, n_seed) if seed == "random"
+            else np.ones(n_seed)).astype(np.uint8))
+        x = rng.integers(0, 2, (5, n_in)).astype(np.uint8)
+        x[0] = 1  # the all-ones block sums every seed bit of a row
+        want = np.array([dense_oracle(spec, b) for b in x], dtype=np.uint8)
+        assert np.array_equal(getattr(extractor, kernel)(spec, x), want)
+
+    def test_kernel_choice_follows_the_transform_length(self, monkeypatch):
+        ran = []
+        for kernel in KERNELS:
+            monkeypatch.setattr(extractor, kernel,
+                                lambda spec, blocks, kernel=kernel:
+                                ran.append(kernel) or blocks[:, :1])
+        # n_in + n_out - 1 = 2**14 is the largest table geometry
+        for n_in, n_out in ((1, 1), (2048, 1800), (8193, 8192), (8193, 8193),
+                            (2**17, 2**17 - 5)):
+            spec = ToeplitzSpec(n_in, n_out,
+                                np.zeros(n_in + n_out - 1, dtype=np.uint8))
+            extractor._toeplitz_apply(spec, np.zeros((1, n_in), dtype=np.uint8))
+        assert ran == ["_toeplitz_table"] * 3 + ["_toeplitz_fft"] * 2
+
+    def test_byte_table_rows(self):
+        # row 2**u is t'' from u on; every row is the XOR of its bits' rows
+        spec = ToeplitzSpec(2048, 1800, bit_stream(19, 3847))
+        table = spec._byte_table
+        assert table.shape == (256, 480) and table.dtype == np.uint8
+        assert not table[0].any()
+        width = 8 * 255 + 1800
+        for u in range(8):
+            want = np.packbits(spec._diagonals[u:u + width])
+            assert np.array_equal(table[1 << u], want)
+        for v in range(256):
+            assert np.array_equal(table[v], np.bitwise_xor.reduce(
+                table[[1 << u for u in range(8) if v >> u & 1] or [0]]))
+
+    def test_table_block_counts_straddling_the_batch_edge(self):
+        rng = np.random.default_rng(20)
+        spec = ToeplitzSpec(2048, 1800, rng.integers(0, 2, 3847).astype(np.uint8))
+        batch = extractor._TABLE_BYTES // (1800 // 8)
+        dense = spec.matrix().astype(np.float64)
+        for n_blocks in (1, batch - 1, batch, batch + 1, 2 * batch + 1):
+            blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
+            want = (blocks @ dense.T).astype(np.int64) % 2
+            assert np.array_equal(extractor._toeplitz_table(spec, blocks), want)
 
     def test_block_counts_straddling_the_chunk_edge(self):
         rng = np.random.default_rng(14)
@@ -234,7 +294,7 @@ class TestKernel:
         for n_blocks in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
             want = (blocks @ dense.T).astype(np.int64) % 2
-            assert np.array_equal(extractor._toeplitz_apply(spec, blocks), want)
+            assert np.array_equal(extractor._toeplitz_fft(spec, blocks), want)
 
     def test_lane_edges_against_dense_oracle(self):
         rng = np.random.default_rng(17)
@@ -246,7 +306,7 @@ class TestKernel:
                          chunk * p + 1, 2 * chunk * p + 1):
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
             want = (blocks @ dense.T).astype(np.int64) % 2
-            assert np.array_equal(extractor._toeplitz_apply(spec, blocks), want)
+            assert np.array_equal(extractor._toeplitz_fft(spec, blocks), want)
 
     def test_packed_random_shapes_against_dense_oracle(self):
         # small geometries pack the most lanes (up to 52 at 1 -> 1)
@@ -257,7 +317,7 @@ class TestKernel:
             n_blocks = int(rng.integers(1, 3 * p + 2))
             x = rng.integers(0, 2, (n_blocks, spec.input_bits)).astype(np.uint8)
             want = np.array([dense_oracle(spec, b) for b in x], dtype=np.uint8)
-            assert np.array_equal(extractor._toeplitz_apply(spec, x), want)
+            assert np.array_equal(extractor._toeplitz_fft(spec, x), want)
 
     @pytest.mark.parametrize("n_in", [2047, 2048])
     def test_worst_case_carry_stays_in_its_lane(self, n_in):
@@ -273,7 +333,7 @@ class TestKernel:
                                    lane % 2 == 1, np.zeros_like(b)]).astype(bool)
         blocks = np.repeat(ones[:, None], n_in, axis=1).astype(np.uint8)
         want = np.repeat((ones & (n_in % 2 == 1))[:, None], 1800, axis=1)
-        assert np.array_equal(extractor._toeplitz_apply(spec, blocks), want)
+        assert np.array_equal(extractor._toeplitz_fft(spec, blocks), want)
 
     def test_lane_rule(self):
         def bound(n_in, n_out, p):
@@ -307,7 +367,7 @@ class TestKernel:
         n_in, n_out = 2**17, 2**17 - 5
         spec = ToeplitzSpec(n_in, n_out, bit_stream(15, n_in + n_out - 1))
         x = bit_stream(16, 2 * n_in).reshape(2, n_in)
-        out = extractor._toeplitz_apply(spec, x)
+        out = extractor._toeplitz_fft(spec, x)
         c = np.arange(n_in)
         for r in (0, n_out // 2, n_out - 1):
             row = spec.seed_bits[np.where(r >= c, r - c, n_out - 1 + c - r)]

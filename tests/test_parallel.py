@@ -24,10 +24,11 @@ import pytest
 from scipy import signal
 from scipy.special import ndtri
 
-from lpnqrng import (AdcSpec, SimSettings, ToeplitzSpec, _parallel,
+from lpnqrng import (AdcSpec, SimSettings, ToeplitzSpec, _parallel, extractor,
                      estimate_psd, evaluate_point, extract_block,
                      extract_stream, gaussian_stream, quantum_noise)
-from lpnqrng.extractor import _BATCH_SAMPLES, codes_to_bits
+from lpnqrng.extractor import (_BATCH_SAMPLES, _TABLE_BYTES,
+                               _TABLE_MAX_LENGTH, codes_to_bits)
 from lpnqrng.rng import _GAUSS_BLOCK, raw_stream
 from lpnqrng.simulate import (AnalogTrace, PhasePath, QuantizedTrace,
                               _quantum_trace)
@@ -148,16 +149,20 @@ def random_spec(n_in, n_out, seed):
 
 
 def dense_extract(codes, spec):
-    """The dense matrix product, block by block."""
+    """The dense matrix product, block by block (in float64, exact: every
+    sum is an integer of at most n_in)."""
     bits = codes_to_bits(codes.codes, codes.adc.bits)
     n_blocks = bits.size // spec.input_bits
     blocks = bits[:n_blocks * spec.input_bits].reshape(n_blocks, -1)
-    product = blocks.astype(np.int64) @ spec.matrix().T.astype(np.int64)
-    return (product & 1).astype(np.uint8).reshape(-1)
+    product = blocks.astype(np.float64) @ spec.matrix().T.astype(np.float64)
+    return (product.astype(np.int64) & 1).astype(np.uint8).reshape(-1)
 
 
 def part_quantum(spec, workers):
-    """Blocks per batch of one part at full batches (rows * lanes)."""
+    """Blocks per batch of one part at full batches, in the kernel that
+    runs: the table's rows, or rows * lanes of the FFT."""
+    if spec._fft_length <= _TABLE_MAX_LENGTH:
+        return max(_TABLE_BYTES // -(-spec.output_bits // 8), 1)
     rows = max(_BATCH_SAMPLES // spec._fft_length, 1)
     return -(-rows // workers) * spec._lanes
 
@@ -181,19 +186,30 @@ def test_extract_stream_matches_dense_product_at_every_worker_count(
                          random_codes(8, 2048, n_blocks, 22), spec)
 
 
-# each call makes one part per worker; at 2047 -> 1000 each part also
-# runs several batches
+# each call makes one part per worker; at 16384 -> 100 (the FFT kernel)
+# each part also runs several batches
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("adc_bits,n_in,n_out,n_blocks", [
     (6, 100, 60, 1001),
     (12, 2047, 1000, 301),
     (16, 33, 33, 2000),
+    (16, 16384, 100, 61),
 ])
 def test_extract_stream_geometries_at_every_worker_count(
         monkeypatch, workers, adc_bits, n_in, n_out, n_blocks):
     spec = random_spec(n_in, n_out, n_in)
     check_extract_stream(monkeypatch, workers,
                          random_codes(adc_bits, n_in, n_blocks, n_out), spec)
+
+
+# batches of 3 blocks of 8 packed output bytes give each part of the
+# table kernel many batches
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_table_batches_at_every_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(extractor, "_TABLE_BYTES", 3 * 8)
+    spec = random_spec(100, 60, 23)
+    check_extract_stream(monkeypatch, workers, random_codes(6, 100, 1001, 24),
+                         spec)
 
 
 def test_extract_stream_peak_memory_does_not_grow_with_parts(monkeypatch):

@@ -189,6 +189,16 @@ class TestQuantumTrace:
         else:
             assert type(got.value) is PathTooShortError
 
+    def test_too_long_delay_fails_before_the_path_is_drawn(self, monkeypatch):
+        # 1 ms at tau_s = 0.1 ns is 10**7 samples, more than the 2**22 drawn
+        def no_stream(*args):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(simulate, "gaussian_stream", no_stream)
+        with pytest.raises(PathTooShortError):
+            evaluate_point(9.5e6, 1e-3, base_params(),
+                           SimSettings(n_samples=2**22, seed=3))
+
     def test_evaluate_point_peak_grows_by_one_sample_per_sample(self):
         # the trace is built where its variates are drawn: from 2**21 to
         # 2**22 samples the peak grows by one float64 per added sample
