@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from . import _parallel
 from .errors import (
     ClassicalExceedsMeasuredError,
     EmptyTraceError,
@@ -40,6 +41,10 @@ METHOD_EMPIRICAL = "empirical"
 #: samples per monte_carlo_code_histogram chunk; each chunk draws from its
 #: own derived seed, so this size is part of the histogram's stream
 _MC_CHUNK = 2**22
+
+#: codes per code_histogram chunk: the chunk widened to intp, and at
+#: 16 bits the counts bincount returns, are 512 KiB each
+_HISTOGRAM_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -151,11 +156,30 @@ def analytic_min_entropy(sigma2: float, amplitude: float,
 
 
 def code_histogram(qt: QuantizedTrace) -> np.ndarray:
-    """Counts per code in code order (code_min .. code_max)."""
+    """Counts per code in code order (code_min .. code_max).
+
+    The codes are counted in at most one part per CPU the process may
+    run on, a chunk at a time into the part's own row of counts, and the
+    rows are summed; no array as long as the trace is made.
+    """
     if len(qt) == 0:
         raise EmptyTraceError("quantized trace is empty")
-    return np.bincount(qt.codes.astype(np.int64) - qt.adc.code_min,
-                       minlength=qt.adc.n_codes)
+    codes, adc = qt.codes, qt.adc
+    parts = _parallel.split(len(codes), _HISTOGRAM_CHUNK)
+    counts = np.zeros((len(parts), adc.n_codes), dtype=np.int64)
+    wide = [np.empty(min(_HISTOGRAM_CHUNK, b - a), dtype=np.intp)
+            for a, b in parts]
+
+    def part(p: int, a: int, b: int) -> None:
+        for m in range(a, b, _HISTOGRAM_CHUNK):
+            top = min(b, m + _HISTOGRAM_CHUNK)
+            w = wide[p][:top - m]
+            w[...] = codes[m:top]  # widened first: int16 - code_min wraps
+            w -= adc.code_min
+            counts[p] += np.bincount(w, minlength=adc.n_codes)
+
+    _parallel.run(part, [(p, a, b) for p, (a, b) in enumerate(parts)])
+    return counts.sum(axis=0)
 
 
 def empirical_min_entropy(qt: QuantizedTrace) -> EntropyReport:

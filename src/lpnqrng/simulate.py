@@ -51,12 +51,12 @@ from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
 
-# samples per unit of _interfere's split: a smaller part costs more
-# to hand to a thread than its sines take
+# samples per unit of the split of _interfere and quantize: a smaller
+# part costs more to hand to a thread than its work takes
 _PART_QUANTUM = 2**15
 
-# samples per scratch chunk of _interfere: the chunk and its
-# operands stay in cache through the subtract, sin, scale and copy
+# samples per scratch chunk of _interfere and quantize: the chunk and
+# its operands stay in cache through each pass over it
 _CHUNK = 2**13
 
 LABEL_QUANTUM = "quantum"
@@ -267,14 +267,28 @@ def quantize(trace: AnalogTrace, adc: AdcSpec) -> QuantizedTrace:
     out-of-range inputs, +-inf included, saturating to the end codes. A
     NaN sample has no code and raises InvalidParameterError.
     """
-    codes = trace.samples / adc.delta
-    codes -= 0.5
-    np.ceil(codes, out=codes)
-    np.clip(codes, adc.code_min, adc.code_max, out=codes)
-    # the clipped codes are finite but for NaN, which min propagates
-    if codes.size and np.isnan(codes.min()):
-        raise InvalidParameterError("a sample is NaN; it has no ADC code")
-    return QuantizedTrace(codes.astype(np.int16), adc, trace.sample_period_s)
+    x = trace.samples
+    codes = np.empty(len(x), dtype=np.int16)
+    parts = _parallel.split(len(x), _PART_QUANTUM)
+    scratch = [np.empty(min(_CHUNK, b - a)) for a, b in parts]
+
+    def part(p: int, a: int, b: int) -> None:
+        for m in range(a, b, _CHUNK):
+            top = min(b, m + _CHUNK)
+            c = scratch[p][:top - m]
+            np.divide(x[m:top], adc.delta, out=c)
+            c -= 0.5
+            np.ceil(c, out=c)
+            np.clip(c, adc.code_min, adc.code_max, out=c)
+            # the clipped codes are finite but for NaN, which min propagates
+            if np.isnan(c.min()):
+                raise InvalidParameterError(
+                    "a sample is NaN; it has no ADC code")
+            codes[m:top] = c
+
+    # every part that meets a NaN raises, and the caller gets the first
+    _parallel.run(part, [(p, a, b) for p, (a, b) in enumerate(parts)])
+    return QuantizedTrace(codes, adc, trace.sample_period_s)
 
 
 def quantize_value(x: float, adc: AdcSpec) -> int:

@@ -31,12 +31,27 @@ computes it, so every bin is the same float64 value:
   ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), and the n % 8 tail rows are
   added in order. For n < 8, the rows are added in order to zeros. The
   total is divided by the segment count.
-Only one leaf's powers are held at a time, so the memory is
-O(128 * (nfft/2 + 1)) whatever the trace length. A leaf's blocks are
-split into at most one part per CPU the process may run on, each part
-a run of whole blocks, and the parts are transformed at once; every
-block is the one a single thread would transform, and the adds run on
-the calling thread, so every bin is the same whatever the core count.
+
+The sum runs as one parallel call. The tree is split a level at a time
+from the root until it has at least 4 * workers nodes, or every node is
+a leaf; workers is the number of CPUs the process may run on. Each part
+takes a run of whole nodes (at most one part per CPU), and sums the
+largest subtrees that lie in its run by the recursion above; the
+calling thread then adds the subtree totals up the tree. So every add
+is the one the serial sum makes, and every bin is the same whatever the
+core count.
+
+Each part streams its leaves through four buffers that the caller
+allocates before the call: rows windowed segments (rows x nfft), their
+spectra (complex) and powers (rows x (nfft/2 + 1)), and the eight
+accumulators (8 x (nfft/2 + 1)). Each eight-row group enters the
+accumulators as soon as its block is transformed, so no leaf's powers
+are held. rows is min(128, 2**17 // nfft) shared out among the parts,
+rounded down to a multiple of 8 and at least 8: the parts together hold
+about one 2**17-sample block while each gets 8 rows or more. A part
+allocates only its subtree totals, one per tree level, so the memory is
+O(workers * (rows * nfft + (rows + 8) * (nfft/2 + 1))) whatever the
+trace length.
 """
 from __future__ import annotations
 
@@ -60,9 +75,10 @@ DEFAULT_PLATEAU_BINS = 16
 SMOOTH_BINS = 9
 PERSIST_BINS = 3
 
-# samples per block of Welch segments (a 1 MiB float64 working set):
-# large enough to amortize the per-call FFT overhead, small enough that
-# a block's windowed rows and spectra stay in cache
+# samples per block of Welch segments, shared out among the parts (a
+# 1 MiB float64 working set): large enough to amortize the per-call FFT
+# overhead, small enough that a block's windowed rows and spectra stay
+# in cache
 _WELCH_BLOCK_SAMPLES = 2**17
 # rows per leaf of NumPy's pairwise sum (PW_BLOCKSIZE in its loops)
 _PAIRWISE_LEAF = 128
@@ -128,9 +144,8 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
         (Parseval) up to leakage-level error.
 
     The mean over segments is NumPy's pairwise tree, restated as row
-    adds (module docstring): only one leaf of at most 128 segments'
-    powers is held, so the memory is O(128 * (nfft/2 + 1)) whatever
-    the trace length. The transforms run on up to one thread per CPU.
+    adds and summed in one parallel call of up to one part per CPU
+    (module docstring); the memory does not grow with the trace length.
     """
     nfft = check_welch(nfft, overlap_fraction)
     x = trace.samples
@@ -149,16 +164,69 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
         raise InvalidParameterError(
             f"trace samples must be finite, got a mean of {mean}")
     segments = sliding_window_view(x, nfft)[::step][:n_segments]
-    leaf = np.empty((min(_PAIRWISE_LEAF, n_segments), nfft // 2 + 1))
-    total = _pairwise_power(segments, mean, win, leaf)
-    return PsdEstimate(np.fft.rfftfreq(nfft, period), total / n_segments,
-                       n_segments)
+    nodes = _subtrees(n_segments, 4 * _parallel.workers())
+    parts = _parallel.split(len(nodes), 1)
+    bins = nfft // 2 + 1
+    rows = min(_PAIRWISE_LEAF, _WELCH_BLOCK_SAMPLES // nfft) // len(parts)
+    rows = max(8, rows - rows % 8)
+    buffers = [(np.empty((rows, nfft)), np.empty((rows, bins), complex),
+                np.empty((rows, bins)), np.empty((8, bins))) for _ in parts]
+    sums = {}
+
+    def part(p: int, a: int, b: int) -> None:
+        last, m = nodes[b - 1]
+        for start, n in _cover(0, n_segments, nodes[a][0], last + m):
+            sums[start, n] = _pairwise_power(segments[start:start + n], mean,
+                                             win, buffers[p])
+
+    _parallel.run(part, [(p, a, b) for p, (a, b) in enumerate(parts)])
+    total = _top_power(0, n_segments, sums)
+    total /= n_segments
+    return PsdEstimate(np.fft.rfftfreq(nfft, period), total, n_segments)
+
+
+def _half(n: int) -> int:
+    """Where NumPy's pairwise sum splits a run of n > 128 rows."""
+    return n // 2 - (n // 2) % 8
+
+
+def _subtrees(n: int, count: int) -> list[tuple[int, int]]:
+    """The (start, rows) nodes of the pairwise tree of n rows, split a
+    level at a time until there are at least ``count`` or all are leaves."""
+    nodes = [(0, n)]
+    while len(nodes) < count and any(m > _PAIRWISE_LEAF for _, m in nodes):
+        nodes = [child for start, m in nodes for child in (
+            [(start, m)] if m <= _PAIRWISE_LEAF else
+            [(start, _half(m)), (start + _half(m), m - _half(m))])]
+    return nodes
+
+
+def _cover(start: int, n: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The largest nodes at or below (start, n) whose rows lie in
+    [lo, hi), in row order; lo and hi are node edges of ``_subtrees``."""
+    if lo <= start and start + n <= hi:
+        return [(start, n)]
+    if start + n <= lo or hi <= start:
+        return []
+    half = _half(n)
+    return _cover(start, half, lo, hi) + _cover(start + half, n - half, lo, hi)
+
+
+def _top_power(start: int, n: int, sums: dict) -> np.ndarray:
+    """The sum of the rows start .. start + n - 1 from the totals of the
+    nodes at or below it in ``sums``, added in the tree's order."""
+    if (start, n) in sums:
+        return sums[start, n]
+    half = _half(n)
+    total = _top_power(start, half, sums)
+    total += _top_power(start + half, n - half, sums)
+    return total
 
 
 def _pairwise_power(segments: np.ndarray, mean: float, win: np.ndarray,
-                    leaf: np.ndarray) -> np.ndarray:
+                    buffers: tuple) -> np.ndarray:
     """Sum of the segments' one-sided powers, added in NumPy's pairwise
-    order (module docstring); ``leaf`` holds one leaf's powers.
+    order (module docstring), through a part's ``buffers``.
 
     Module-level and recursive by name: a nested closure that calls
     itself is a reference cycle, and would keep the trace alive until
@@ -166,37 +234,40 @@ def _pairwise_power(segments: np.ndarray, mean: float, win: np.ndarray,
     """
     n = len(segments)
     if n > _PAIRWISE_LEAF:
-        half = n // 2 - (n // 2) % 8
-        return (_pairwise_power(segments[:half], mean, win, leaf)
-                + _pairwise_power(segments[half:], mean, win, leaf))
-    power = leaf[:n]
-    rows = max(1, _WELCH_BLOCK_SAMPLES // segments.shape[1])
-    _parallel.run(lambda a, b: _one_sided_power(
-        segments[a:b], mean, win, power[a:b], rows), _parallel.split(n, rows))
+        half = _half(n)
+        total = _pairwise_power(segments[:half], mean, win, buffers)
+        total += _pairwise_power(segments[half:], mean, win, buffers)
+        return total
+    block, spectra, power, acc = buffers
     groups = n - n % 8
-    if groups:
-        acc = power[:8]
-        for i in range(8, groups, 8):
-            acc += power[i:i + 8]
-        pairs = acc[0::2] + acc[1::2]
-        total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-    else:
-        total = np.zeros(power.shape[1])
-    for row in power[groups:]:
+    acc[...] = 0  # 0 + x is x: a power is never -0.0
+    for s0 in range(0, n, len(block)):
+        r = min(len(block), n - s0)
+        # a copy, then the subtract in place: a ufunc reading the
+        # overlapping rows of the strided view would buffer them
+        np.copyto(block[:r], segments[s0:s0 + r])
+        block[:r] -= mean
+        block[:r] *= win
+        np.fft.rfft(block[:r], out=spectra[:r])
+        v = spectra[:r].view(np.float64)  # real and imag, interleaved
+        np.square(v, out=v)
+        np.add(v[:, 0::2], v[:, 1::2], out=power[:r])
+        # one-sided: fold in the negative frequencies, but at DC and
+        # Nyquist; every bin is doubled, then those two are added again,
+        # since NumPy buffers a ufunc over the rows' strided inner bins
+        power[:r] *= 2
+        np.add(v[:, 0], v[:, 1], out=power[:r, 0])
+        np.add(v[:, -2], v[:, -1], out=power[:r, -1])
+        for g in range(s0, min(s0 + r, groups), 8):
+            acc += power[g - s0:g - s0 + 8]
+    # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), a row at a time; all zeros
+    # when n < 8
+    for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
+        acc[i] += acc[j]
+    total = acc[0] + acc[4]
+    for row in power[groups - s0:r]:  # the last block holds the tail
         total += row
     return total
-
-
-def _one_sided_power(segments: np.ndarray, mean: float, win: np.ndarray,
-                     power: np.ndarray, rows: int) -> None:
-    """The segments' one-sided powers, into ``power``, ``rows`` at a time."""
-    for s0 in range(0, len(segments), rows):
-        block = segments[s0:s0 + rows] - mean
-        block *= win
-        spectra = np.fft.rfft(block)
-        out = power[s0:s0 + rows]
-        np.add(spectra.real**2, spectra.imag**2, out=out)
-        out[:, 1:-1] *= 2  # one-sided: fold in the negative frequencies
 
 
 def bandwidth_3db(psd: PsdEstimate,

@@ -1,11 +1,13 @@
 """The threaded layers give the same bytes whatever the worker count.
 
 ``gaussian_stream``, ``quantum_noise``, the one-buffer quantum trace
-of a design point, ``estimate_psd`` and the Toeplitz extractor split
-their work into one part per CPU the process may run on (``_parallel``). Each test here sets the worker count to 1, 2
-and 3 and compares every result with an independent serial oracle or
-with the one-worker result. The extractor's parts share the caller's
-buffers, so its memory peak must not grow with the part count either.
+of a design point, ``quantize``, ``code_histogram``, ``estimate_psd``
+and the Toeplitz extractor split their work into one part per CPU the
+process may run on (``_parallel``). Each test here sets the worker
+count to 1, 2 and 3 (and 5 for Welch) and compares every result with an
+independent serial oracle or with the one-worker result. The
+extractor's parts share the caller's buffers, so its memory peak must
+not grow with the part count either (Welch's: ``TestPsdMemory``).
 """
 import importlib.util
 import math
@@ -27,11 +29,14 @@ from scipy.special import ndtri
 from lpnqrng import (AdcSpec, SimSettings, ToeplitzSpec, _parallel, extractor,
                      estimate_psd, evaluate_point, extract_block,
                      extract_stream, gaussian_stream, quantum_noise)
+from lpnqrng.entropy import code_histogram
+from lpnqrng.errors import InvalidParameterError
 from lpnqrng.extractor import (_BATCH_SAMPLES, _TABLE_BYTES,
                                _TABLE_MAX_LENGTH, codes_to_bits)
 from lpnqrng.rng import _GAUSS_BLOCK, raw_stream
-from lpnqrng.simulate import (AnalogTrace, PhasePath, QuantizedTrace,
-                              _quantum_trace)
+from lpnqrng.simulate import (_PART_QUANTUM, AnalogTrace, PhasePath,
+                              QuantizedTrace, _quantum_trace, quantize)
+from lpnqrng.spectral import _cover, _subtrees
 
 from conftest import TAU_S, base_params
 
@@ -105,26 +110,134 @@ def test_quantum_noise_reads_the_paths_own_origin(monkeypatch, k):
         assert np.array_equal(q.samples, expected)
 
 
-# at nfft 4096 a block is 32 segments, so a full leaf of 128 splits
-# into two or three parts; two half-overlapped segments are too short
-# a trace, so 2 runs at overlap 0
-@pytest.mark.parametrize("n_segments,overlap", [(2, 0.0)] + [
-    (n, overlap) for n in (127, 128, 129, 257, 1023) for overlap in (0.0, 0.5)])
-def test_estimate_psd_matches_welch_at_every_worker_count(monkeypatch,
-                                                          n_segments, overlap):
-    nfft = 4096
+def welch_oracle(n_segments, nfft, overlap):
+    """A trace of n_segments segments and scipy's Welch power of it."""
     noverlap = int(overlap * nfft)
     step = nfft - noverlap
     n = noverlap + n_segments * step + step // 3
-    x = 0.3 * gaussian_stream(n_segments, n) + 0.05
-    trace = AnalogTrace(x, TAU_S, "measured")
-    _, expected = signal.welch(
+    x = 0.3 * gaussian_stream(n_segments + nfft, n) + 0.05
+    _, power = signal.welch(
         x - x.mean(), 1 / TAU_S, "hann", nperseg=nfft, noverlap=noverlap,
         nfft=nfft, detrend=False, return_onesided=True, scaling="density")
-    for psd in per_worker_count(monkeypatch,
-                                lambda: estimate_psd(trace, nfft, overlap)):
+    return AnalogTrace(x, TAU_S, "measured"), power
+
+
+# at nfft 4096 a block is 32 segments, so a leaf of 128 spans four
+# blocks; at nfft 256 and 1024 a leaf is one block, and only the split
+# into subtrees spreads the segments over parts. The counts lie at the
+# edges of a leaf, of two leaves, and of the subtrees of the sweep's
+# 1023 and lab_trace's 2047 segments; two half-overlapped segments are
+# too short a trace, so 2 runs at overlap 0
+@pytest.mark.parametrize("nfft,n_segments,overlap", [(4096, 2, 0.0)] + [
+    (4096, n, overlap) for n in (127, 128, 129, 257, 1023)
+    for overlap in (0.0, 0.5)] + [
+    (nfft, n, 0.5) for nfft in (256, 1024)
+    for n in (127, 128, 129, 255, 256, 257, 1023, 2047, 4094)] + [
+    (nfft, n, 0.0) for nfft in (256, 1024) for n in (257, 2047)])
+def test_estimate_psd_matches_welch_at_every_worker_count(monkeypatch, nfft,
+                                                          n_segments, overlap):
+    trace, expected = welch_oracle(n_segments, nfft, overlap)
+    for n in (1, 2, 3, 5):
+        set_workers(monkeypatch, n)
+        psd = estimate_psd(trace, nfft, overlap)
         assert psd.n_segments == n_segments
-        assert np.array_equal(psd.power, expected)
+        assert np.array_equal(psd.power, expected), n
+
+
+def test_welch_parts_sum_whole_subtrees():
+    # the sweep's 1023 segments, split a level at a time from the root
+    assert _subtrees(1023, 4) == [(0, 248), (248, 256), (504, 256),
+                                  (760, 263)]
+    assert _subtrees(1023, 8) == [(0, 120), (120, 128), (248, 128),
+                                  (376, 128), (504, 128), (632, 128),
+                                  (760, 128), (888, 135)]
+    assert _subtrees(100, 8) == [(0, 100)]  # a leaf does not split
+    # a part's run of nodes is summed as the largest subtrees inside it
+    assert _cover(0, 1023, 0, 504) == [(0, 504)]
+    assert _cover(0, 1023, 248, 1023) == [(248, 256), (504, 519)]
+    assert _cover(0, 1023, 120, 632) == [(120, 128), (248, 256), (504, 128)]
+
+
+# at nfft 2048 and three workers a part's 64 // 3 rows round down to 16
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_segments,nfft,overlap", [
+    (2, 16, 0.0), (127, 256, 0.5), (1023, 1024, 0.5), (1023, 2048, 0.5),
+    (4094, 256, 0.5), (1023, 8192, 0.5)])
+def test_estimate_psd_makes_one_parallel_call(monkeypatch, workers,
+                                              n_segments, nfft, overlap):
+    trace, expected = welch_oracle(n_segments, nfft, overlap)
+    set_workers(monkeypatch, workers)
+    calls, run = [], _parallel.run  # the part count of each call
+    monkeypatch.setattr(_parallel, "run", lambda part, args: (
+        calls.append(len(args)), run(part, args)))
+    psd = estimate_psd(trace, nfft, overlap)
+    assert np.array_equal(psd.power, expected)
+    # a single leaf is one part; these longer traces have a node per worker
+    assert calls == [1 if n_segments <= 128 else workers]
+
+
+@pytest.mark.parametrize("workers,n_segments", [(1, 1023), (3, 127)])
+def test_one_part_welch_starts_no_thread(monkeypatch, workers, n_segments):
+    trace, expected = welch_oracle(n_segments, 256, 0.5)
+    set_workers(monkeypatch, workers)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    assert np.array_equal(estimate_psd(trace, 256, 0.5).power, expected)
+    assert not started
+
+
+# parts of quantize split at multiples of 2**15 samples, those of
+# code_histogram at 2**16: this trace makes three of either
+N_CODED = 3 * 2 * _PART_QUANTUM + 77
+
+
+def coded_samples(adc):
+    """Samples over the whole code range and past it, +-inf included."""
+    x = 1.3 * adc.range * gaussian_stream(adc.bits, N_CODED)
+    x[[5, 2 * _PART_QUANTUM + 1]] = np.inf
+    x[[6, N_CODED - 2]] = -np.inf
+    return x
+
+
+def serial_codes(x, adc):
+    """The ADC's formula on the whole trace at once."""
+    codes = np.clip(np.ceil(x / adc.delta - 0.5), adc.code_min, adc.code_max)
+    return codes.astype(np.int16)
+
+
+@pytest.mark.parametrize("bits", [2, 8, 12, 16])
+def test_quantize_and_code_histogram_at_every_worker_count(monkeypatch,
+                                                           bits):
+    adc = AdcSpec(bits=bits)
+    x = coded_samples(adc)
+    codes = serial_codes(x, adc)
+    assert codes.min() == adc.code_min and codes.max() == adc.code_max
+    counts = np.bincount(codes.astype(np.int64) - adc.code_min,
+                         minlength=adc.n_codes)
+    trace = AnalogTrace(x, TAU_S, "measured")
+    for q, hist in per_worker_count(monkeypatch, lambda: (
+            quantize(trace, adc),
+            code_histogram(QuantizedTrace(codes, adc, TAU_S)))):
+        assert q.codes.dtype == np.int16
+        assert q.codes.tobytes() == codes.tobytes()
+        assert np.array_equal(hist, counts)
+
+
+# a NaN in the second of three parts, and one in every part
+@pytest.mark.parametrize("nan_at", [[2 * _PART_QUANTUM + 3],
+                                    [0, 2 * _PART_QUANTUM, N_CODED - 1]])
+def test_quantize_nan_raises_one_error_at_every_worker_count(monkeypatch,
+                                                             nan_at):
+    adc = AdcSpec(bits=8)
+    x = coded_samples(adc)
+    x[nan_at] = np.nan
+    trace = AnalogTrace(x, TAU_S, "measured")
+    for n in WORKER_COUNTS:
+        set_workers(monkeypatch, n)
+        with pytest.raises(InvalidParameterError) as info:
+            quantize(trace, adc)
+        assert str(info.value) == "a sample is NaN; it has no ADC code"
 
 
 def test_evaluate_point_is_the_same_at_every_worker_count(monkeypatch):

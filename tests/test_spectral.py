@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy import signal
 from scipy.ndimage import uniform_filter1d
 
-from lpnqrng import (AdcSpec, SimSettings, bandwidth_3db, estimate_psd,
-                     evaluate_point, forward_variance, gaussian_stream)
+from lpnqrng import (AdcSpec, SimSettings, _parallel, bandwidth_3db,
+                     estimate_psd, evaluate_point, forward_variance,
+                     gaussian_stream)
 from lpnqrng.errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
 from lpnqrng.simulate import AnalogTrace
 from lpnqrng.spectral import (_WELCH_BLOCK_SAMPLES, PERSIST_BINS, PsdEstimate,
@@ -220,12 +221,12 @@ class TestModelSpectrum:
 
 class TestPsdMemory:
     @staticmethod
-    def psd_peak_bytes(n_samples):
+    def psd_peak_bytes(n_samples, nfft=8192):
         trace = AnalogTrace(np.sin(0.1 * np.arange(n_samples)), TAU_S,
                             "measured")
         tracemalloc.start()
         try:
-            estimate_psd(trace, nfft=8192)
+            estimate_psd(trace, nfft=nfft)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -233,6 +234,17 @@ class TestPsdMemory:
     def test_peak_does_not_grow_with_the_trace(self):
         short, long = self.psd_peak_bytes(2**20), self.psd_peak_bytes(2**22)
         assert long <= 1.05 * short
+
+    def test_peak_does_not_grow_with_the_worker_count(self, monkeypatch):
+        # the parts share one block of 2**17 samples (128 rows at nfft
+        # 1024) while each gets 8 rows or more; a part that allocated its
+        # own block, or held a leaf's powers, would add them per part
+        self.psd_peak_bytes(2**21, 1024)  # fills the caches
+        peaks = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(_parallel, "workers", lambda n=n: n)
+            peaks.append(self.psd_peak_bytes(2**21, 1024))
+        assert max(peaks[1:]) <= 1.05 * peaks[0], peaks
 
     def test_sweep_path_leaves_no_reference_cycle(self):
         sim = SimSettings(n_samples=2**16, nfft=1024, seed=5)
