@@ -13,6 +13,24 @@ There is one protocol: a caller takes the ranges from ``split`` and
 runs its parts with ``run``, as ``run(part, split(n, quantum))``. A
 caller that hands each part buffers of its own passes the part's index
 with its range.
+
+A stage threads only where a second worker measured faster inside the
+op that runs it. Median ms at one worker against two on a 2-core x86-64
+machine, the stages alternated call by call:
+
+    stage                                   size           1      2
+    gaussian_stream                         2**22        149     97
+    interference inside evaluate_point      2**22      64-71  39-52
+    interference (quantum_noise)            2**23     102-122 67-71
+    estimate_psd, nfft 8192                 2**23        196    111
+    code_histogram, 8 bits                  2**23       23.2   16.6
+    Toeplitz FFT kernel, 65536 -> 60000     2**20 codes  259    165
+    Toeplitz table kernel inside bitgen's   2**20 codes 40-48  40-44
+    op, 2048 -> 1800 (extractor module doc)
+
+``quantize`` runs on the calling thread: its parts took 68.1 ms at two
+workers against 42.8 at one for 2**23 samples, slower in 12 of 12
+calls.
 """
 from __future__ import annotations
 

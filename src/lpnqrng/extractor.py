@@ -53,12 +53,17 @@ blocks starts no thread. The gather releases the interpreter lock: on
 the 2-core machine above, a pure-Python thread counted 8-9 M
 iterations/s beside a thread gathering 2048 x 225-byte windows, as
 beside np.sin and when idle, against 3-5 M/s beside a C loop that
-keeps the lock. Yet two threads of gathers took no less time than one
-thread running both (median 33 against 27 ms for 2 x 256 gathers). So
-the lock is not what keeps a second part from gaining: the two cores
-share the copy throughput that the gathers need. np.take with ``out=``
-from a contiguous 256 x 225 table, which allocates nothing, gained
-1.2-1.4x on two threads there.
+keeps the lock. In isolation, two threads of gathers took no less
+time than one thread running both (median 33 against 27 ms for
+2 x 256 gathers), as the two cores share the copy throughput that the
+gathers need; np.take with ``out=`` from a contiguous 256 x 225 table,
+which allocates nothing, gained 1.2-1.4x on two threads there. Inside
+the op that simulates, quantizes and hashes 2**20 8-bit codes (4096
+blocks at 2048 -> 1800), the second part pays: on that machine, in
+three runs of 16 alternated ops, the median ``extract_stream`` went
+from 48.4 to 43.8, 45.8 to 40.0 and 40.0 to 40.3 ms from one worker
+to two, faster in 13, 15 and 9 of 16 ops. So the table kernel keeps
+its parts.
 
 FFT kernel. T @ x is the linear convolution of t' and x at indices
 n_in - 1 .. n_in + n_out - 2. Zero-padded to L, the next power of two
@@ -139,8 +144,8 @@ _BATCH_SAMPLES = 1 << 18
 _TABLE_MAX_LENGTH = 1 << 14
 
 #: the table kernel's parts XOR batches of about _TABLE_BYTES packed
-#: output bytes, and the blocks split at whole batches: a part's gathers
-#: gain little from a second thread (module doc), so smaller batches
+#: output bytes, and the blocks split at whole batches: a second part
+#: saves at most about 13% inside an op (module doc), so smaller batches
 #: only add parts, and a larger batch no longer fits in a core's cache
 _TABLE_BYTES = 1 << 19
 

@@ -14,12 +14,14 @@ the route of ``evaluate_point`` and ``lpnqrng simulate``
 (``_quantum_trace``) sums them in place, so its buffer holds
 theta[1 .. n-1]. ``_interfere`` then writes
 q[m] = A*sin(theta[m+k] - theta[m]) for a path given as theta[0] and
-theta[1:]:
+theta[1:] into the output array its caller passes, after the caller
+has checked the delay index, the amplitude and the path length
+(``_check_delay``):
 
-- ``quantum_noise`` passes a frozen path and gets a new array;
-- the route passes its buffer ``in_place`` and gets the view
-  ``buf[k-1:]``: q[m] lies in the slot of theta[m+k], which is written
-  only after every sample that reads it.
+- ``quantum_noise`` passes a frozen path and a new array;
+- the route passes the view ``buf[k-1:]`` of its buffer: q[m] lies in
+  the slot of theta[m+k], which is written only after every sample
+  that reads it.
 
 The samples are split into parts, at most one per CPU. The part below
 a part overwrites the operands of that part's lowest min(k, part)
@@ -32,6 +34,10 @@ reads theta[0].
 The route holds at most n + (parts - 1)*min(k, part) samples, plus one
 chunk per part; ``sample_phase_path`` then ``quantum_noise`` hold 2n.
 Its bytes are theirs.
+
+``quantize`` runs on the calling thread, a cache-sized scratch chunk at
+a time: on two cores a second thread made it slower (module doc of
+``_parallel``).
 
 All operations are pure: outputs depend only on explicit arguments and
 seeds, and returned traces are immutable.
@@ -51,8 +57,8 @@ from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
 
-# samples per unit of the split of _interfere and quantize: a smaller
-# part costs more to hand to a thread than its work takes
+# samples per unit of the split of _interfere: a smaller part costs
+# more to hand to a thread than its work takes
 _PART_QUANTUM = 2**15
 
 # samples per scratch chunk of _interfere and quantize: the chunk and
@@ -183,7 +189,9 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     subtract, sin and scale whatever the split, so the output does not
     depend on the core count.
     """
-    q = _interfere(path.samples[:1], path.samples[1:], k, amplitude, False)
+    k = _check_delay(len(path), k, amplitude)
+    q = _interfere(path.samples[:1], path.samples[1:], k, amplitude,
+                   np.empty(len(path) - k))
     return AnalogTrace(q, path.sample_period_s, LABEL_QUANTUM)
 
 
@@ -199,15 +207,12 @@ def _check_delay(n: int, k: int, amplitude: float) -> int:
 
 
 def _interfere(origin: np.ndarray, theta: np.ndarray, k: int,
-               amplitude: float, in_place: bool) -> np.ndarray:
-    """q[m] = amplitude*sin(theta[m+k] - theta[m]) of the path whose
-    theta[0] is ``origin[0]`` and whose theta[1:] is ``theta``: a new
-    array, or with ``in_place`` the view theta[k-1:] (module docstring).
-    Its arguments are checked by ``_check_delay``."""
-    n = len(origin) + len(theta)  # an empty path has no origin
-    k = _check_delay(n, k, amplitude)
-    out = theta[k - 1:] if in_place else np.empty(n - k)
-    parts = _parallel.split(n - k, _PART_QUANTUM)
+               amplitude: float, out: np.ndarray) -> np.ndarray:
+    """``out``, holding q[m] = amplitude*sin(theta[m+k] - theta[m]) of
+    the path whose theta[0] is ``origin[0]`` and whose theta[1:] is
+    ``theta``; ``out`` is a new array or the view theta[k-1:] (module
+    docstring). k is the Python int that ``_check_delay`` returned."""
+    parts = _parallel.split(len(out), _PART_QUANTUM)
     heads = [np.empty(min(k, b - a) if a else 1) for a, b in parts]
 
     def wave(m: int, top: int, dst: np.ndarray) -> None:
@@ -240,10 +245,13 @@ def _quantum_trace(linewidth_hz: float, sample_period_s: float,
     n_samples, seed), k, amplitude), byte for byte and with the same
     errors in the same order, built in one buffer (module docstring).
     Every argument is checked before the path is drawn."""
-    theta = _steps(linewidth_hz, sample_period_s, n_samples, seed,
-                   lambda n: _check_delay(n, k, amplitude))
+    def check(n: int) -> None:
+        nonlocal k
+        k = _check_delay(n, k, amplitude)
+
+    theta = _steps(linewidth_hz, sample_period_s, n_samples, seed, check)
     np.cumsum(theta, out=theta)
-    q = _interfere(np.zeros(1), theta, k, amplitude, True)
+    q = _interfere(np.zeros(1), theta, k, amplitude, theta[k - 1:])
     return AnalogTrace(q, sample_period_s, LABEL_QUANTUM)
 
 
@@ -266,28 +274,24 @@ def quantize(trace: AnalogTrace, adc: AdcSpec) -> QuantizedTrace:
     realizes half-open bins (i*delta - delta/2, i*delta + delta/2] with
     out-of-range inputs, +-inf included, saturating to the end codes. A
     NaN sample has no code and raises InvalidParameterError.
+
+    It runs on the calling thread through one scratch chunk of 2**13
+    samples, so it makes no temporary as long as the trace.
     """
     x = trace.samples
     codes = np.empty(len(x), dtype=np.int16)
-    parts = _parallel.split(len(x), _PART_QUANTUM)
-    scratch = [np.empty(min(_CHUNK, b - a)) for a, b in parts]
-
-    def part(p: int, a: int, b: int) -> None:
-        for m in range(a, b, _CHUNK):
-            top = min(b, m + _CHUNK)
-            c = scratch[p][:top - m]
-            np.divide(x[m:top], adc.delta, out=c)
-            c -= 0.5
-            np.ceil(c, out=c)
-            np.clip(c, adc.code_min, adc.code_max, out=c)
-            # the clipped codes are finite but for NaN, which min propagates
-            if np.isnan(c.min()):
-                raise InvalidParameterError(
-                    "a sample is NaN; it has no ADC code")
-            codes[m:top] = c
-
-    # every part that meets a NaN raises, and the caller gets the first
-    _parallel.run(part, [(p, a, b) for p, (a, b) in enumerate(parts)])
+    scratch = np.empty(min(_CHUNK, len(x)))
+    for m in range(0, len(x), _CHUNK):
+        top = min(len(x), m + _CHUNK)
+        c = scratch[:top - m]
+        np.divide(x[m:top], adc.delta, out=c)
+        c -= 0.5
+        np.ceil(c, out=c)
+        np.clip(c, adc.code_min, adc.code_max, out=c)
+        # the clipped codes are finite but for NaN, which min propagates
+        if np.isnan(c.min()):
+            raise InvalidParameterError("a sample is NaN; it has no ADC code")
+        codes[m:top] = c
     return QuantizedTrace(codes, adc, trace.sample_period_s)
 
 

@@ -35,11 +35,10 @@ computes it, so every bin is the same float64 value:
 The sum runs as one parallel call. The tree is split a level at a time
 from the root until it has at least 4 * workers nodes, or every node is
 a leaf; workers is the number of CPUs the process may run on. Each part
-takes a run of whole nodes (at most one part per CPU), and sums the
-largest subtrees that lie in its run by the recursion above; the
-calling thread then adds the subtree totals up the tree. So every add
-is the one the serial sum makes, and every bin is the same whatever the
-core count.
+takes a run of whole nodes (at most one part per CPU), and sums each of
+its nodes by the recursion above; the calling thread then adds the node
+totals up the tree. So every add is the one the serial sum makes, and
+every bin is the same whatever the core count.
 
 Each part streams its leaves through four buffers that the caller
 allocates before the call: rows windowed segments (rows x nfft), their
@@ -49,9 +48,10 @@ accumulators as soon as its block is transformed, so no leaf's powers
 are held. rows is min(128, 2**17 // nfft) shared out among the parts,
 rounded down to a multiple of 8 and at least 8: the parts together hold
 about one 2**17-sample block while each gets 8 rows or more. A part
-allocates only its subtree totals, one per tree level, so the memory is
-O(workers * (rows * nfft + (rows + 8) * (nfft/2 + 1))) whatever the
-trace length.
+allocates only one total per tree level of the node it is summing,
+and the call holds one total per node, fewer than 8 * workers, so the
+memory is O(workers * (rows * nfft + (rows + 8) * (nfft/2 + 1)))
+whatever the trace length.
 """
 from __future__ import annotations
 
@@ -174,8 +174,7 @@ def estimate_psd(trace: AnalogTrace, nfft: int = DEFAULT_NFFT,
     sums = {}
 
     def part(p: int, a: int, b: int) -> None:
-        last, m = nodes[b - 1]
-        for start, n in _cover(0, n_segments, nodes[a][0], last + m):
+        for start, n in nodes[a:b]:
             sums[start, n] = _pairwise_power(segments[start:start + n], mean,
                                              win, buffers[p])
 
@@ -199,17 +198,6 @@ def _subtrees(n: int, count: int) -> list[tuple[int, int]]:
             [(start, m)] if m <= _PAIRWISE_LEAF else
             [(start, _half(m)), (start + _half(m), m - _half(m))])]
     return nodes
-
-
-def _cover(start: int, n: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """The largest nodes at or below (start, n) whose rows lie in
-    [lo, hi), in row order; lo and hi are node edges of ``_subtrees``."""
-    if lo <= start and start + n <= hi:
-        return [(start, n)]
-    if start + n <= lo or hi <= start:
-        return []
-    half = _half(n)
-    return _cover(start, half, lo, hi) + _cover(start + half, n - half, lo, hi)
 
 
 def _top_power(start: int, n: int, sums: dict) -> np.ndarray:

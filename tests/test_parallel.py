@@ -1,11 +1,12 @@
 """The threaded layers give the same bytes whatever the worker count.
 
 ``gaussian_stream``, ``quantum_noise``, the one-buffer quantum trace
-of a design point, ``quantize``, ``code_histogram``, ``estimate_psd``
-and the Toeplitz extractor split their work into one part per CPU the
-process may run on (``_parallel``). Each test here sets the worker
-count to 1, 2 and 3 (and 5 for Welch) and compares every result with an
-independent serial oracle or with the one-worker result. The
+of a design point, ``code_histogram``, ``estimate_psd`` and the
+Toeplitz extractor split their work into one part per CPU the process
+may run on (``_parallel``); ``quantize`` runs on the calling thread.
+Each test here sets the worker count to 1, 2 and 3 (and 5 for Welch)
+and compares every result with an independent serial oracle or with
+the one-worker result. The
 extractor's parts share the caller's buffers, so its memory peak must
 not grow with the part count either (Welch's: ``TestPsdMemory``).
 """
@@ -28,7 +29,7 @@ from scipy.special import ndtri
 
 from lpnqrng import (AdcSpec, SimSettings, ToeplitzSpec, _parallel, extractor,
                      estimate_psd, evaluate_point, extract_block,
-                     extract_stream, gaussian_stream, quantum_noise)
+                     extract_stream, gaussian_stream, quantum_noise, spectral)
 from lpnqrng.entropy import code_histogram
 from lpnqrng.errors import InvalidParameterError
 from lpnqrng.extractor import (_BATCH_SAMPLES, _TABLE_BYTES,
@@ -36,7 +37,7 @@ from lpnqrng.extractor import (_BATCH_SAMPLES, _TABLE_BYTES,
 from lpnqrng.rng import _GAUSS_BLOCK, raw_stream
 from lpnqrng.simulate import (_PART_QUANTUM, AnalogTrace, PhasePath,
                               QuantizedTrace, _quantum_trace, quantize)
-from lpnqrng.spectral import _cover, _subtrees
+from lpnqrng.spectral import _subtrees
 
 from conftest import TAU_S, base_params
 
@@ -152,10 +153,29 @@ def test_welch_parts_sum_whole_subtrees():
                                   (376, 128), (504, 128), (632, 128),
                                   (760, 128), (888, 135)]
     assert _subtrees(100, 8) == [(0, 100)]  # a leaf does not split
-    # a part's run of nodes is summed as the largest subtrees inside it
-    assert _cover(0, 1023, 0, 504) == [(0, 504)]
-    assert _cover(0, 1023, 248, 1023) == [(248, 256), (504, 519)]
-    assert _cover(0, 1023, 120, 632) == [(120, 128), (248, 256), (504, 128)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_segments", [1023, 2047])
+def test_welch_parts_sum_each_node(monkeypatch, workers, n_segments):
+    trace, expected = welch_oracle(n_segments, 256, 0.5)
+    set_workers(monkeypatch, workers)
+    origin = trace.samples.ctypes.data
+    power, calls = spectral._pairwise_power, []
+
+    def record(segments, *args):
+        # half-overlapped segments of 256 start 128 float64 apart
+        start = (segments.ctypes.data - origin) // (128 * 8)
+        calls.append((start, len(segments)))
+        return power(segments, *args)
+
+    monkeypatch.setattr(spectral, "_pairwise_power", record)
+    assert np.array_equal(estimate_psd(trace, 256, 0.5).power, expected)
+    # a recursive call sums a run inside its caller's; the rest are the
+    # parts' own calls, one per node
+    top = [(s, n) for s, n in calls if not any(
+        a <= s and s + n <= a + m and (a, m) != (s, n) for a, m in calls)]
+    assert sorted(top) == _subtrees(n_segments, 4 * workers)
 
 
 # at nfft 2048 and three workers a part's 64 // 3 rows round down to 16
@@ -187,8 +207,8 @@ def test_one_part_welch_starts_no_thread(monkeypatch, workers, n_segments):
     assert not started
 
 
-# parts of quantize split at multiples of 2**15 samples, those of
-# code_histogram at 2**16: this trace makes three of either
+# parts of code_histogram split at multiples of 2**16 samples: this
+# trace makes three, and many of quantize's 2**13-sample chunks
 N_CODED = 3 * 2 * _PART_QUANTUM + 77
 
 
@@ -224,7 +244,7 @@ def test_quantize_and_code_histogram_at_every_worker_count(monkeypatch,
         assert np.array_equal(hist, counts)
 
 
-# a NaN in the second of three parts, and one in every part
+# a NaN in one chunk, and one in the first, a middle and the last
 @pytest.mark.parametrize("nan_at", [[2 * _PART_QUANTUM + 3],
                                     [0, 2 * _PART_QUANTUM, N_CODED - 1]])
 def test_quantize_nan_raises_one_error_at_every_worker_count(monkeypatch,

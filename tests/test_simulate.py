@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from lpnqrng import (
     AdcSpec,
     SimSettings,
+    _parallel,
     add_electronic_noise,
     delay_index,
     evaluate_point,
@@ -151,6 +153,16 @@ class TestQuantumTrace:
         with pytest.raises(ValueError):
             q.samples[0] = 1.0
 
+    def test_numpy_delay_index_gives_the_same_bytes(self):
+        # the route computes with the Python int that the delay check
+        # returns, as quantum_noise does
+        path = sample_phase_path(9.5e6, 1e-10, 4096, seed=8)
+        want = quantum_noise(path, 65, 0.75).samples.tobytes()
+        k = np.int64(65)
+        assert quantum_noise(path, k, 0.75).samples.tobytes() == want
+        q = _quantum_trace(9.5e6, 1e-10, 4096, k, 0.75, seed=8)
+        assert q.samples.tobytes() == want
+
     @pytest.mark.parametrize("seed", [3, -1, 2**64, 1.5])
     def test_zero_linewidth_gives_positive_zeros_and_draws_nothing(
             self, monkeypatch, seed):
@@ -286,6 +298,21 @@ class TestQuantize:
 
     def test_empty_trace(self, adc8):
         assert len(quantize(AnalogTrace(np.zeros(0), 1.0, "quantum"), adc8)) == 0
+
+    def test_runs_on_the_calling_thread(self, monkeypatch, adc8):
+        # a second thread made it slower, so it starts none at any
+        # worker count
+        monkeypatch.setattr(_parallel, "workers", lambda: 3)
+        started, runs = [], []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self))
+        monkeypatch.setattr(_parallel, "run",
+                            lambda *args: runs.append(args))
+        x = np.linspace(-1.2, 1.2, 3 * 2**16 + 77)
+        codes = quantize(AnalogTrace(x, 1.0, "measured"), adc8).codes
+        assert not started and not runs
+        want = np.clip(np.ceil(x / adc8.delta - 0.5), -128, 127)
+        assert codes.tobytes() == want.astype(np.int16).tobytes()
 
     def test_matches_scalar_form(self, adc8):
         x = np.linspace(-1.2, 1.2, 1001)
