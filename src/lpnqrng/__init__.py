@@ -14,9 +14,7 @@ from .entropy import (
     analytic_min_entropy,
     code_probabilities,
     empirical_min_entropy,
-    forward_variance,
     invert_variance,
-    monte_carlo_code_histogram,
     phase_variance,
     quantum_variance_from_measurement,
 )
@@ -38,7 +36,7 @@ from .optimizer import (
     evaluate_point,
     sweep,
 )
-from .params import AdcSpec, SystemParams, delay_index
+from .params import AdcSpec, SystemParams
 from .rng import derive_seed, gaussian_stream
 from .simulate import (
     AnalogTrace,
@@ -72,18 +70,15 @@ __all__ = [
     "analytic_min_entropy",
     "bandwidth_3db",
     "code_probabilities",
-    "delay_index",
     "derive_seed",
     "empirical_min_entropy",
     "estimate_psd",
     "evaluate_point",
     "extract_block",
     "extract_stream",
-    "forward_variance",
     "gaussian_stream",
     "invert_variance",
     "monobit_test",
-    "monte_carlo_code_histogram",
     "output_bits_for",
     "phase_variance",
     "quantize",

@@ -50,8 +50,7 @@ from .extractor import (
 from .optimizer import SimSettings, SweepGrid, sweep
 from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES, AdcSpec,
                      SystemParams, as_float, as_int, check_amplitude,
-                     check_seed, check_spectral, check_toeplitz_geometry,
-                     one_of)
+                     check_count, check_seed, check_spectral, one_of)
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -387,14 +386,14 @@ def cmd_extract(args: argparse.Namespace) -> dict:
     master_seed = DEFAULT_MASTER_SEED if args.seed is None else args.seed
     check_seed("--seed", master_seed)
     qt, _ = read_quantized_trace(args.codes)
-    n_in = args.n_in
     if (args.n_out is None) == (args.h_min is None):
         raise AmbiguousInputError("give exactly one of --n-out or --h-min")
+    n_in = check_count("--n-in", args.n_in, 1)
     n_out = (args.n_out if args.n_out is not None
              else output_bits_for(args.h_min, qt.adc.bits, n_in))
     # the seed is drawn only for a geometry and a trace that can be hashed
     size = "--n-out" if args.h_min is None else "output bits from --h-min"
-    check_toeplitz_geometry(n_in, n_out, ("--n-in", size))
+    check_count(size, n_out, 1, n_in)
     if len(qt) * qt.adc.bits < n_in:
         raise TraceTooShortError(
             f"{len(qt)} codes of {qt.adc.bits} bits hold "

@@ -30,17 +30,11 @@ from .errors import (
     EmptyTraceError,
     VarianceOutOfRangeError,
 )
-from .params import AdcSpec, check_count, non_negative, positive
-from .rng import derive_seed, gaussian_stream
-from .simulate import (LABEL_QUANTUM, TWO_PI, AnalogTrace, QuantizedTrace,
-                       quantize, quantize_value)
+from .params import AdcSpec, non_negative, positive
+from .simulate import TWO_PI, QuantizedTrace, quantize_value
 
 METHOD_ANALYTIC = "analytic"
 METHOD_EMPIRICAL = "empirical"
-
-#: samples per monte_carlo_code_histogram chunk; each chunk draws from its
-#: own derived seed, so this size is part of the histogram's stream
-_MC_CHUNK = 2**22
 
 #: codes per code_histogram chunk: the chunk widened to intp, and at
 #: 16 bits the counts bincount returns, are 512 KiB each
@@ -192,35 +186,9 @@ def empirical_min_entropy(qt: QuantizedTrace) -> EntropyReport:
                          method=METHOD_EMPIRICAL)
 
 
-def monte_carlo_code_histogram(sigma2: float, amplitude: float, adc: AdcSpec,
-                               n_samples: int, seed: int) -> np.ndarray:
-    """Histogram of quantized A*sin(dtheta) for i.i.d. dtheta ~ N(0, sigma2).
-
-    Brute-force sampler used as an independent check of the analytic
-    bin probabilities: it quantizes with the simulator's own ADC. It
-    processes in chunks to bound memory, each in the array its variates
-    are drawn into. Chunk p draws from
-    derive_seed(seed, p), so runs with nearby seeds share no chunk.
-    """
-    _validate_model(sigma2, amplitude)
-    n_samples = check_count("n_samples", n_samples, 1)
-    sigma = math.sqrt(sigma2)
-    counts = np.zeros(adc.n_codes, dtype=np.int64)
-    for part, start in enumerate(range(0, n_samples, _MC_CHUNK)):
-        m = min(_MC_CHUNK, n_samples - start)
-        theta = gaussian_stream(derive_seed(seed, part), m)
-        theta *= sigma
-        np.sin(theta, out=theta)
-        theta *= amplitude
-        trace = AnalogTrace(theta, 1.0, LABEL_QUANTUM)
-        counts += code_histogram(quantize(trace, adc))
-    return counts
-
-
 def forward_variance(sigma2: float, amplitude: float) -> float:
     """Quantum-noise variance A^2/2 * (1 - exp(-2*sigma2)) in V^2."""
-    non_negative("sigma2", sigma2)
-    positive("amplitude", amplitude)
+    _validate_model(sigma2, amplitude)
     return 0.5 * amplitude * amplitude * -math.expm1(-2.0 * sigma2)
 
 

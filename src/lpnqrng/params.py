@@ -153,12 +153,11 @@ def check_spectral(nfft: int, overlap_fraction: float,
     return n, check_count("plateau_bins", plateau_bins, 1, n // 2)
 
 
-def check_toeplitz_geometry(input_bits: int, output_bits: int,
-                            names=("input_bits", "output_bits")) -> tuple[int, int]:
+def check_toeplitz_geometry(input_bits: int, output_bits: int) -> tuple[int, int]:
     """A Toeplitz hash maps input_bits >= 1 bits to 1 .. input_bits bits
-    (both returned); ``names`` are what the error message calls them."""
-    n_in = check_count(names[0], input_bits, 1)
-    return n_in, check_count(names[1], output_bits, 1, n_in)
+    (both returned)."""
+    n_in = check_count("input_bits", input_bits, 1)
+    return n_in, check_count("output_bits", output_bits, 1, n_in)
 
 
 def check_bits(name: str, bits) -> np.ndarray:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lpnqrng
 from lpnqrng import (AdcSpec, QuantizedTrace, SystemParams,
                      add_electronic_noise, cli, code_probabilities,
                      derive_seed, gaussian_stream, optimizer, quantize,
@@ -711,9 +712,11 @@ class TestExtract:
         (64, ["--n-out", -200], "--n-out must be an integer in [1, 64], got -200"),
         (64, ["--n-out", 65], "--n-out must be an integer in [1, 64], got 65"),
         (0, ["--n-out", 1], "--n-in must be an integer >= 1, got 0"),
+        (0, ["--h-min", 7], "--n-in must be an integer >= 1, got 0"),
         (64, ["--h-min", 0],
          "output bits from --h-min must be an integer in [1, 64], got 0")],
-        ids=["n-out-negative", "n-out-above-n-in", "n-in-zero", "h-min-zero"])
+        ids=["n-out-negative", "n-out-above-n-in", "n-in-zero",
+             "n-in-zero-with-h-min", "h-min-zero"])
     def test_geometry_checked_in_one_line(self, tmp_path, capsys, n_in, size,
                                           message):
         path = self._codes_file(tmp_path)
@@ -966,6 +969,14 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_every_public_name_resolves(self):
+        # the package exports what a command, a benchmark workload or a
+        # README example uses: the Monte Carlo oracle lives in the tests,
+        # delay_index and forward_variance in their modules
+        assert all(hasattr(lpnqrng, name) for name in lpnqrng.__all__)
+        assert not {"monte_carlo_code_histogram", "delay_index",
+                    "forward_variance"} & set(lpnqrng.__all__)
 
 
 class TestResolver:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -13,14 +14,13 @@ from lpnqrng import (
     analytic_min_entropy,
     code_probabilities,
     empirical_min_entropy,
-    forward_variance,
     gaussian_stream,
     invert_variance,
-    monte_carlo_code_histogram,
     phase_variance,
     quantize,
     quantum_variance_from_measurement,
 )
+from lpnqrng.entropy import forward_variance
 from lpnqrng.errors import (
     ClassicalExceedsMeasuredError,
     EmptyTraceError,
@@ -29,6 +29,8 @@ from lpnqrng.errors import (
 )
 from lpnqrng.rng import raw_stream
 from lpnqrng.simulate import quantize_value
+
+from conftest import monte_carlo_code_histogram
 
 TWO_PI = 2.0 * math.pi
 
@@ -296,6 +298,14 @@ class TestEmpiricalMinEntropy:
 
 
 class TestMonteCarloHistogram:
+    # sha256 prefixes of the counts' bytes at sigma2 = 0.4, A = 21/32 and
+    # seed 3; 5 * 2**20 samples cross a 2**22-sample chunk
+    @pytest.mark.parametrize("n,digest", [
+        (10_000, "b3d65cddac90897a"), (5 * 2**20, "dda9c10021992472")])
+    def test_pinned_bytes(self, n, digest):
+        counts = monte_carlo_code_histogram(0.4, 21 / 32, AdcSpec(), n, 3)
+        assert hashlib.sha256(counts.tobytes()).hexdigest()[:16] == digest
+
     def test_total_and_determinism(self, adc8, default_amplitude):
         c1 = monte_carlo_code_histogram(0.4, default_amplitude, adc8, 10_000, 3)
         c2 = monte_carlo_code_histogram(0.4, default_amplitude, adc8, 10_000, 3)

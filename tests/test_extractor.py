@@ -28,16 +28,14 @@ from lpnqrng.extractor import (
 )
 from lpnqrng.rng import bit_stream
 
+from conftest import dense_product
+
 
 def random_spec(rng, max_n=64):
     n_in = int(rng.integers(1, max_n + 1))
     n_out = int(rng.integers(1, n_in + 1))
     seed = rng.integers(0, 2, n_in + n_out - 1).astype(np.uint8)
     return ToeplitzSpec(n_in, n_out, seed)
-
-
-def dense_oracle(spec, x):
-    return (spec.matrix().astype(np.int64) @ x.astype(np.int64)) % 2
 
 
 class TestPacking:
@@ -185,7 +183,7 @@ class TestExtractBlock:
             spec = ToeplitzSpec(64, 48, seed)
             x = rng.integers(0, 2, 64).astype(np.uint8)
             assert np.array_equal(extract_block(x, spec),
-                                  dense_oracle(spec, x).astype(np.uint8))
+                                  dense_product(spec, x))
 
     def test_against_dense_oracle_random_shapes(self):
         rng = np.random.default_rng(12)
@@ -193,7 +191,7 @@ class TestExtractBlock:
             spec = random_spec(rng)
             x = rng.integers(0, 2, spec.input_bits).astype(np.uint8)
             assert np.array_equal(extract_block(x, spec),
-                                  dense_oracle(spec, x).astype(np.uint8))
+                                  dense_product(spec, x))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -228,7 +226,7 @@ class TestKernel:
             spec = random_spec(rng)
             x = rng.integers(0, 2, spec.input_bits).astype(np.uint8)
             got = getattr(extractor, kernel)(spec, x[None, :])[0]
-            assert np.array_equal(got, dense_oracle(spec, x).astype(np.uint8))
+            assert np.array_equal(got, dense_product(spec, x))
 
     # n_in and n_out off a multiple of 8, n_in < 8, 1 x 1 and whole bytes
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -245,7 +243,7 @@ class TestKernel:
             else np.ones(n_seed)).astype(np.uint8))
         x = rng.integers(0, 2, (5, n_in)).astype(np.uint8)
         x[0] = 1  # the all-ones block sums every seed bit of a row
-        want = np.array([dense_oracle(spec, b) for b in x], dtype=np.uint8)
+        want = dense_product(spec, x)
         assert np.array_equal(getattr(extractor, kernel)(spec, x), want)
 
     def test_kernel_choice_follows_the_transform_length(self, monkeypatch):
@@ -280,20 +278,18 @@ class TestKernel:
         rng = np.random.default_rng(20)
         spec = ToeplitzSpec(2048, 1800, rng.integers(0, 2, 3847).astype(np.uint8))
         batch = extractor._TABLE_BYTES // (1800 // 8)
-        dense = spec.matrix().astype(np.float64)
         for n_blocks in (1, batch - 1, batch, batch + 1, 2 * batch + 1):
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
-            want = (blocks @ dense.T).astype(np.int64) % 2
+            want = dense_product(spec, blocks)
             assert np.array_equal(extractor._toeplitz_table(spec, blocks), want)
 
     def test_block_counts_straddling_the_chunk_edge(self):
         rng = np.random.default_rng(14)
         spec = ToeplitzSpec(2048, 1800, rng.integers(0, 2, 3847).astype(np.uint8))
         chunk = extractor._BATCH_SAMPLES // spec._fft_length
-        dense = spec.matrix().astype(np.float64)
         for n_blocks in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
-            want = (blocks @ dense.T).astype(np.int64) % 2
+            want = dense_product(spec, blocks)
             assert np.array_equal(extractor._toeplitz_fft(spec, blocks), want)
 
     def test_lane_edges_against_dense_oracle(self):
@@ -301,11 +297,10 @@ class TestKernel:
         spec = ToeplitzSpec(2048, 1800, rng.integers(0, 2, 3847).astype(np.uint8))
         p = spec._lanes
         chunk = extractor._BATCH_SAMPLES // spec._fft_length
-        dense = spec.matrix().astype(np.float64)
         for n_blocks in (1, p - 1, p, p + 1, chunk * p - 1, chunk * p,
                          chunk * p + 1, 2 * chunk * p + 1):
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
-            want = (blocks @ dense.T).astype(np.int64) % 2
+            want = dense_product(spec, blocks)
             assert np.array_equal(extractor._toeplitz_fft(spec, blocks), want)
 
     def test_packed_random_shapes_against_dense_oracle(self):
@@ -316,7 +311,7 @@ class TestKernel:
             p = spec._lanes
             n_blocks = int(rng.integers(1, 3 * p + 2))
             x = rng.integers(0, 2, (n_blocks, spec.input_bits)).astype(np.uint8)
-            want = np.array([dense_oracle(spec, b) for b in x], dtype=np.uint8)
+            want = dense_product(spec, x)
             assert np.array_equal(extractor._toeplitz_fft(spec, x), want)
 
     @pytest.mark.parametrize("n_in", [2047, 2048])

@@ -39,7 +39,7 @@ from lpnqrng.simulate import (_PART_QUANTUM, AnalogTrace, PhasePath,
                               QuantizedTrace, _quantum_trace, quantize)
 from lpnqrng.spectral import _subtrees
 
-from conftest import TAU_S, base_params
+from conftest import TAU_S, base_params, dense_product
 
 B = _GAUSS_BLOCK
 WORKER_COUNTS = (1, 2, 3)
@@ -282,13 +282,11 @@ def random_spec(n_in, n_out, seed):
 
 
 def dense_extract(codes, spec):
-    """The dense matrix product, block by block (in float64, exact: every
-    sum is an integer of at most n_in)."""
+    """extract_stream's bits by the dense matrix product, block by block."""
     bits = codes_to_bits(codes.codes, codes.adc.bits)
     n_blocks = bits.size // spec.input_bits
     blocks = bits[:n_blocks * spec.input_bits].reshape(n_blocks, -1)
-    product = blocks.astype(np.float64) @ spec.matrix().T.astype(np.float64)
-    return (product.astype(np.int64) & 1).astype(np.uint8).reshape(-1)
+    return dense_product(spec, blocks).reshape(-1)
 
 
 def part_quantum(spec, workers):
@@ -372,8 +370,7 @@ def test_extract_block_starts_no_thread(monkeypatch):
                         lambda self: started.append(self))
     bits = extract_block(block, spec)
     assert not started
-    expected = (spec.matrix().astype(np.int64) @ block) & 1
-    assert np.array_equal(bits, expected)
+    assert np.array_equal(bits, dense_product(spec, block))
 
 
 @pytest.fixture(scope="module")

@@ -17,26 +17,26 @@ from lpnqrng import (
     analytic_min_entropy,
     bandwidth_3db,
     code_probabilities,
-    delay_index,
     estimate_psd,
     extract_block,
-    forward_variance,
     gaussian_stream,
     invert_variance,
     monobit_test,
-    monte_carlo_code_histogram,
     phase_variance,
     quantum_noise,
     quantum_variance_from_measurement,
     runs_test,
     sample_phase_path,
 )
+from lpnqrng.entropy import forward_variance
 from lpnqrng.errors import DelayTooSmallError, InvalidParameterError
 from lpnqrng.extractor import (codes_to_bits, output_bits_for,
                                pack_bits_to_bytes, pack_bits_to_words,
                                unpack_bytes_to_bits)
 from lpnqrng.params import (check_bits, check_count, check_n_samples,
-                            check_toeplitz_geometry, one_of)
+                            check_toeplitz_geometry, delay_index, one_of)
+
+from conftest import monte_carlo_code_histogram
 
 
 class TestAdcSpec:

@@ -12,20 +12,20 @@ from lpnqrng import (
     SimSettings,
     _parallel,
     add_electronic_noise,
-    delay_index,
     evaluate_point,
-    forward_variance,
     quantize,
     quantum_noise,
     sample_phase_path,
     simulate,
 )
+from lpnqrng.entropy import forward_variance
 from lpnqrng.errors import (
     DelayTooSmallError,
     InvalidParameterError,
     LpnError,
     PathTooShortError,
 )
+from lpnqrng.params import delay_index
 from lpnqrng.simulate import (AnalogTrace, PhasePath, QuantizedTrace,
                               _quantum_trace, quantize_value)
 

@@ -10,8 +10,8 @@ from scipy import signal
 from scipy.ndimage import uniform_filter1d
 
 from lpnqrng import (AdcSpec, SimSettings, _parallel, bandwidth_3db,
-                     estimate_psd, evaluate_point, forward_variance,
-                     gaussian_stream)
+                     estimate_psd, evaluate_point, gaussian_stream)
+from lpnqrng.entropy import forward_variance
 from lpnqrng.errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
 from lpnqrng.simulate import AnalogTrace
 from lpnqrng.spectral import (_WELCH_BLOCK_SAMPLES, PERSIST_BINS, PsdEstimate,
