@@ -24,9 +24,14 @@ machine, the stages alternated call by call:
     interference (quantum_noise)            2**23     102-122 67-71
     estimate_psd, nfft 8192                 2**23        196    111
     code_histogram, 8 bits                  2**23       23.2   16.6
+    code_histogram inside bitgen's op       2**20       2.21   2.60
     Toeplitz FFT kernel, 65536 -> 60000     2**20 codes  259    165
     Toeplitz table kernel inside bitgen's   2**20 codes 40-48  40-44
     op, 2048 -> 1800 (extractor module doc)
+
+``code_histogram`` breaks that rule in bitgen's op: two workers were
+faster in only 5 of 30 alternated ops there, while in lab_trace's op
+(2**23 codes) they won 10 of 10, 13.42 ms against 18.41.
 
 ``quantize`` runs on the calling thread: its parts took 68.1 ms at two
 workers against 42.8 at one for 2**23 samples, slower in 12 of 12

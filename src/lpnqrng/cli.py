@@ -50,7 +50,8 @@ from .extractor import (
 from .optimizer import SimSettings, SweepGrid, sweep
 from .params import (DEFAULT_MASTER_SEED, DEFAULT_N_SAMPLES, AdcSpec,
                      SystemParams, as_float, as_int, check_amplitude,
-                     check_count, check_seed, check_spectral, one_of)
+                     check_count, check_h_min, check_seed, check_spectral,
+                     one_of)
 from .rng import (
     STREAM_ELECTRONIC,
     STREAM_PHASE,
@@ -223,11 +224,9 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     quantize_source = one_of("quantize_source", conf["quantize_source"],
                              LABELS)
 
-    k = system.delay_samples
     phase_seed = derive_seed(master_seed, STREAM_PHASE)
     ele_seed = derive_seed(master_seed, STREAM_ELECTRONIC)
-    q = _quantum_trace(system.linewidth_hz, system.sample_period_s, n_samples,
-                       k, system.amplitude, phase_seed)
+    q = _quantum_trace(system, n_samples, phase_seed)
     m = add_electronic_noise(q, system.sigma_ele, ele_seed)
     source = q if quantize_source == "quantum" else m
     codes = quantize(source, system.adc)
@@ -245,7 +244,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         "seeds": {"master": master_seed, "phase": phase_seed,
                   "electronic": ele_seed},
         "results": {
-            "delay_samples": k,
+            "delay_samples": system.delay_samples,
             "trace_samples": len(q),
             "files": {"quantum": str(q_path), "measured": str(m_path),
                       "codes": str(c_path)},
@@ -389,8 +388,8 @@ def cmd_extract(args: argparse.Namespace) -> dict:
     if (args.n_out is None) == (args.h_min is None):
         raise AmbiguousInputError("give exactly one of --n-out or --h-min")
     n_in = check_count("--n-in", args.n_in, 1)
-    n_out = (args.n_out if args.n_out is not None
-             else output_bits_for(args.h_min, qt.adc.bits, n_in))
+    n_out = (args.n_out if args.h_min is None else output_bits_for(
+        check_h_min("--h-min", args.h_min, qt.adc.bits), qt.adc.bits, n_in))
     # the seed is drawn only for a geometry and a trace that can be hashed
     size = "--n-out" if args.h_min is None else "output bits from --h-min"
     check_count(size, n_out, 1, n_in)

@@ -127,8 +127,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
 from . import _parallel
-from .errors import InvalidParameterError, LengthMismatchError, TooFewBitsError
-from .params import check_bits, check_count, check_toeplitz_geometry
+from .errors import LengthMismatchError, TooFewBitsError
+from .params import (check_bits, check_count, check_h_min,
+                     check_toeplitz_geometry)
 from .simulate import QuantizedTrace
 
 GF2_BACKEND = "numpy"
@@ -375,9 +376,7 @@ def output_bits_for(h_min_bits: float, adc_bits: int, input_bits: int) -> int:
     """Output block size floor(h_min / n * input_bits) for n-bit codes."""
     adc_bits = check_count("adc_bits", adc_bits, 2, 16)
     input_bits = check_count("input_bits", input_bits, 1)
-    if not 0 <= h_min_bits <= adc_bits:
-        raise InvalidParameterError(
-            f"h_min must be in [0, {adc_bits}], got {h_min_bits}")
+    h_min_bits = check_h_min("h_min", h_min_bits, adc_bits)
     return int(math.floor(h_min_bits / adc_bits * input_bits))
 
 

@@ -138,8 +138,7 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
     model at the exact delay, not the sample-rounded one.
     """
     params = replace(base, linewidth_hz=linewidth_hz, delay_s=delay_s)
-    q = _quantum_trace(linewidth_hz, params.sample_period_s, sim.n_samples,
-                       params.delay_samples, params.amplitude, sim.seed)
+    q = _quantum_trace(params, sim.n_samples, sim.seed)
     bw = bandwidth_3db(estimate_psd(q, sim.nfft, sim.overlap_fraction),
                        sim.plateau_bins)
     h = analytic_min_entropy(phase_variance(linewidth_hz, delay_s),

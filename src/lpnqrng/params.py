@@ -5,7 +5,8 @@ the value enters: a JSON reader, a typed settings object, or a public
 function. The two range rules for physical reals reject NaN and +-inf
 and return the value as a Python float. Every integer parameter goes
 through ``check_count`` (a seed through ``check_seed``): any integer
-type but bool, returned as a Python int. A signal amplitude goes through
+type but bool, returned as a Python int. A min-entropy per code goes
+through ``check_h_min``. A signal amplitude goes through
 ``check_amplitude``, which also owns its default, and every array of
 bits through ``check_bits``. Settings objects store what the rules
 return, so they stay JSON-able when given NumPy scalars.
@@ -124,6 +125,15 @@ def check_count(name: str, n: int, least: int = 0,
         raise InvalidParameterError(
             f"{name} must be an integer {bound}, got {n!r}")
     return value
+
+
+def check_h_min(name: str, h_min_bits: float, adc_bits: int) -> float:
+    """A min-entropy of n-bit codes, in [0, n] bits, as a Python float;
+    raises InvalidParameterError for any other value, NaN included."""
+    if not 0 <= h_min_bits <= adc_bits:
+        raise InvalidParameterError(
+            f"{name} must be in [0, {adc_bits}], got {h_min_bits}")
+    return float(h_min_bits)
 
 
 def check_n_samples(n_samples: int) -> int:

@@ -15,18 +15,21 @@ the route of ``evaluate_point`` and ``lpnqrng simulate``
 theta[1 .. n-1]. ``_interfere`` then writes
 q[m] = A*sin(theta[m+k] - theta[m]) for a path given as theta[0] and
 theta[1:] into the output array its caller passes, after the caller
-has checked the delay index, the amplitude and the path length
-(``_check_delay``):
+has checked that the path is longer than k (``_check_delay``):
 
-- ``quantum_noise`` passes a frozen path and a new array;
-- the route passes the view ``buf[k-1:]`` of its buffer: q[m] lies in
-  the slot of theta[m+k], which is written only after every sample
-  that reads it.
+- ``quantum_noise`` checks the delay index and the amplitude too, and
+  passes a frozen path and a new array;
+- the route takes a ``SystemParams``, which has checked both, and
+  checks n_samples and the path length before any variate is drawn.
+  It passes the view ``buf[k-1:]`` of its buffer: q[m] lies in the
+  slot of theta[m+k], which is written only after every sample that
+  reads it.
 
 The samples are split into parts, at most one per CPU. The part below
 a part overwrites the operands of that part's lowest min(k, part)
-samples when the output aliases the path. So every part first computes
-those heads into a small array, all parts at once. Then each part
+samples when the output aliases the path. So the calling thread first
+computes every part's head, those samples, into a small array of its
+own. Then the parts run at once, in one ``_parallel.run`` call: each
 computes the rest from its top down through a cache-sized scratch
 chunk, and writes its head last. Part 0's head is its one sample that
 reads theta[0].
@@ -51,7 +54,7 @@ import numpy as np
 
 from . import _parallel
 from .errors import InvalidParameterError, PathTooShortError
-from .params import (AdcSpec, check_count, check_n_samples, check_seed,
+from .params import (AdcSpec, SystemParams, check_count, check_n_samples,
                      non_negative, one_of, positive)
 from .rng import gaussian_stream
 
@@ -160,18 +163,13 @@ def sample_phase_path(linewidth_hz: float, sample_period_s: float,
 
 
 def _steps(linewidth_hz: float, sample_period_s: float, n_samples: int,
-           seed: int, check=None) -> np.ndarray:
+           seed: int) -> np.ndarray:
     """The n_samples - 1 phase steps of a path, scaled in the array that
     ``gaussian_stream`` returns; zeros at zero linewidth, where no stream
-    is drawn and so the seed is not checked. ``check(n_samples)``, when
-    given, runs after these checks and before any array is made."""
+    is drawn and so the seed is not checked."""
     n = check_n_samples(n_samples)
     std = math.sqrt(TWO_PI * non_negative("linewidth_hz", linewidth_hz)
                     * positive("sample_period_s", sample_period_s))
-    if std != 0.0:
-        seed = check_seed("seed", seed)
-    if check is not None:
-        check(n)
     if std == 0.0:
         return np.zeros(n - 1)
     steps = gaussian_stream(seed, n - 1)
@@ -189,21 +187,20 @@ def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
     subtract, sin and scale whatever the split, so the output does not
     depend on the core count.
     """
-    k = _check_delay(len(path), k, amplitude)
+    k = check_count("delay index", k, 1)
+    positive("amplitude", amplitude)
+    _check_delay(len(path), k)
     q = _interfere(path.samples[:1], path.samples[1:], k, amplitude,
                    np.empty(len(path) - k))
     return AnalogTrace(q, path.sample_period_s, LABEL_QUANTUM)
 
 
-def _check_delay(n: int, k: int, amplitude: float) -> int:
-    """k, the amplitude and a path of n samples checked for
-    interference, in that order; returns k."""
-    k = check_count("delay index", k, 1)
-    positive("amplitude", amplitude)
+def _check_delay(n: int, k: int) -> None:
+    """Raises PathTooShortError unless a path of n samples is longer
+    than the delay index k."""
     if n <= k:
         raise PathTooShortError(
             f"path of {n} samples cannot support delay index {k}")
-    return k
 
 
 def _interfere(origin: np.ndarray, theta: np.ndarray, k: int,
@@ -211,7 +208,9 @@ def _interfere(origin: np.ndarray, theta: np.ndarray, k: int,
     """``out``, holding q[m] = amplitude*sin(theta[m+k] - theta[m]) of
     the path whose theta[0] is ``origin[0]`` and whose theta[1:] is
     ``theta``; ``out`` is a new array or the view theta[k-1:] (module
-    docstring). k is the Python int that ``_check_delay`` returned."""
+    docstring). k is a Python int, at least 1 and less than the path's
+    length. The heads are computed on the calling thread, then the parts
+    run in one ``_parallel.run`` call."""
     parts = _parallel.split(len(out), _PART_QUANTUM)
     heads = [np.empty(min(k, b - a) if a else 1) for a, b in parts]
 
@@ -232,27 +231,27 @@ def _interfere(origin: np.ndarray, theta: np.ndarray, k: int,
         out[a:low] = heads[p]
 
     # every head is computed before any part writes ``out``
-    _parallel.run(lambda p, a: wave(a, a + len(heads[p]), heads[p]),
-                  [(p, a) for p, (a, _) in enumerate(parts)])
+    for (a, _), head in zip(parts, heads):
+        wave(a, a + len(head), head)
     _parallel.run(rest, [(p, a, b) for p, (a, b) in enumerate(parts)])
     return out
 
 
-def _quantum_trace(linewidth_hz: float, sample_period_s: float,
-                   n_samples: int, k: int, amplitude: float,
+def _quantum_trace(design: SystemParams, n_samples: int,
                    seed: int) -> AnalogTrace:
-    """quantum_noise(sample_phase_path(linewidth_hz, sample_period_s,
-    n_samples, seed), k, amplitude), byte for byte and with the same
-    errors in the same order, built in one buffer (module docstring).
-    Every argument is checked before the path is drawn."""
-    def check(n: int) -> None:
-        nonlocal k
-        k = _check_delay(n, k, amplitude)
-
-    theta = _steps(linewidth_hz, sample_period_s, n_samples, seed, check)
+    """quantum_noise(sample_phase_path(design.linewidth_hz,
+    design.sample_period_s, n_samples, seed), design.delay_samples,
+    design.amplitude), byte for byte, built in one buffer (module
+    docstring). ``SystemParams`` has checked the design; n_samples and
+    then the path length are checked here, before any variate is drawn,
+    and the draw checks the seed."""
+    k = design.delay_samples
+    _check_delay(check_n_samples(n_samples), k)
+    theta = _steps(design.linewidth_hz, design.sample_period_s, n_samples,
+                   seed)
     np.cumsum(theta, out=theta)
-    q = _interfere(np.zeros(1), theta, k, amplitude, theta[k - 1:])
-    return AnalogTrace(q, sample_period_s, LABEL_QUANTUM)
+    q = _interfere(np.zeros(1), theta, k, design.amplitude, theta[k - 1:])
+    return AnalogTrace(q, design.sample_period_s, LABEL_QUANTUM)
 
 
 def add_electronic_noise(trace: AnalogTrace, sigma_ele: float,

@@ -98,6 +98,15 @@ class TestSimulate:
     def test_missing_design_is_validation_error(self, tmp_path):
         assert run("simulate", "--out-dir", tmp_path) == 2
 
+    def test_delay_longer_than_the_path(self, tmp_path, capsys):
+        # 2.5 ns at tau_s = 0.1 ns is k = 25, more than 20 samples hold
+        out = tmp_path / "d"
+        assert run("simulate", "--linewidth-hz", 9.5e6, "--delay-s", 2.5e-9,
+                   "--n-samples", 20, "--out-dir", out) == 2
+        assert one_error_line(capsys, "path-too-short").endswith(
+            "path of 20 samples cannot support delay index 25")
+        assert not out.exists()
+
     # tau_s = 1e-10 s, so the delays are k = 1 (tau_s = delay) and k = 65
     @pytest.mark.parametrize("source", ["quantum", "measured"])
     @pytest.mark.parametrize("seed", [1, 23])
@@ -621,7 +630,7 @@ class TestSweep:
         assert [(p["linewidth_hz"], p["delay_s"]) for p in per_point] == [
             (5e6, 0.04e-9), (5e6, 2.5e-9), (9.5e6, 0.04e-9), (9.5e6, 2.5e-9)]
         # the delay below one sample fails before its path is drawn
-        assert [call[5] for call in simulated] == [per_point[1]["seed"],
+        assert [call[2] for call in simulated] == [per_point[1]["seed"],
                                                    per_point[3]["seed"]]
         assert per_point[0]["seed"] == derive_seed(4, 0, 0)
 
@@ -714,9 +723,12 @@ class TestExtract:
         (0, ["--n-out", 1], "--n-in must be an integer >= 1, got 0"),
         (0, ["--h-min", 7], "--n-in must be an integer >= 1, got 0"),
         (64, ["--h-min", 0],
-         "output bits from --h-min must be an integer in [1, 64], got 0")],
+         "output bits from --h-min must be an integer in [1, 64], got 0"),
+        (64, ["--h-min", 9], "--h-min must be in [0, 8], got 9.0"),
+        (64, ["--h-min", "nan"], "--h-min must be in [0, 8], got nan")],
         ids=["n-out-negative", "n-out-above-n-in", "n-in-zero",
-             "n-in-zero-with-h-min", "h-min-zero"])
+             "n-in-zero-with-h-min", "h-min-zero", "h-min-above-bits",
+             "h-min-nan"])
     def test_geometry_checked_in_one_line(self, tmp_path, capsys, n_in, size,
                                           message):
         path = self._codes_file(tmp_path)

@@ -27,9 +27,10 @@ import pytest
 from scipy import signal
 from scipy.special import ndtri
 
-from lpnqrng import (AdcSpec, SimSettings, ToeplitzSpec, _parallel, extractor,
-                     estimate_psd, evaluate_point, extract_block,
-                     extract_stream, gaussian_stream, quantum_noise, spectral)
+from lpnqrng import (AdcSpec, SimSettings, SystemParams, ToeplitzSpec,
+                     _parallel, extractor, estimate_psd, evaluate_point,
+                     extract_block, extract_stream, gaussian_stream,
+                     quantum_noise, spectral)
 from lpnqrng.entropy import code_histogram
 from lpnqrng.errors import InvalidParameterError
 from lpnqrng.extractor import (_BATCH_SAMPLES, _TABLE_BYTES,
@@ -89,13 +90,15 @@ def drawn_theta(n_samples, seed):
 def test_quantum_noise_matches_formula_at_every_worker_count(monkeypatch,
                                                             k, n_samples):
     # the public call and the one-buffer route of a design point
+    design = SystemParams(9.5e6, k * TAU_S, sample_period_s=TAU_S)
+    assert design.delay_samples == k
     theta = drawn_theta(n_samples, 4)
-    amplitude = AdcSpec().default_amplitude()
+    amplitude = design.amplitude
     expected = amplitude * np.sin(theta[k:] - theta[:-k])
     path = PhasePath(theta, TAU_S)
     for q, route in per_worker_count(monkeypatch, lambda: (
             quantum_noise(path, k, amplitude),
-            _quantum_trace(9.5e6, TAU_S, n_samples, k, amplitude, 4))):
+            _quantum_trace(design, n_samples, 4))):
         assert np.array_equal(q.samples, expected)
         assert route.samples.tobytes() == expected.tobytes()
 

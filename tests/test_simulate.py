@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lpnqrng import (
     AdcSpec,
     SimSettings,
+    SystemParams,
     _parallel,
     add_electronic_noise,
     evaluate_point,
@@ -144,8 +145,12 @@ class TestQuantumTrace:
     """The one-buffer route that evaluate_point and ``lpnqrng simulate``
     take; its bytes at every worker count are checked in test_parallel."""
 
+    # 0.5 ns at tau_s = 0.1 ns is the delay index 5
+    DESIGN = SystemParams(9.5e6, 5e-10, amplitude=0.5)
+
     def test_equals_the_two_calls(self):
-        q = _quantum_trace(9.5e6, 1e-10, 4096, 65, 0.75, seed=8)
+        design = SystemParams(9.5e6, 6.5e-9, amplitude=0.75)
+        q = _quantum_trace(design, 4096, seed=8)
         want = quantum_noise(sample_phase_path(9.5e6, 1e-10, 4096, seed=8),
                              65, 0.75)
         assert q.samples.tobytes() == want.samples.tobytes()
@@ -154,13 +159,14 @@ class TestQuantumTrace:
             q.samples[0] = 1.0
 
     def test_numpy_delay_index_gives_the_same_bytes(self):
-        # the route computes with the Python int that the delay check
-        # returns, as quantum_noise does
+        # quantum_noise computes with the Python int that the delay
+        # index rule returns, and the route with the design's
         path = sample_phase_path(9.5e6, 1e-10, 4096, seed=8)
         want = quantum_noise(path, 65, 0.75).samples.tobytes()
-        k = np.int64(65)
-        assert quantum_noise(path, k, 0.75).samples.tobytes() == want
-        q = _quantum_trace(9.5e6, 1e-10, 4096, k, 0.75, seed=8)
+        assert quantum_noise(path, np.int64(65), 0.75).samples.tobytes() == want
+        design = SystemParams(np.float64(9.5e6), np.float64(6.5e-9),
+                              amplitude=np.float64(0.75))
+        q = _quantum_trace(design, np.int64(4096), seed=np.uint64(8))
         assert q.samples.tobytes() == want
 
     @pytest.mark.parametrize("seed", [3, -1, 2**64, 1.5])
@@ -172,34 +178,32 @@ class TestQuantumTrace:
             raise AssertionError("a stream was drawn")
 
         monkeypatch.setattr(simulate, "gaussian_stream", no_stream)
-        q = _quantum_trace(0.0, 1e-10, 64, 5, 1.0, seed)
+        q = _quantum_trace(SystemParams(0.0, 5e-10, amplitude=1.0), 64, seed)
         assert q.samples.tobytes() == np.zeros(59).tobytes()
         want = quantum_noise(sample_phase_path(0.0, 1e-10, 64, seed), 5, 1.0)
         assert q.samples.tobytes() == want.samples.tobytes()
 
-    # the two calls' order: n_samples, linewidth and period, the seed
-    # when the path draws a stream, then the delay index, the amplitude
-    # and the path length; every argument from the named one on is bad
-    ORDER = ("n_samples", "linewidth_hz", "sample_period_s", "seed",
-             "delay index", "amplitude")
-    BAD = (1, -1.0, 0.0, -1, 0, 0.0)
-
-    @pytest.mark.parametrize("first", range(len(ORDER) + 1))
-    def test_errors_come_in_the_two_calls_order(self, first):
-        # n_samples 4 with k 5 is also a path too short for the delay
-        args = [4, 9.5e6, 1e-10, 2, 5, 0.5]
-        args[first:] = self.BAD[first:]
-        n, lw, tau, seed, k, amplitude = args
+    # one bad argument a call; SystemParams has checked the design
+    @pytest.mark.parametrize("n_samples,seed", [(1, 2), (5, 2), (6, -1)],
+                             ids=["n_samples", "path-too-short", "seed"])
+    def test_errors_equal_the_two_calls(self, n_samples, seed):
         with pytest.raises(LpnError) as got:
-            _quantum_trace(lw, tau, n, k, amplitude, seed)
+            _quantum_trace(self.DESIGN, n_samples, seed)
         with pytest.raises(LpnError) as want:
-            quantum_noise(sample_phase_path(lw, tau, n, seed), k, amplitude)
+            quantum_noise(sample_phase_path(9.5e6, 1e-10, n_samples, seed),
+                          5, 0.5)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
-        if first < len(self.ORDER):
-            assert str(got.value).startswith(self.ORDER[first] + " must")
-        else:
-            assert type(got.value) is PathTooShortError
+
+    @pytest.mark.parametrize("n_samples,message", [
+        (1, "n_samples must"),
+        (5, "path of 5 samples cannot support delay index 5")])
+    def test_n_samples_then_path_length_come_before_the_seed(self, n_samples,
+                                                           message):
+        # both are checked before the draw, which checks the seed
+        with pytest.raises(LpnError) as got:
+            _quantum_trace(self.DESIGN, n_samples, -1)
+        assert str(got.value).startswith(message)
 
     def test_too_long_delay_fails_before_the_path_is_drawn(self, monkeypatch):
         # 1 ms at tau_s = 0.1 ns is 10**7 samples, more than the 2**22 drawn
@@ -207,6 +211,8 @@ class TestQuantumTrace:
             raise AssertionError("a stream was drawn")
 
         monkeypatch.setattr(simulate, "gaussian_stream", no_stream)
+        with pytest.raises(PathTooShortError):
+            _quantum_trace(SystemParams(9.5e6, 1e-3), 2**22, 3)
         with pytest.raises(PathTooShortError):
             evaluate_point(9.5e6, 1e-3, base_params(),
                            SimSettings(n_samples=2**22, seed=3))
