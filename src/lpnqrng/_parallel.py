@@ -23,15 +23,16 @@ machine, the stages alternated call by call:
     interference inside evaluate_point      2**22      64-71  39-52
     interference (quantum_noise)            2**23     102-122 67-71
     estimate_psd, nfft 8192                 2**23        196    111
-    code_histogram, 8 bits                  2**23       23.2   16.6
-    code_histogram inside bitgen's op       2**20       2.21   2.60
+    code_histogram inside lab_trace's op    2**23       19.2   14.2
     Toeplitz FFT kernel, 65536 -> 60000     2**20 codes  259    165
-    Toeplitz table kernel inside bitgen's   2**20 codes 40-48  40-44
-    op, 2048 -> 1800 (extractor module doc)
+    extract_stream inside bitgen's op,      2**20 codes 34-35  22-23
+    2048 -> 1800 (extractor module doc)
 
-``code_histogram`` breaks that rule in bitgen's op: two workers were
-faster in only 5 of 30 alternated ops there, while in lab_trace's op
-(2**23 codes) they won 10 of 10, 13.42 ms against 18.41.
+``code_histogram`` splits its codes only above 2**22 of them
+(``entropy._HISTOGRAM_PART``): inside lab_trace's op (2**23 codes) two
+workers won 8 of 8 alternated ops, but inside bitgen's op (2**20) they
+won 16 of 30 and 13 of 20, with medians of 2.25 against 2.44 and 2.93
+against 2.69 ms at one and two workers, so one thread counts those.
 
 ``quantize`` runs on the calling thread: its parts took 68.1 ms at two
 workers against 42.8 at one for 2**23 samples, slower in 12 of 12

@@ -40,6 +40,11 @@ METHOD_EMPIRICAL = "empirical"
 #: 16 bits the counts bincount returns, are 512 KiB each
 _HISTOGRAM_CHUNK = 2**16
 
+#: code_histogram splits its codes at multiples of this, so a trace of
+#: at most this many codes is counted on the calling thread: a second
+#: worker was no faster at 2**20 codes and faster at 2**23 (``_parallel``)
+_HISTOGRAM_PART = 2**22
+
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -152,14 +157,15 @@ def analytic_min_entropy(sigma2: float, amplitude: float,
 def code_histogram(qt: QuantizedTrace) -> np.ndarray:
     """Counts per code in code order (code_min .. code_max).
 
-    The codes are counted in at most one part per CPU the process may
-    run on, a chunk at a time into the part's own row of counts, and the
-    rows are summed; no array as long as the trace is made.
+    The codes are counted in parts of whole _HISTOGRAM_PART runs, at
+    most one per CPU the process may run on, a chunk at a time into the
+    part's own row of counts, and the rows are summed; no array as long
+    as the trace is made.
     """
     if len(qt) == 0:
         raise EmptyTraceError("quantized trace is empty")
     codes, adc = qt.codes, qt.adc
-    parts = _parallel.split(len(codes), _HISTOGRAM_CHUNK)
+    parts = _parallel.split(len(codes), _HISTOGRAM_PART)
     counts = np.zeros((len(parts), adc.n_codes), dtype=np.int64)
     wide = [np.empty(min(_HISTOGRAM_CHUNK, b - a), dtype=np.intp)
             for a, b in parts]

@@ -18,12 +18,12 @@ large ones. Per 2**23 input bits on a 2-core x86-64 machine at two
 workers, ms, two runs of the median of 9 calls:
 
     n_in -> n_out     L         FFT     table
-      512 -> 450      2**10    58-63    22-23
-     1024 -> 901      2**11    62-63       22
-     2048 -> 1800     2**12    64-66    29-30
-     4096 -> 3604     2**13    85-92    39-45
-     8192 -> 7208     2**14    70-85    59-76
-    16384 -> 14417    2**15    97-99  129-140
+      512 -> 450      2**10    49-69       14
+     1024 -> 901      2**11    58-59    14-16
+     2048 -> 1800     2**12    56-61    19-23
+     4096 -> 3604     2**13    74-78    26-33
+     8192 -> 7208     2**14    64-76    52-57
+    16384 -> 14417    2**15    73-89   98-107
 
 Table kernel. With B = ceil(n_in / 8), let t'' be t' behind 8B - n_in
 zeros, so T[r][c] = t''[8B - 1 + r - c]: column c is the window of t''
@@ -42,28 +42,37 @@ packed, a byte per 8 bits, and hashing one block is B gathers and XORs
 of ceil(n_out / 8) bytes. Nothing is rounded: the kernel computes the
 XOR itself, so it is exact with no bound. H is 123 KB at
 2048 -> 1800 and is built once per ``ToeplitzSpec`` from eight shifted
-copies of t'', in 0.2 ms on that machine. The blocks are packed once, then
-split into one range per part at whole batches of about _TABLE_BYTES
-packed output bytes (2330 blocks at 2048 -> 1800); a part XORs its
-range a batch at a time into its rows of the caller's packed output,
-which the caller then unpacks _UNPACK_ROWS blocks at a time into the
-one output. NumPy's gather takes no ``out=``, so a part allocates one
-window of its batch per input byte. A call with at most one batch of
-blocks starts no thread. The gather releases the interpreter lock: on
-the 2-core machine above, a pure-Python thread counted 8-9 M
-iterations/s beside a thread gathering 2048 x 225-byte windows, as
-beside np.sin and when idle, against 3-5 M/s beside a C loop that
-keeps the lock. In isolation, two threads of gathers took no less
-time than one thread running both (median 33 against 27 ms for
-2 x 256 gathers), as the two cores share the copy throughput that the
-gathers need; np.take with ``out=`` from a contiguous 256 x 225 table,
-which allocates nothing, gained 1.2-1.4x on two threads there. Inside
-the op that simulates, quantizes and hashes 2**20 8-bit codes (4096
-blocks at 2048 -> 1800), the second part pays: on that machine, in
-three runs of 16 alternated ops, the median ``extract_stream`` went
-from 48.4 to 43.8, 45.8 to 40.0 and 40.0 to 40.3 ms from one worker
-to two, faster in 13, 15 and 9 of 16 ops. So the table kernel keeps
-its parts.
+copies of t'', in 0.2 ms on that machine. The spec also keeps one
+strided view of H per input byte j, whose item v is the window of row
+v that byte j selects, as one np.void of ceil(n_out / 8) bytes; so
+indexing that view with the blocks' bytes j gathers one contiguous run
+per block, where indexing H by rows and a column slice copies byte by
+byte. For 4096 packed blocks at 2048 -> 1800 on the 2-core machine
+above (two runs of the median of 20 alternated calls), the kernel took
+25.8-28.4 and 23.2-24.0 ms at one and two workers by rows and slice,
+and 21.4-23.5 and 15.4-16.9 ms by the view. np.take into a buffer of
+the part (mode "clip", which does not buffer ``out=``) was no faster,
+30.5 against 31.3 ms at one worker and 22.4 against 18.0 at two in a
+later run, so a part allocates one gathered window of its batch per
+input byte.
+
+A block of 8- or 16-bit codes whose n_in is a multiple of 8 needs no
+serializing: the bytes of its big-endian code words are the block
+packed MSB first, so ``extract_stream`` passes them to the kernel as
+they are. Other blocks are serialized to bits and packed once.
+
+The kernel makes as many near-equal parts as there are batches of about
+_TABLE_BYTES packed output bytes (2330 blocks at 2048 -> 1800), at most
+one per worker: 4096 blocks make two parts of 2048, and a call of at
+most one batch is one part and starts no thread. A part XORs its range
+a batch at a time into its rows of the caller's packed output, which
+the caller then unpacks _UNPACK_ROWS blocks at a time into the one
+output. The gather releases the interpreter lock, and the two parts
+share the cores' copy throughput. Inside the op that simulates,
+quantizes and hashes 2**20 8-bit codes (4096 blocks at 2048 -> 1800),
+in three runs of 16 alternated ops on that machine, the median
+``extract_stream`` went from 33.8 to 22.8, 35.1 to 23.2 and 34.9 to
+22.1 ms from one worker to two, faster in 16 of 16 ops each time.
 
 FFT kernel. T @ x is the linear convolution of t' and x at indices
 n_in - 1 .. n_in + n_out - 2. Zero-padded to L, the next power of two
@@ -145,14 +154,20 @@ _BATCH_SAMPLES = 1 << 18
 _TABLE_MAX_LENGTH = 1 << 14
 
 #: the table kernel's parts XOR batches of about _TABLE_BYTES packed
-#: output bytes, and the blocks split at whole batches: a second part
-#: saves at most about 13% inside an op (module doc), so smaller batches
-#: only add parts, and a larger batch no longer fits in a core's cache
+#: output bytes, and it makes one part per batch up to the worker count
+#: (module doc). Smaller batches were slower: 4096 blocks at 2048 ->
+#: 1800 took 37-39 ms at one worker and 37-91 at two in batches of 128,
+#: against 22 and 17-22 in batches of 2048
 _TABLE_BYTES = 1 << 19
 
 #: blocks per np.unpackbits call of the table kernel, whose temporary
 #: would otherwise be a second copy of the output
 _UNPACK_ROWS = 1 << 8
+
+#: bits per chunk of runs_test's flip count. A flag per bit of the whole
+#: stream, 7.4 MB for the 4096 blocks of a 2**20-code trace, took 4.8
+#: ms with its page faults where the chunks take 0.8-1.0
+_RUNS_CHUNK = 1 << 18
 
 
 def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
@@ -273,47 +288,70 @@ class ToeplitzSpec:
                            out=table[1 << u:2 << u])
         return table
 
+    @cached_property
+    def _byte_windows(self) -> list[np.ndarray]:
+        """Item v of entry j is the window of H's row v that input byte j
+        selects, as one np.void item of ceil(n_out / 8) bytes: a strided
+        view of H, so a gather copies one contiguous run per block."""
+        table = self._byte_table
+        n_bytes = -(-self.input_bits // 8)
+        item = np.dtype((np.void, -(-self.output_bits // 8)))
+        return [np.ndarray((256, 1), item, table, n_bytes - 1 - j,
+                           (table.shape[1], 0))
+                for j in range(n_bytes)]
+
+
+def _table_runs(spec: ToeplitzSpec) -> bool:
+    """Whether the byte table hashes this geometry (module doc)."""
+    return spec._fft_length <= _TABLE_MAX_LENGTH
+
 
 def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
     """out[b] = T @ blocks[b] mod 2 for an (n_blocks, n_in) 0/1 array,
     by the faster kernel for the geometry (module doc)."""
-    if spec._fft_length <= _TABLE_MAX_LENGTH:
+    if _table_runs(spec):
         return _toeplitz_table(spec, blocks)
     return _toeplitz_fft(spec, blocks)
 
 
 def _toeplitz_table(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
     """_toeplitz_apply by the byte table (module doc)."""
-    table = spec._byte_table  # read here, not first on a part's thread
-    n_blocks, n_out = len(blocks), spec.output_bits
     # out before the packed blocks and outputs, as in _toeplitz_fft:
     # packing first raised the bitgen benchmark's peak RSS from 169 to
-    # 184 MB
-    out = np.empty((n_blocks, n_out), dtype=np.uint8)
-    packed = np.packbits(blocks, axis=1)
-    y = np.empty((n_blocks, -(-n_out // 8)), dtype=np.uint8)
-    rows = max(_TABLE_BYTES // y.shape[1], 1)
-    _parallel.run(lambda a, b: _table_part(packed[a:b], table, rows, y[a:b]),
-                  _parallel.split(n_blocks, rows))
-    for a in range(0, n_blocks, _UNPACK_ROWS):
-        out[a:a + _UNPACK_ROWS] = np.unpackbits(y[a:a + _UNPACK_ROWS],
-                                                axis=1, count=n_out)
+    # 184 MB when its codes took this route
+    out = np.empty((len(blocks), spec.output_bits), dtype=np.uint8)
+    _table_hash(spec, np.packbits(blocks, axis=1), out)
     return out
 
 
-def _table_part(packed: np.ndarray, table: np.ndarray, rows: int,
+def _table_hash(spec: ToeplitzSpec, packed: np.ndarray,
+                out: np.ndarray) -> None:
+    """out[b] = T @ x_b mod 2 for the blocks x_b packed MSB first, one
+    row of ceil(n_in / 8) bytes each (module doc)."""
+    windows = spec._byte_windows  # read here, not first on a part's thread
+    n_blocks, n_out = out.shape
+    y = np.empty((n_blocks, -(-n_out // 8)), dtype=np.uint8)
+    rows = max(_TABLE_BYTES // y.shape[1], 1)
+    # as many near-equal parts as whole batches, up to one per worker
+    parts = min(_parallel.workers(), -(-n_blocks // rows))
+    _parallel.run(lambda a, b: _table_part(packed[a:b], windows, rows, y[a:b]),
+                  _parallel.split(n_blocks, -(-n_blocks // parts)))
+    for a in range(0, n_blocks, _UNPACK_ROWS):
+        out[a:a + _UNPACK_ROWS] = np.unpackbits(y[a:a + _UNPACK_ROWS],
+                                                axis=1, count=n_out)
+
+
+def _table_part(packed: np.ndarray, windows: list[np.ndarray], rows: int,
                 y: np.ndarray) -> None:
     """y[b] = T @ x_b mod 2, packed, for the packed blocks x_b, rows
-    blocks at a time: one XOR of a window of H per input byte (module
-    doc)."""
-    n_bytes, width = packed.shape[1], y.shape[1]
+    blocks at a time: one XOR of a gathered window of H per input byte
+    (module doc)."""
     for first in range(0, len(packed), rows):
         group = packed[first:first + rows]
         acc = y[first:first + rows]
         acc[:] = 0
-        for j in range(n_bytes):
-            start = n_bytes - 1 - j
-            acc ^= table[group[:, j], start:start + width]
+        for j, window in enumerate(windows):
+            acc ^= window[group[:, j]].view(np.uint8)
 
 
 def _toeplitz_fft(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
@@ -396,11 +434,21 @@ def extract_stream(codes: QuantizedTrace, spec: ToeplitzSpec) -> np.ndarray:
     in the output. Returns a 0/1 uint8 array of
     output_bits * n_blocks bits.
     """
-    bits = codes_to_bits(codes.codes, codes.adc.bits)
-    n_blocks = bits.size // spec.input_bits
+    n_in, code_bits = spec.input_bits, codes.adc.bits
+    n_blocks = len(codes) * code_bits // n_in
     if n_blocks == 0:
         return np.empty(0, dtype=np.uint8)
-    blocks = bits[:n_blocks * spec.input_bits].reshape(n_blocks, spec.input_bits)
+    if code_bits in (8, 16) and n_in % 8 == 0 and _table_runs(spec):
+        # the big-endian code words are the blocks packed MSB first
+        out = np.empty((n_blocks, spec.output_bits), dtype=np.uint8)
+        n_bytes = n_blocks * n_in // 8
+        words = codes.codes[:-(-8 * n_bytes // code_bits)].astype(
+            f">u{code_bits // 8}")
+        _table_hash(spec, words.view(np.uint8)[:n_bytes].reshape(n_blocks, -1),
+                    out)
+        return out.reshape(-1)
+    bits = codes_to_bits(codes.codes, code_bits)
+    blocks = bits[:n_blocks * n_in].reshape(n_blocks, n_in)
     return _toeplitz_apply(spec, blocks).reshape(-1)
 
 
@@ -408,7 +456,7 @@ def _as_bit_array(bits: np.ndarray, minimum: int) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.size < minimum:
         raise TooFewBitsError(f"need at least {minimum} bits, got {arr.size}")
-    return check_bits("bits", arr)
+    return check_bits("bits", arr).reshape(-1)
 
 
 def monobit_test(bits: np.ndarray) -> float:
@@ -430,7 +478,13 @@ def runs_test(bits: np.ndarray) -> float:
     pi = np.count_nonzero(arr) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return 0.0
-    v = 1 + np.count_nonzero(arr[1:] != arr[:-1])
+    # bit flips counted a chunk at a time, through one reused buffer
+    flips = np.empty(min(_RUNS_CHUNK, n - 1), dtype=bool)
+    v = 1
+    for a in range(0, n - 1, _RUNS_CHUNK):
+        b = min(a + _RUNS_CHUNK, n - 1)
+        v += np.count_nonzero(np.not_equal(arr[a + 1:b + 1], arr[a:b],
+                                           out=flips[:b - a]))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return float(erfc(num / den))

@@ -1,11 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from lpnqrng import (
+    AdcSpec,
     QuantizedTrace,
     ToeplitzSpec,
     extract_block,
@@ -405,6 +408,29 @@ class TestExtractStream:
             extract_block(bits[i * 256:(i + 1) * 256], spec) for i in range(3)])
         assert np.array_equal(extract_stream(qt, spec), want)
 
+    # whole-byte blocks of 8- and 16-bit codes are hashed from the code
+    # bytes; other widths and geometries are serialized to bits first
+    @pytest.mark.parametrize("adc_bits,n_in,n_out,serialized", [
+        (8, 2048, 1800, False), (16, 2048, 1800, False),
+        (16, 24, 10, False), (8, 2047, 1000, True), (12, 2048, 1800, True),
+        (16, 2**14, 100, True)])
+    def test_code_bytes_route(self, monkeypatch, adc_bits, n_in, n_out,
+                              serialized):
+        adc = AdcSpec(bits=adc_bits)
+        rng = np.random.default_rng(adc_bits + n_in)
+        codes = rng.integers(adc.code_min, adc.code_max + 1,
+                             3 * n_in // adc_bits + 1).astype(np.int16)
+        codes[:2] = adc.code_min, adc.code_max
+        spec = ToeplitzSpec(n_in, n_out, rng.integers(0, 2, n_in + n_out - 1))
+        bits = codes_to_bits(codes, adc_bits)
+        want = dense_product(spec, bits[:3 * n_in].reshape(3, n_in)).ravel()
+        calls = []
+        monkeypatch.setattr(extractor, "codes_to_bits", lambda *args: (
+            calls.append(args), codes_to_bits(*args))[1])
+        got = extract_stream(QuantizedTrace(codes, adc, 1e-10), spec)
+        assert np.array_equal(got, want)
+        assert bool(calls) == serialized
+
 
 class TestSanityStatistics:
     def test_alternating_bits(self):
@@ -421,6 +447,23 @@ class TestSanityStatistics:
         bits = bit_stream(31337, 2**20)
         assert monobit_test(bits) > 0.01
         assert runs_test(bits) > 0.01
+
+    # the flips are counted in chunks; these lengths end a chunk early,
+    # on its edge and just past it
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2, 12345])
+    def test_runs_counts_flips_across_chunk_edges(self, extra):
+        n = extractor._RUNS_CHUNK + extra
+        bits = bit_stream(40 + extra, 2 * n)[:n]
+        pi = np.count_nonzero(bits) / n
+        v = 1 + np.count_nonzero(bits[1:] != bits[:-1])
+        want = erfc(abs(v - 2.0 * n * pi * (1.0 - pi))
+                         / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)))
+        assert runs_test(bits) == want
+
+    def test_rows_are_one_stream(self):
+        bits = bit_stream(41, 2 * 1000)
+        assert runs_test(bits.reshape(2, -1)) == runs_test(bits)
+        assert monobit_test(bits.reshape(2, -1)) == monobit_test(bits)
 
     def test_too_few_bits(self):
         with pytest.raises(TooFewBitsError):

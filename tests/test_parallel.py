@@ -1,9 +1,10 @@
 """The threaded layers give the same bytes whatever the worker count.
 
 ``gaussian_stream``, ``quantum_noise``, the one-buffer quantum trace
-of a design point, ``code_histogram``, ``estimate_psd`` and the
-Toeplitz extractor split their work into one part per CPU the process
-may run on (``_parallel``); ``quantize`` runs on the calling thread.
+of a design point, ``code_histogram`` (above 2**22 codes),
+``estimate_psd`` and the Toeplitz extractor split their work into one
+part per CPU the process may run on (``_parallel``); ``quantize`` runs
+on the calling thread.
 Each test here sets the worker count to 1, 2 and 3 (and 5 for Welch)
 and compares every result with an independent serial oracle or with
 the one-worker result. The
@@ -28,10 +29,10 @@ from scipy import signal
 from scipy.special import ndtri
 
 from lpnqrng import (AdcSpec, SimSettings, SystemParams, ToeplitzSpec,
-                     _parallel, extractor, estimate_psd, evaluate_point,
-                     extract_block, extract_stream, gaussian_stream,
-                     quantum_noise, spectral)
-from lpnqrng.entropy import code_histogram
+                     _parallel, entropy, extractor, estimate_psd,
+                     evaluate_point, extract_block, extract_stream,
+                     gaussian_stream, quantum_noise, spectral)
+from lpnqrng.entropy import _HISTOGRAM_CHUNK, code_histogram
 from lpnqrng.errors import InvalidParameterError
 from lpnqrng.extractor import (_BATCH_SAMPLES, _TABLE_BYTES,
                                _TABLE_MAX_LENGTH, codes_to_bits)
@@ -239,12 +240,28 @@ def test_quantize_and_code_histogram_at_every_worker_count(monkeypatch,
     counts = np.bincount(codes.astype(np.int64) - adc.code_min,
                          minlength=adc.n_codes)
     trace = AnalogTrace(x, TAU_S, "measured")
+    # parts of one chunk each, where a trace this short is one part
+    monkeypatch.setattr(entropy, "_HISTOGRAM_PART", _HISTOGRAM_CHUNK)
     for q, hist in per_worker_count(monkeypatch, lambda: (
             quantize(trace, adc),
             code_histogram(QuantizedTrace(codes, adc, TAU_S)))):
         assert q.codes.dtype == np.int16
         assert q.codes.tobytes() == codes.tobytes()
         assert np.array_equal(hist, counts)
+
+
+def test_code_histogram_of_2_20_codes_starts_no_thread(monkeypatch):
+    # bitgen's trace length; a second worker was no faster there
+    set_workers(monkeypatch, 2)
+    adc = AdcSpec(bits=8)
+    codes = np.random.default_rng(14).integers(
+        adc.code_min, adc.code_max + 1, 2**20).astype(np.int16)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    hist = code_histogram(QuantizedTrace(codes, adc, TAU_S))
+    assert not started
+    assert np.array_equal(hist, np.bincount(codes + 128, minlength=256))
 
 
 # a NaN in one chunk, and one in the first, a middle and the last
@@ -270,13 +287,20 @@ def test_evaluate_point_is_the_same_at_every_worker_count(monkeypatch):
     assert points[1] == points[0] and points[2] == points[0]
 
 
-def random_codes(adc_bits, n_in, n_blocks, seed):
-    """Codes holding n_blocks whole blocks and a partial one."""
+def random_codes(adc_bits, n_in, n_blocks, seed, stride=1):
+    """Codes holding n_blocks whole blocks and a partial one, with both
+    end codes first and last; with a stride, a strided view of the
+    codes."""
     rng = np.random.default_rng(seed)
     adc = AdcSpec(bits=adc_bits)
     n_codes = -(-(n_blocks * n_in + 1) // adc_bits)
-    codes = rng.integers(adc.code_min, adc.code_max + 1, n_codes)
-    return QuantizedTrace(codes, adc, TAU_S)
+    codes = rng.integers(adc.code_min, adc.code_max + 1,
+                         n_codes * stride).astype(np.int16)[::stride]
+    codes[[0, 1, -2, -1]] = [adc.code_min, adc.code_max, adc.code_max,
+                             adc.code_min]
+    trace = QuantizedTrace(codes, adc, TAU_S)
+    assert trace.codes.strides == (2 * stride,)
+    return trace
 
 
 def random_spec(n_in, n_out, seed):
@@ -321,19 +345,29 @@ def test_extract_stream_matches_dense_product_at_every_worker_count(
 
 
 # each call makes one part per worker; at 16384 -> 100 (the FFT kernel)
-# each part also runs several batches
+# each part also runs several batches. 8- and 16-bit codes hash their
+# code bytes when n_in is a multiple of 8 (2048, 2056: a 16-bit code
+# straddles two blocks) and their bits otherwise (2047)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("adc_bits,n_in,n_out,n_blocks", [
     (6, 100, 60, 1001),
     (12, 2047, 1000, 301),
     (16, 33, 33, 2000),
     (16, 16384, 100, 61),
+    (8, 2048, 1800, 301),
+    (8, 2056, 1000, 301),
+    (8, 2047, 1000, 301),
+    (16, 2048, 1800, 301),
+    (16, 2056, 1000, 301),
+    (16, 2047, 1000, 301),
 ])
+@pytest.mark.parametrize("stride", [1, 3])
 def test_extract_stream_geometries_at_every_worker_count(
-        monkeypatch, workers, adc_bits, n_in, n_out, n_blocks):
+        monkeypatch, workers, adc_bits, n_in, n_out, n_blocks, stride):
     spec = random_spec(n_in, n_out, n_in)
-    check_extract_stream(monkeypatch, workers,
-                         random_codes(adc_bits, n_in, n_blocks, n_out), spec)
+    check_extract_stream(
+        monkeypatch, workers,
+        random_codes(adc_bits, n_in, n_blocks, n_out, stride), spec)
 
 
 # batches of 3 blocks of 8 packed output bytes give each part of the
@@ -344,6 +378,45 @@ def test_table_batches_at_every_worker_count(monkeypatch, workers):
     spec = random_spec(100, 60, 23)
     check_extract_stream(monkeypatch, workers, random_codes(6, 100, 1001, 24),
                          spec)
+
+
+def record_table_parts(monkeypatch):
+    """The block count of each part the table kernel runs."""
+    counts = []
+    part = extractor._table_part
+    monkeypatch.setattr(extractor, "_table_part", lambda packed, *args: (
+        counts.append(len(packed)), part(packed, *args)))
+    return counts
+
+
+def test_table_parts_are_near_equal(monkeypatch):
+    # 4096 blocks are two batches of 2330 at 2048 -> 1800
+    set_workers(monkeypatch, 2)
+    counts = record_table_parts(monkeypatch)
+    spec = random_spec(2048, 1800, 10)
+    codes = random_codes(8, 2048, 4096, 11)
+    assert np.array_equal(extract_stream(codes, spec),
+                          dense_extract(codes, spec))
+    assert counts == [2048, 2048]
+
+
+def test_extract_stream_of_one_table_batch_starts_no_thread(monkeypatch):
+    set_workers(monkeypatch, 3)
+    spec = random_spec(2048, 1800, 12)
+    n_blocks = part_quantum(spec, 3)
+    codes = random_codes(8, 2048, n_blocks, 13)
+    extract_block(np.zeros(2048, dtype=np.uint8), spec)  # fills the caches
+    counts = record_table_parts(monkeypatch)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    bits = extract_stream(codes, spec).reshape(n_blocks, -1)
+    assert not started
+    assert counts == [n_blocks]
+    blocks = codes_to_bits(codes.codes, 8)[:n_blocks * 2048].reshape(
+        n_blocks, -1)
+    ends = [0, n_blocks - 1]
+    assert np.array_equal(bits[ends], dense_product(spec, blocks[ends]))
 
 
 def test_extract_stream_peak_memory_does_not_grow_with_parts(monkeypatch):
