@@ -24,7 +24,7 @@ machine, the stages alternated call by call:
     interference (quantum_noise)            2**23     102-122 67-71
     estimate_psd, nfft 8192                 2**23        196    111
     code_histogram inside lab_trace's op    2**23       19.2   14.2
-    Toeplitz FFT kernel, 65536 -> 60000     2**20 codes  259    165
+    Toeplitz FFT kernel, 65536 -> 60000     2**20 codes 197-211 112-133
     extract_stream inside bitgen's op,      2**20 codes 34-35  22-23
     2048 -> 1800 (extractor module doc)
 
@@ -33,6 +33,10 @@ machine, the stages alternated call by call:
 workers won 8 of 8 alternated ops, but inside bitgen's op (2**20) they
 won 16 of 30 and 13 of 20, with medians of 2.25 against 2.44 and 2.93
 against 2.69 ms at one and two workers, so one thread counts those.
+
+The FFT row times ``_fft_hash`` on the packed bytes of 2**20 8-bit
+codes, three runs of 15 alternated calls; two workers were faster in
+10, 15 and 15 of them.
 
 ``quantize`` runs on the calling thread: its parts took 68.1 ms at two
 workers against 42.8 at one for 2**23 samples, slower in 12 of 12

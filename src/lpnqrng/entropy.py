@@ -25,11 +25,8 @@ import numpy as np
 from scipy.special import erf
 
 from . import _parallel
-from .errors import (
-    ClassicalExceedsMeasuredError,
-    EmptyTraceError,
-    VarianceOutOfRangeError,
-)
+from .errors import (ClassicalExceedsMeasuredError, EmptyTraceError,
+                     InvalidParameterError, VarianceOutOfRangeError)
 from .params import AdcSpec, non_negative, positive
 from .simulate import TWO_PI, QuantizedTrace, quantize_value
 
@@ -192,9 +189,20 @@ def empirical_min_entropy(qt: QuantizedTrace) -> EntropyReport:
                          method=METHOD_EMPIRICAL)
 
 
+def _amplitude_squared(amplitude: float) -> float:
+    """A * A for an amplitude A > 0 whose square is a finite float; above
+    about 1.34e154 V it is not, and InvalidParameterError is raised."""
+    square = positive("amplitude", amplitude) * amplitude
+    if not math.isfinite(square):
+        raise InvalidParameterError(
+            f"amplitude must have a finite square, got {amplitude!r}")
+    return square
+
+
 def forward_variance(sigma2: float, amplitude: float) -> float:
     """Quantum-noise variance A^2/2 * (1 - exp(-2*sigma2)) in V^2."""
-    _validate_model(sigma2, amplitude)
+    non_negative("sigma2", sigma2)
+    _amplitude_squared(amplitude)
     return 0.5 * amplitude * amplitude * -math.expm1(-2.0 * sigma2)
 
 
@@ -206,13 +214,13 @@ def invert_variance(sigma_q2: float, amplitude: float) -> float:
     mean the amplitude is misestimated or the data does not follow the
     model, and raise VarianceOutOfRangeError.
     """
-    positive("amplitude", amplitude)
+    square = _amplitude_squared(amplitude)
     non_negative("sigma_q2", sigma_q2)
     limit = 0.5 * amplitude * amplitude
     if sigma_q2 >= limit:
         raise VarianceOutOfRangeError(
             f"sigma_q2 = {sigma_q2} is not below the A^2/2 = {limit} asymptote")
-    return -0.5 * math.log1p(-2.0 * sigma_q2 / (amplitude * amplitude))
+    return -0.5 * math.log1p(-2.0 * sigma_q2 / square)
 
 
 def quantum_variance_from_measurement(sigma_m2: float,

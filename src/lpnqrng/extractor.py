@@ -9,27 +9,43 @@ Raw ADC codes are serialized to bits as n-bit two's-complement words,
 most significant bit first, then split into n_in-bit blocks that are
 hashed independently with the same matrix.
 
-There are two exact GF(2) kernels, pure NumPy with no build step. The
+There are two exact GF(2) kernels, pure NumPy with no build step, and
+one block format reaches them: packed blocks, a row of ceil(n_in / 8)
+bytes per block, MSB first. Both have the signature (spec, packed,
+out) and write one uint8 per output bit into the caller's out, and
+``_hash`` is the one entry, the only code that picks the kernel. The
 geometry alone picks one: the byte table runs iff L, the FFT length
 (below), is at most 2**14, and the FFT convolution when L is larger. A
 table block costs O(n_in * n_out / 64) byte operations and an FFT block
 O(L log L), so the table wins on the blocks of production and loses on
-large ones. Per 2**23 input bits on a 2-core x86-64 machine at two
-workers, ms, two runs of the median of 9 calls:
+large ones. Per 2**23 packed input bits on a 2-core x86-64 machine at
+two workers, ms, two runs of the median of 9 calls:
 
     n_in -> n_out     L         FFT     table
-      512 -> 450      2**10    49-69       14
-     1024 -> 901      2**11    58-59    14-16
-     2048 -> 1800     2**12    56-61    19-23
-     4096 -> 3604     2**13    74-78    26-33
-     8192 -> 7208     2**14    64-76    52-57
-    16384 -> 14417    2**15    73-89   98-107
+      512 -> 450      2**10    52-67        9
+     1024 -> 901      2**11    42-44    10-13
+     2048 -> 1800     2**12       47    14-16
+     4096 -> 3604     2**13       60    21-22
+     8192 -> 7208     2**14    75-92    47-52
+    16384 -> 14417    2**15    66-84   76-102
+
+A block of 8- or 16-bit codes whose n_in is a multiple of 8 needs no
+serializing: the bytes of its big-endian code words are the block
+packed MSB first, so ``extract_stream`` passes them to either kernel as
+they are, and allocates the output before it copies them: copied
+first, they moved the bitgen benchmark's peak RSS from 168.3-168.4 to
+168.8-169.5 MB in 4 of 4 alternated runs, by where glibc placed the
+output. Other codes are serialized to bits and packed once, and the
+bits are freed before the output is allocated: the route then peaks
+while it serializes, where an output allocated first raised the
+tracemalloc peak of 2**20 10-bit codes at 65536 -> 60000 from 26.0 to
+35.2 MiB.
 
 Table kernel. With B = ceil(n_in / 8), let t'' be t' behind 8B - n_in
 zeros, so T[r][c] = t''[8B - 1 + r - c]: column c is the window of t''
-that starts at 8B - 1 - c. A block packed MSB first puts column
-8j + 7 - u at bit u of its byte j (the pad columns are zeros), and that
-column starts at 8(B - 1 - j) + u. With the byte table
+that starts at 8B - 1 - c. A packed block puts column 8j + 7 - u at
+bit u of its byte j (the pad columns are zeros), and that column
+starts at 8(B - 1 - j) + u. With the byte table
 
     H[v][s] = XOR over the set bits u of v of t''[s + u],
 
@@ -56,11 +72,6 @@ the part (mode "clip", which does not buffer ``out=``) was no faster,
 later run, so a part allocates one gathered window of its batch per
 input byte.
 
-A block of 8- or 16-bit codes whose n_in is a multiple of 8 needs no
-serializing: the bytes of its big-endian code words are the block
-packed MSB first, so ``extract_stream`` passes them to the kernel as
-they are. Other blocks are serialized to bits and packed once.
-
 The kernel makes as many near-equal parts as there are batches of about
 _TABLE_BYTES packed output bytes (2330 blocks at 2048 -> 1800), at most
 one per worker: 4096 blocks make two parts of 2048, and a call of at
@@ -83,8 +94,8 @@ indices, so
 
 and the output bits are rint(y) & 1.
 
-One transform carries p blocks. With s = n_in.bit_length(), the packed
-row g is x_g = sum_{i < p} 2**(s * i) * b_{g * p + i}. Every product
+One transform carries p blocks. With s = n_in.bit_length(), its row g
+is x_g = sum_{i < p} 2**(s * i) * b_{g * p + i}. Every product
 y_i[r] lies in [0, n_in], below 2**s, so by linearity the convolution
 of x_g is y = sum_i 2**(s * i) * y_i with no carry from one lane into
 the next, and block g * p + i's output bits are (rint(y) >> s * i) & 1.
@@ -92,9 +103,9 @@ the next, and block g * p + i's output bits are (rint(y) >> s * i) & 1.
 Exactness: y[r] is an integer below 2**(s * p), so the output is exact
 whenever s * p <= 52 and the float64 rounding error stays below 0.5.
 The error of an FFT convolution is at most about c * u * log2(L) *
-|x|_2 * |t'|_2, with u = 2**-53 and c a small constant. A packed entry
-is below 2**(s * (p - 1) + 1) and |t'|_2 at most sqrt(n_in + n_out - 1),
-so the error is below
+|x|_2 * |t'|_2, with u = 2**-53 and c a small constant. An entry of a
+row is below 2**(s * (p - 1) + 1) and |t'|_2 at most
+sqrt(n_in + n_out - 1), so the error is below
 
     c * u * log2(L) * sqrt(n_in * (n_in + n_out - 1)) * 2**(s * (p - 1) + 1).
 
@@ -111,13 +122,17 @@ The FFT kernel runs on every core (``_parallel``). The blocks split into
 one range per part at multiples of rows * p, and each part hashes its
 range a batch of rows * p blocks at a time into its slice of the one
 output. rows is the serial batch of _BATCH_SAMPLES // L rows divided
-among the parts, so all parts together hold one serial batch. The
-caller allocates every part's working arrays (packed rows, spectrum,
-inverse transform, int64 products) before any part starts, and the
-FFTs, rint and shifts write into them: a part allocates no array. An
-array freed on a part's thread would stay in that thread's malloc
-arena, where the caller's next large temporary cannot reuse it, so the
-process's peak memory would grow with the part count. NumPy's FFT is
+among the parts, so all parts together hold one serial batch. A part
+unpacks each batch of packed blocks to one uint8 per bit by np.take of
+_BYTE_BITS, the 256 x 8 bit table, after copying the bytes into an
+intp buffer: np.take copies indices of any other type to a new array.
+The caller allocates every part's working arrays (intp indices, bits,
+transform rows, spectrum, inverse transform, int64 products) before
+any part starts, and the copy, the gather, the FFTs, rint and shifts
+write into them: a part allocates no array. An array freed on a
+part's thread would stay in that thread's malloc arena, where the
+caller's next large temporary cannot reuse it, so the process's peak
+memory would grow with the part count. NumPy's FFT is
 used because it takes ``out=``. Which FFT library computes y does not
 change a bit: each y[r] is an integer, the bound above holds for any
 FFT of the usual O(u log L) accuracy, pocketfft in NumPy and in SciPy
@@ -169,6 +184,9 @@ _UNPACK_ROWS = 1 << 8
 #: ms with its page faults where the chunks take 0.8-1.0
 _RUNS_CHUNK = 1 << 18
 
+#: row v holds the bits of byte v, MSB first
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+
 
 def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
     """Pack rows of 0/1 values into uint64 words, MSB first.
@@ -176,19 +194,12 @@ def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
     Accepts a 1-D array (one row) or a 2-D array (one row per line);
     rows are zero-padded up to a multiple of 64 bits.
     """
-    arr = check_bits("bits", bits)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    n_rows, n_bits = arr.shape
-    n_words = max((n_bits + 63) // 64, 1)
-    pad = n_words * 64 - n_bits
-    if pad:
-        arr = np.concatenate(
-            [arr, np.zeros((n_rows, pad), dtype=np.uint8)], axis=1)
-    words = (np.packbits(arr, axis=1).reshape(n_rows, n_words, 8)
-             .view(">u8").reshape(n_rows, n_words).astype(np.uint64))
-    return words[0] if squeeze else words
+    packed = np.packbits(check_bits("bits", bits), axis=-1)
+    n_bytes = packed.shape[-1]
+    words = np.zeros(packed.shape[:-1] + (8 * max(-(-n_bytes // 8), 1),),
+                     dtype=np.uint8)
+    words[..., :n_bytes] = packed
+    return words.view(">u8").astype(np.uint64)
 
 
 def codes_to_bits(codes: np.ndarray, bits_per_code: int) -> np.ndarray:
@@ -301,33 +312,17 @@ class ToeplitzSpec:
                 for j in range(n_bytes)]
 
 
-def _table_runs(spec: ToeplitzSpec) -> bool:
-    """Whether the byte table hashes this geometry (module doc)."""
-    return spec._fft_length <= _TABLE_MAX_LENGTH
-
-
-def _toeplitz_apply(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
-    """out[b] = T @ blocks[b] mod 2 for an (n_blocks, n_in) 0/1 array,
-    by the faster kernel for the geometry (module doc)."""
-    if _table_runs(spec):
-        return _toeplitz_table(spec, blocks)
-    return _toeplitz_fft(spec, blocks)
-
-
-def _toeplitz_table(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
-    """_toeplitz_apply by the byte table (module doc)."""
-    # out before the packed blocks and outputs, as in _toeplitz_fft:
-    # packing first raised the bitgen benchmark's peak RSS from 169 to
-    # 184 MB when its codes took this route
-    out = np.empty((len(blocks), spec.output_bits), dtype=np.uint8)
-    _table_hash(spec, np.packbits(blocks, axis=1), out)
-    return out
+def _hash(spec: ToeplitzSpec, packed: np.ndarray, out: np.ndarray) -> None:
+    """out[b] = T @ x_b mod 2 for the blocks x_b packed MSB first, one
+    row of ceil(n_in / 8) bytes each, by the faster kernel for the
+    geometry (module doc)."""
+    kernel = _table_hash if spec._fft_length <= _TABLE_MAX_LENGTH else _fft_hash
+    kernel(spec, packed, out)
 
 
 def _table_hash(spec: ToeplitzSpec, packed: np.ndarray,
                 out: np.ndarray) -> None:
-    """out[b] = T @ x_b mod 2 for the blocks x_b packed MSB first, one
-    row of ceil(n_in / 8) bytes each (module doc)."""
+    """_hash by the byte table (module doc)."""
     windows = spec._byte_windows  # read here, not first on a part's thread
     n_blocks, n_out = out.shape
     y = np.empty((n_blocks, -(-n_out // 8)), dtype=np.uint8)
@@ -354,20 +349,22 @@ def _table_part(packed: np.ndarray, windows: list[np.ndarray], rows: int,
             acc ^= window[group[:, j]].view(np.uint8)
 
 
-def _toeplitz_fft(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
-    """_toeplitz_apply by the packed FFT convolution (module doc)."""
+def _fft_hash(spec: ToeplitzSpec, packed: np.ndarray,
+              out: np.ndarray) -> None:
+    """_hash by the packed FFT convolution (module doc)."""
     n_in, n_out, length = spec.input_bits, spec.output_bits, spec._fft_length
     # read here, so no cached property is first computed on a part's thread
     lanes, seed_spectrum = spec._lanes, spec._seed_spectrum
-    n_blocks = blocks.shape[0]
+    n_blocks = len(packed)
     batch = min(max(_BATCH_SAMPLES // length, 1), -(-n_blocks // lanes))
     rows = -(-batch // _parallel.workers())
     ranges = _parallel.split(n_blocks, rows * lanes)
-    out = np.empty((n_blocks, n_out), dtype=np.uint8)
-    # Every part's buffers, allocated after out: a buffer allocated before
-    # it left a heap hole that raised the bitgen benchmark's peak RSS from
-    # 169 to 184 MB. x is zero-padded to L once: only [..., :n_in] is
-    # ever written.
+    # Every part's buffers, allocated after out, which the caller
+    # allocated: a buffer allocated before it left a heap hole that
+    # raised the bitgen benchmark's peak RSS from 169 to 184 MB. x is
+    # zero-padded to L once: only [..., :n_in] is ever written.
+    index = np.empty((len(ranges), rows * lanes, packed.shape[1]), np.intp)
+    bits = np.empty(index.shape + (8,), dtype=np.uint8)
     shape = (len(ranges), rows)
     x = np.zeros(shape + (length,))
     spectrum = np.empty(shape + (length // 2 + 1,), dtype=np.complex128)
@@ -375,37 +372,41 @@ def _toeplitz_fft(spec: ToeplitzSpec, blocks: np.ndarray) -> np.ndarray:
     products = np.empty(shape + (n_out,), dtype=np.int64)
     _parallel.run(
         lambda p, a, b: _fft_part(
-            blocks[a:b], seed_spectrum, lanes, x[p], spectrum[p], y[p],
-            products[p], out[a:b]),
+            packed[a:b], seed_spectrum, lanes, n_in, index[p], bits[p], x[p],
+            spectrum[p], y[p], products[p], out[a:b]),
         [(p, a, b) for p, (a, b) in enumerate(ranges)])
-    return out
 
 
-def _fft_part(blocks: np.ndarray, seed_spectrum: np.ndarray, lanes: int,
-                   x: np.ndarray, spectrum: np.ndarray, y: np.ndarray,
-                   products: np.ndarray, out: np.ndarray) -> None:
-    """_toeplitz_fft of ``blocks`` into ``out``, len(x) rows of lanes
-    blocks at a time, through the caller's buffers (module doc)."""
-    n_in, n_out = blocks.shape[1], out.shape[1]
-    shift = n_in.bit_length()
-    rows = len(x)
-    for first in range(0, len(blocks), rows * lanes):
-        group = blocks[first:first + rows * lanes]
-        n_rows = -(-len(group) // lanes)
-        # x_g = sum_i 2**(shift * i) * group[g * lanes + i], by Horner's rule
-        packed = x[:n_rows, :n_in]
-        packed[:] = 0.0
+def _fft_part(packed: np.ndarray, seed_spectrum: np.ndarray, lanes: int,
+              n_in: int, index: np.ndarray, bits: np.ndarray, x: np.ndarray,
+              spectrum: np.ndarray, y: np.ndarray, products: np.ndarray,
+              out: np.ndarray) -> None:
+    """_fft_hash of ``packed`` into ``out``, len(x) rows of lanes blocks
+    at a time, through the caller's buffers (module doc)."""
+    n_out, shift, rows = out.shape[1], n_in.bit_length(), len(x)
+    for first in range(0, len(packed), rows * lanes):
+        group = packed[first:first + rows * lanes]
+        n = len(group)
+        # one uint8 per bit, through the index buffer: np.take copies
+        # indices of any other type to a new array
+        np.copyto(index[:n], group)
+        np.take(_BYTE_BITS, index[:n], axis=0, out=bits[:n], mode="clip")
+        blocks = bits[:n].reshape(n, -1)[:, :n_in]
+        n_rows = -(-n // lanes)
+        # x_g = sum_i 2**(shift * i) * blocks[g * lanes + i], by Horner's rule
+        row_sums = x[:n_rows, :n_in]
+        row_sums[:] = 0.0
         for i in reversed(range(lanes)):
-            packed *= 2.0**shift
-            lane = group[i::lanes]
-            packed[:len(lane)] += lane
+            row_sums *= 2.0**shift
+            lane = blocks[i::lanes]
+            row_sums[:len(lane)] += lane
         np.fft.rfft(x[:n_rows], axis=1, out=spectrum[:n_rows])
         spectrum[:n_rows] *= seed_spectrum
         np.fft.irfft(spectrum[:n_rows], n=x.shape[1], axis=1, out=y[:n_rows])
         v = products[:n_rows]
         np.rint(y[:n_rows, n_in - 1:n_in - 1 + n_out], out=v, casting="unsafe")
         for i in range(lanes):  # v is rint(y) >> (shift * i) here
-            dest = out[first + i:first + len(group):lanes]
+            dest = out[first + i:first + n:lanes]
             np.bitwise_and(v[:len(dest)], 1, out=dest, casting="unsafe")
             v >>= shift
 
@@ -424,7 +425,9 @@ def extract_block(block: np.ndarray, spec: ToeplitzSpec) -> np.ndarray:
     if bits.ndim != 1 or len(bits) != spec.input_bits:
         raise LengthMismatchError(
             f"block must hold exactly {spec.input_bits} bits, got {bits.shape}")
-    return _toeplitz_apply(spec, check_bits("block", bits)[None, :])[0]
+    out = np.empty((1, spec.output_bits), dtype=np.uint8)
+    _hash(spec, np.packbits(check_bits("block", bits))[None, :], out)
+    return out[0]
 
 
 def extract_stream(codes: QuantizedTrace, spec: ToeplitzSpec) -> np.ndarray:
@@ -438,18 +441,19 @@ def extract_stream(codes: QuantizedTrace, spec: ToeplitzSpec) -> np.ndarray:
     n_blocks = len(codes) * code_bits // n_in
     if n_blocks == 0:
         return np.empty(0, dtype=np.uint8)
-    if code_bits in (8, 16) and n_in % 8 == 0 and _table_runs(spec):
+    if code_bits in (8, 16) and n_in % 8 == 0:
         # the big-endian code words are the blocks packed MSB first
         out = np.empty((n_blocks, spec.output_bits), dtype=np.uint8)
-        n_bytes = n_blocks * n_in // 8
-        words = codes.codes[:-(-8 * n_bytes // code_bits)].astype(
+        words = codes.codes[:-(-n_blocks * n_in // code_bits)].astype(
             f">u{code_bits // 8}")
-        _table_hash(spec, words.view(np.uint8)[:n_bytes].reshape(n_blocks, -1),
-                    out)
-        return out.reshape(-1)
-    bits = codes_to_bits(codes.codes, code_bits)
-    blocks = bits[:n_blocks * n_in].reshape(n_blocks, n_in)
-    return _toeplitz_apply(spec, blocks).reshape(-1)
+        packed = words.view(np.uint8)[:n_blocks * n_in // 8].reshape(n_blocks, -1)
+    else:
+        # the bits are packed and freed before out is allocated (module doc)
+        packed = np.packbits(codes_to_bits(codes.codes, code_bits)[
+            :n_blocks * n_in].reshape(n_blocks, n_in), axis=1)
+        out = np.empty((n_blocks, spec.output_bits), dtype=np.uint8)
+    _hash(spec, packed, out)
+    return out.reshape(-1)
 
 
 def _as_bit_array(bits: np.ndarray, minimum: int) -> np.ndarray:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lpnqrng import (AdcSpec, SystemParams, derive_seed, gaussian_stream,
-                     quantize, quantum_noise, sample_phase_path)
+from lpnqrng import (AdcSpec, SystemParams, derive_seed, extractor,
+                     gaussian_stream, quantize, quantum_noise,
+                     sample_phase_path)
 from lpnqrng.entropy import code_histogram
 from lpnqrng.params import check_count, non_negative, positive
 from lpnqrng.simulate import LABEL_QUANTUM, AnalogTrace
@@ -88,3 +89,13 @@ def dense_product(spec, blocks: np.ndarray) -> np.ndarray:
     """
     product = blocks @ spec.matrix().T.astype(np.float64)
     return (product.astype(np.int64) & 1).astype(np.uint8)
+
+
+def kernel_product(kernel: str, spec, blocks: np.ndarray) -> np.ndarray:
+    """T·x mod 2 by the extractor's kernel named ``kernel`` ("_hash",
+    "_table_hash" or "_fft_hash"), for a row of 0/1 bits per block: the
+    blocks go in packed MSB first, a row of ceil(n_in / 8) bytes each,
+    and come out one uint8 per bit."""
+    out = np.empty((len(blocks), spec.output_bits), dtype=np.uint8)
+    getattr(extractor, kernel)(spec, np.packbits(blocks, axis=1), out)
+    return out

@@ -412,6 +412,11 @@ class TestEntropy:
     def test_variance_mode_out_of_range(self):
         assert run("entropy", "--sigma-q2", 0.5, "--amplitude", 1.0) == 4
 
+    def test_variance_mode_amplitude_whose_square_overflows(self, capsys):
+        # A * A is inf above about 1.34e154 V, which read as H_min 0
+        assert run("entropy", "--sigma-q2", 5e307, "--amplitude", 1.5e154) == 2
+        assert "amplitude" in one_error_line(capsys, "invalid-parameter")
+
     @pytest.mark.parametrize("argv", [
         ["--sigma-q2", "inf"], ["--sigma-q2", "nan"],
         ["--linewidth-hz", "nan", "--delay-s", 6.5e-9],
@@ -782,6 +787,22 @@ class TestInvertVariance:
                    "--amplitude", 1.0, "--format", "csv") == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "sigma_q2,sigma2_rad2,linewidth_delay_product"
+
+    # A * A is inf above about 1.34e154 V: sigma2 read 0.0 at 1.5e154,
+    # and inf / inf printed NaN at 1e200
+    @pytest.mark.parametrize("sigma_m2,amplitude", [(5e307, 1.5e154),
+                                                    (1e308, 1e200)])
+    def test_amplitude_whose_square_overflows(self, capsys, sigma_m2,
+                                              amplitude):
+        assert run("invert-variance", "--sigma-m2", sigma_m2, "--sigma-c2", 0,
+                   "--amplitude", amplitude) == 2
+        assert "amplitude" in one_error_line(capsys, "invalid-parameter")
+
+    def test_largest_amplitude_with_a_finite_square(self, capsys):
+        assert run("invert-variance", "--sigma-m2", 5e307, "--sigma-c2", 0,
+                   "--amplitude", 1.34e154) == 0
+        sigma2 = json.loads(capsys.readouterr().out)["results"]["sigma2_rad2"]
+        assert sigma2 == -0.5 * math.log1p(-2.0 * 5e307 / (1.34e154 * 1.34e154))
 
     @pytest.mark.parametrize("flag,value", [
         ("--sigma-m2", "nan"), ("--sigma-c2", "nan"), ("--amplitude", "nan"),

@@ -354,6 +354,19 @@ class TestVarianceRelations:
         with pytest.raises(VarianceOutOfRangeError):
             invert_variance(0.5, 1.0)
 
+    # A * A is inf above about 1.34e154 V
+    @pytest.mark.parametrize("amplitude", [1.5e154, 1e200])
+    @pytest.mark.parametrize("relation", [forward_variance, invert_variance])
+    def test_amplitude_whose_square_overflows(self, relation, amplitude):
+        with pytest.raises(InvalidParameterError, match="amplitude"):
+            relation(0.1, amplitude)
+
+    def test_largest_amplitude_with_a_finite_square(self):
+        a = 1.34e154
+        assert forward_variance(0.5, a) == 0.5 * a * a * -math.expm1(-1.0)
+        assert invert_variance(5e307, a) == -0.5 * math.log1p(
+            -2.0 * 5e307 / (a * a))
+
     @given(st.floats(min_value=1e-4, max_value=5.0),
            st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=200, deadline=None)

@@ -17,7 +17,7 @@ from lpnqrng import (
     output_bits_for,
     runs_test,
 )
-from lpnqrng import extractor
+from lpnqrng import _parallel, extractor
 from lpnqrng.errors import (
     InvalidParameterError,
     LengthMismatchError,
@@ -31,7 +31,7 @@ from lpnqrng.extractor import (
 )
 from lpnqrng.rng import bit_stream
 
-from conftest import dense_product
+from conftest import dense_product, kernel_product
 
 
 def random_spec(rng, max_n=64):
@@ -218,7 +218,7 @@ class TestExtractBlock:
         assert np.array_equal(extract_block(x, spec), extract_block(x, spec))
 
 
-KERNELS = ("_toeplitz_table", "_toeplitz_fft")
+KERNELS = ("_table_hash", "_fft_hash")
 
 
 class TestKernel:
@@ -228,7 +228,7 @@ class TestKernel:
         for _ in range(100):
             spec = random_spec(rng)
             x = rng.integers(0, 2, spec.input_bits).astype(np.uint8)
-            got = getattr(extractor, kernel)(spec, x[None, :])[0]
+            got = kernel_product(kernel, spec, x[None, :])[0]
             assert np.array_equal(got, dense_product(spec, x))
 
     # n_in and n_out off a multiple of 8, n_in < 8, 1 x 1 and whole bytes
@@ -247,21 +247,21 @@ class TestKernel:
         x = rng.integers(0, 2, (5, n_in)).astype(np.uint8)
         x[0] = 1  # the all-ones block sums every seed bit of a row
         want = dense_product(spec, x)
-        assert np.array_equal(getattr(extractor, kernel)(spec, x), want)
+        assert np.array_equal(kernel_product(kernel, spec, x), want)
 
     def test_kernel_choice_follows_the_transform_length(self, monkeypatch):
         ran = []
         for kernel in KERNELS:
             monkeypatch.setattr(extractor, kernel,
-                                lambda spec, blocks, kernel=kernel:
-                                ran.append(kernel) or blocks[:, :1])
+                                lambda spec, packed, out, kernel=kernel:
+                                ran.append(kernel))
         # n_in + n_out - 1 = 2**14 is the largest table geometry
         for n_in, n_out in ((1, 1), (2048, 1800), (8193, 8192), (8193, 8193),
                             (2**17, 2**17 - 5)):
             spec = ToeplitzSpec(n_in, n_out,
                                 np.zeros(n_in + n_out - 1, dtype=np.uint8))
-            extractor._toeplitz_apply(spec, np.zeros((1, n_in), dtype=np.uint8))
-        assert ran == ["_toeplitz_table"] * 3 + ["_toeplitz_fft"] * 2
+            kernel_product("_hash", spec, np.zeros((1, n_in), dtype=np.uint8))
+        assert ran == ["_table_hash"] * 3 + ["_fft_hash"] * 2
 
     def test_byte_table_rows(self):
         # row 2**u is t'' from u on; every row is the XOR of its bits' rows
@@ -284,7 +284,8 @@ class TestKernel:
         for n_blocks in (1, batch - 1, batch, batch + 1, 2 * batch + 1):
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
             want = dense_product(spec, blocks)
-            assert np.array_equal(extractor._toeplitz_table(spec, blocks), want)
+            assert np.array_equal(kernel_product("_table_hash", spec, blocks),
+                                  want)
 
     def test_block_counts_straddling_the_chunk_edge(self):
         rng = np.random.default_rng(14)
@@ -293,7 +294,8 @@ class TestKernel:
         for n_blocks in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
             want = dense_product(spec, blocks)
-            assert np.array_equal(extractor._toeplitz_fft(spec, blocks), want)
+            got = kernel_product("_fft_hash", spec, blocks)
+            assert np.array_equal(got, want)
 
     def test_lane_edges_against_dense_oracle(self):
         rng = np.random.default_rng(17)
@@ -304,7 +306,8 @@ class TestKernel:
                          chunk * p + 1, 2 * chunk * p + 1):
             blocks = rng.integers(0, 2, (n_blocks, 2048)).astype(np.uint8)
             want = dense_product(spec, blocks)
-            assert np.array_equal(extractor._toeplitz_fft(spec, blocks), want)
+            got = kernel_product("_fft_hash", spec, blocks)
+            assert np.array_equal(got, want)
 
     def test_packed_random_shapes_against_dense_oracle(self):
         # small geometries pack the most lanes (up to 52 at 1 -> 1)
@@ -315,7 +318,8 @@ class TestKernel:
             n_blocks = int(rng.integers(1, 3 * p + 2))
             x = rng.integers(0, 2, (n_blocks, spec.input_bits)).astype(np.uint8)
             want = dense_product(spec, x)
-            assert np.array_equal(extractor._toeplitz_fft(spec, x), want)
+            got = kernel_product("_fft_hash", spec, x)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_in", [2047, 2048])
     def test_worst_case_carry_stays_in_its_lane(self, n_in):
@@ -331,7 +335,8 @@ class TestKernel:
                                    lane % 2 == 1, np.zeros_like(b)]).astype(bool)
         blocks = np.repeat(ones[:, None], n_in, axis=1).astype(np.uint8)
         want = np.repeat((ones & (n_in % 2 == 1))[:, None], 1800, axis=1)
-        assert np.array_equal(extractor._toeplitz_fft(spec, blocks), want)
+        got = kernel_product("_fft_hash", spec, blocks)
+        assert np.array_equal(got, want)
 
     def test_lane_rule(self):
         def bound(n_in, n_out, p):
@@ -365,7 +370,7 @@ class TestKernel:
         n_in, n_out = 2**17, 2**17 - 5
         spec = ToeplitzSpec(n_in, n_out, bit_stream(15, n_in + n_out - 1))
         x = bit_stream(16, 2 * n_in).reshape(2, n_in)
-        out = extractor._toeplitz_fft(spec, x)
+        out = kernel_product("_fft_hash", spec, x)
         c = np.arange(n_in)
         for r in (0, n_out // 2, n_out - 1):
             row = spec.seed_bits[np.where(r >= c, r - c, n_out - 1 + c - r)]
@@ -409,11 +414,13 @@ class TestExtractStream:
         assert np.array_equal(extract_stream(qt, spec), want)
 
     # whole-byte blocks of 8- and 16-bit codes are hashed from the code
-    # bytes; other widths and geometries are serialized to bits first
+    # bytes by either kernel (2**14 -> 100 runs the FFT); other widths and
+    # geometries are serialized to bits first
     @pytest.mark.parametrize("adc_bits,n_in,n_out,serialized", [
         (8, 2048, 1800, False), (16, 2048, 1800, False),
         (16, 24, 10, False), (8, 2047, 1000, True), (12, 2048, 1800, True),
-        (16, 2**14, 100, True)])
+        (16, 2**14, 100, False), (8, 2**14, 100, False),
+        (10, 2**14, 100, True)])
     def test_code_bytes_route(self, monkeypatch, adc_bits, n_in, n_out,
                               serialized):
         adc = AdcSpec(bits=adc_bits)
@@ -430,6 +437,41 @@ class TestExtractStream:
         got = extract_stream(QuantizedTrace(codes, adc, 1e-10), spec)
         assert np.array_equal(got, want)
         assert bool(calls) == serialized
+
+
+    def test_fft_route_peak_memory(self, monkeypatch):
+        # 2**20 codes at 65536 -> 60000, the FFT kernel, at two workers
+        monkeypatch.setattr(_parallel, "workers", lambda: 2)
+        spec = ToeplitzSpec(65536, 60000, bit_stream(3, 65536 + 59999))
+        extract_block(np.zeros(65536, dtype=np.uint8), spec)  # fills the caches
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def codes(adc_bits):
+            adc = AdcSpec(bits=adc_bits)
+            rng = np.random.default_rng(adc_bits)
+            return QuantizedTrace(rng.integers(adc.code_min, adc.code_max + 1,
+                                               2**20).astype(np.int16),
+                                  adc, 1e-10)
+
+        # 8-bit codes are hashed from their bytes: the output (7.3 MiB),
+        # the code bytes (1 MiB) and one serial batch of the kernel's
+        # working arrays (6.9 MiB) make 15.2 MiB, and the blocks unpacked
+        # to a byte per input bit would add 8 MiB
+        eight = codes(8)
+        assert peak(lambda: extract_stream(eight, spec)) < 18 * 2**20
+        # 10-bit codes are serialized, and the bits are packed and freed
+        # before the output and the kernel's buffers are allocated, so the
+        # route peaks while it serializes (26 MiB)
+        ten = codes(10)
+        serialize = peak(lambda: codes_to_bits(ten.codes, 10))
+        assert peak(lambda: extract_stream(ten, spec)) < serialize + 2**20
 
 
 class TestSanityStatistics:
