@@ -35,11 +35,11 @@ packed MSB first, so ``extract_stream`` passes them to either kernel as
 they are, and allocates the output before it copies them: copied
 first, they moved the bitgen benchmark's peak RSS from 168.3-168.4 to
 168.8-169.5 MB in 4 of 4 alternated runs, by where glibc placed the
-output. Other codes are serialized to bits and packed once, and the
-bits are freed before the output is allocated: the route then peaks
-while it serializes, where an output allocated first raised the
-tracemalloc peak of 2**20 10-bit codes at 65536 -> 60000 from 26.0 to
-35.2 MiB.
+output. Other codes are serialized to bits, a chunk of codes at a time,
+and packed once, and the bits are freed before the output is allocated,
+so the two are never held at once: 2**20 10-bit codes at 65536 -> 60000
+peak at 18.0 MiB under tracemalloc, their bits taking 10 MiB and the
+output 9.2.
 
 Table kernel. With B = ceil(n_in / 8), let t'' be t' behind 8B - n_in
 zeros, so T[r][c] = t''[8B - 1 + r - c]: column c is the window of t''
@@ -118,11 +118,13 @@ L = 2**32. Over the 4096 blocks of one bitgen benchmark operation the
 worst distance to the nearest integer is 5.7e-14 at p = 1, 9.5e-7 at
 p = 3 and 1.2e-2 at p = 4.
 
-The FFT kernel runs on every core (``_parallel``). The blocks split into
-one range per part at multiples of rows * p, and each part hashes its
-range a batch of rows * p blocks at a time into its slice of the one
-output. rows is the serial batch of _BATCH_SAMPLES // L rows divided
-among the parts, so all parts together hold one serial batch. A part
+The FFT kernel runs on every core (``_parallel``), with at most one
+part per row of the serial batch of _BATCH_SAMPLES // L rows. The
+blocks split into near-equal ranges, one per part, and each part hashes
+its range a batch of rows * p blocks at a time into its slice of the
+one output. rows is the serial batch divided among the parts, so all
+parts together hold one serial batch: at 65536 -> 60000, a batch of 2
+rows, 3 or 4 workers make 2 parts of a row each, not 3 or 4. A part
 unpacks each batch of packed blocks to one uint8 per bit by np.take of
 _BYTE_BITS, the 256 x 8 bit table, after copying the bytes into an
 intp buffer: np.take copies indices of any other type to a new array.
@@ -184,6 +186,12 @@ _UNPACK_ROWS = 1 << 8
 #: ms with its page faults where the chunks take 0.8-1.0
 _RUNS_CHUNK = 1 << 18
 
+#: codes per chunk of codes_to_bits, which unpacks each chunk's whole
+#: words (a byte per bit, 8 or 16 per code) and copies their low bits
+#: into its slice of the result: 2**20 10-bit codes peak at 11.1 MiB for
+#: their 10 MiB of bits, where unpacking all words at once took 26.0
+_CODES_CHUNK = 1 << 15
+
 #: row v holds the bits of byte v, MSB first
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 
@@ -212,8 +220,13 @@ def codes_to_bits(codes: np.ndarray, bits_per_code: int) -> np.ndarray:
     """
     bits_per_code = check_count("bits_per_code", bits_per_code, 1, 16)
     n_bytes = 1 if bits_per_code <= 8 else 2
-    words = np.unpackbits(np.asarray(codes).astype(f">u{n_bytes}").view(np.uint8))
-    return words.reshape(-1, 8 * n_bytes)[:, 8 * n_bytes - bits_per_code:].ravel()
+    codes = np.asarray(codes).reshape(-1)
+    out = np.empty((len(codes), bits_per_code), dtype=np.uint8)
+    for a in range(0, len(codes), _CODES_CHUNK):
+        words = codes[a:a + _CODES_CHUNK].astype(f">u{n_bytes}").view(np.uint8)
+        out[a:a + _CODES_CHUNK] = np.unpackbits(
+            words.reshape(-1, n_bytes), axis=1)[:, -bits_per_code:]
+    return out.reshape(-1)
 
 
 def pack_bits_to_bytes(bits: np.ndarray) -> bytes:
@@ -357,8 +370,9 @@ def _fft_hash(spec: ToeplitzSpec, packed: np.ndarray,
     lanes, seed_spectrum = spec._lanes, spec._seed_spectrum
     n_blocks = len(packed)
     batch = min(max(_BATCH_SAMPLES // length, 1), -(-n_blocks // lanes))
-    rows = -(-batch // _parallel.workers())
-    ranges = _parallel.split(n_blocks, rows * lanes)
+    parts = min(_parallel.workers(), batch)  # no more parts than rows
+    rows = -(-batch // parts)
+    ranges = _parallel.split(n_blocks, -(-n_blocks // parts))
     # Every part's buffers, allocated after out, which the caller
     # allocated: a buffer allocated before it left a heap hole that
     # raised the bitgen benchmark's peak RSS from 169 to 184 MB. x is

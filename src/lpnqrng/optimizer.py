@@ -3,7 +3,9 @@
 Each (linewidth, delay) candidate is simulated, its entropy-source
 bandwidth estimated from the spectrum, its min-entropy computed from
 the analytic model at the exact delay, and the achievable rate
-scored as K = 2 * B_ES * H_min. Every grid point gets its own seed
+scored as K = 2 * B_ES * H_min. ``model_point`` scores a candidate the
+same way from the closed-form spectrum (``spectral.model_psd``), with
+no simulation, in 1-2 ms. Every grid point gets its own seed
 derived from the master seed and the point's indices, so results do
 not depend on evaluation order and single points can be reproduced in
 isolation.
@@ -26,8 +28,10 @@ from .spectral import (
     DEFAULT_NFFT,
     DEFAULT_OVERLAP,
     DEFAULT_PLATEAU_BINS,
+    PsdEstimate,
     bandwidth_3db,
     estimate_psd,
+    model_psd,
 )
 
 #: relative slack within which two rates count as tied
@@ -137,16 +141,35 @@ def evaluate_point(linewidth_hz: float, delay_s: float, base: SystemParams,
     simulated quantum trace. Min-entropy has one route: the analytic
     model at the exact delay, not the sample-rounded one.
     """
-    params = replace(base, linewidth_hz=linewidth_hz, delay_s=delay_s)
-    q = _quantum_trace(params, sim.n_samples, sim.seed)
-    bw = bandwidth_3db(estimate_psd(q, sim.nfft, sim.overlap_fraction),
-                       sim.plateau_bins)
-    h = analytic_min_entropy(phase_variance(linewidth_hz, delay_s),
-                             params.amplitude, params.adc).h_min
-    b = bw.b_es_hz
-    return SweepPoint(linewidth_hz=linewidth_hz, delay_s=delay_s, b_es_hz=b,
-                      h_min_bits=h, k_bits_per_s=2.0 * b * h, f_s_hz=2.0 * b,
-                      saturated=bw.saturated)
+    design = replace(base, linewidth_hz=linewidth_hz, delay_s=delay_s)
+    q = _quantum_trace(design, sim.n_samples, sim.seed)
+    return _score(design, sim, estimate_psd(q, sim.nfft, sim.overlap_fraction))
+
+
+def model_point(linewidth_hz: float, delay_s: float, base: SystemParams,
+                sim: SimSettings) -> SweepPoint:
+    """Score one design point as ``evaluate_point`` does, from the
+    model's spectrum (``spectral.model_psd``), simulating nothing.
+
+    Of ``sim`` only ``nfft`` and ``plateau_bins`` are read. The
+    bandwidth lies within a few percent of the simulated one
+    (``spectral`` module docstring), and the min-entropy is the same.
+    """
+    design = replace(base, linewidth_hz=linewidth_hz, delay_s=delay_s)
+    return _score(design, sim, model_psd(design, sim.nfft))
+
+
+def _score(design: SystemParams, sim: SimSettings,
+           psd: PsdEstimate) -> SweepPoint:
+    """The design's rate K = 2 B_ES H_min at f_s = 2 B_ES, with B_ES from
+    ``psd`` and H_min from the analytic model at the exact delay."""
+    bw = bandwidth_3db(psd, sim.plateau_bins)
+    lw, d = design.linewidth_hz, design.delay_s
+    h = analytic_min_entropy(phase_variance(lw, d), design.amplitude,
+                             design.adc).h_min
+    return SweepPoint(linewidth_hz=lw, delay_s=d, b_es_hz=bw.b_es_hz,
+                      h_min_bits=h, k_bits_per_s=2.0 * bw.b_es_hz * h,
+                      f_s_hz=2.0 * bw.b_es_hz, saturated=bw.saturated)
 
 
 def _pick_best(points: list[SweepPoint]) -> tuple[SweepPoint | None,

@@ -992,12 +992,13 @@ class TestEntryPoint:
     def test_import_loads_no_signal_or_stats(self):
         # scipy.signal pulls in scipy.stats and some 400 more modules,
         # most of the start-up time of every command; Welch and the
-        # extractor use NumPy's FFT
+        # extractor use NumPy's FFT, and the bandwidth's smoother NumPy's
+        # cumsum, where scipy.ndimage loaded 22 more modules
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c", "import lpnqrng, sys; print(sorted("
-             "m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft') "
-             "if m in sys.modules))"],
+             "m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft', "
+             "'scipy.ndimage') if m in sys.modules))"],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr

@@ -77,6 +77,33 @@ class TestPacking:
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
 
+    # the codes are unpacked a chunk at a time; these lengths end a chunk
+    # early, on its edge, just past it, and past the second
+    @pytest.mark.parametrize("width", range(2, 17))
+    def test_codes_to_bits_is_the_same_across_chunk_edges(self, width):
+        chunk = extractor._CODES_CHUNK
+        rng = np.random.default_rng(100 + width)
+        codes = rng.integers(-2**(width - 1), 2**(width - 1),
+                             2 * chunk + 3).astype(np.int16)
+        n_bytes = 1 if width <= 8 else 2
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            # every word unpacked at once, then sliced
+            words = np.unpackbits(codes[:n].astype(f">u{n_bytes}").view(np.uint8))
+            want = words.reshape(-1, 8 * n_bytes)[:, 8 * n_bytes - width:].ravel()
+            assert np.array_equal(codes_to_bits(codes[:n], width), want)
+
+    def test_codes_to_bits_peak_memory(self):
+        # 2**20 10-bit codes yield 10 MiB of bits; unpacking every code's
+        # 16-bit word first peaked at 26 MiB
+        codes = np.random.default_rng(10).integers(-512, 512, 2**20).astype(
+            np.int16)
+        tracemalloc.start()
+        try:
+            codes_to_bits(codes, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("width", [0, 17])
     def test_codes_to_bits_width_outside_1_to_16_rejected(self, width):
@@ -466,12 +493,35 @@ class TestExtractStream:
         # to a byte per input bit would add 8 MiB
         eight = codes(8)
         assert peak(lambda: extract_stream(eight, spec)) < 18 * 2**20
-        # 10-bit codes are serialized, and the bits are packed and freed
-        # before the output and the kernel's buffers are allocated, so the
-        # route peaks while it serializes (26 MiB)
+        # 10-bit codes are serialized a chunk of codes at a time (10 MiB of
+        # bits), and the bits are packed (1.25 MiB) and freed before the
+        # output (9.2 MiB) and one serial batch of the kernel's working
+        # arrays are allocated: 18.0 MiB, where unpacking every code's
+        # whole word peaked at 26 MiB
         ten = codes(10)
-        serialize = peak(lambda: codes_to_bits(ten.codes, 10))
-        assert peak(lambda: extract_stream(ten, spec)) < serialize + 2**20
+        assert peak(lambda: extract_stream(ten, spec)) < 19 * 2**20
+
+    def test_fft_route_holds_one_batch_at_any_worker_count(self,
+                                                           monkeypatch):
+        # at 65536 -> 60000 a serial batch is 2 rows, so 3 or 4 workers
+        # still make 2 parts of a row each, not 3 or 4
+        spec = ToeplitzSpec(65536, 60000, bit_stream(3, 65536 + 59999))
+        extract_block(np.zeros(65536, dtype=np.uint8), spec)  # fills the caches
+        adc = AdcSpec(bits=8)
+        rng = np.random.default_rng(8)
+        codes = QuantizedTrace(rng.integers(adc.code_min, adc.code_max + 1,
+                                            2**20).astype(np.int16), adc, 1e-10)
+        peaks, outputs = {}, {}
+        for n in (1, 2, 3, 4):
+            monkeypatch.setattr(_parallel, "workers", lambda n=n: n)
+            tracemalloc.start()
+            try:
+                outputs[n] = extract_stream(codes, spec)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks[3], peaks[4]) <= peaks[2], peaks
+        assert all(np.array_equal(outputs[1], outputs[n]) for n in (2, 3, 4))
 
 
 class TestSanityStatistics:

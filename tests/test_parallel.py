@@ -151,12 +151,13 @@ def test_estimate_psd_matches_welch_at_every_worker_count(monkeypatch, nfft,
 
 def test_welch_parts_sum_whole_subtrees():
     # the sweep's 1023 segments, split a level at a time from the root
-    assert _subtrees(1023, 4) == [(0, 248), (248, 256), (504, 256),
-                                  (760, 263)]
-    assert _subtrees(1023, 8) == [(0, 120), (120, 128), (248, 128),
-                                  (376, 128), (504, 128), (632, 128),
-                                  (760, 128), (888, 135)]
-    assert _subtrees(100, 8) == [(0, 100)]  # a leaf does not split
+    assert _subtrees(1023, 4) == ([(0, 248), (248, 256), (504, 256),
+                                   (760, 263)], {(0, 1023), (0, 504),
+                                                 (504, 1023)})
+    assert _subtrees(1023, 8)[0] == [(0, 120), (120, 128), (248, 128),
+                                     (376, 128), (504, 128), (632, 128),
+                                     (760, 128), (888, 135)]
+    assert _subtrees(100, 8) == ([(0, 100)], set())  # a leaf does not split
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -179,7 +180,7 @@ def test_welch_parts_sum_each_node(monkeypatch, workers, n_segments):
     # parts' own calls, one per node
     top = [(s, n) for s, n in calls if not any(
         a <= s and s + n <= a + m and (a, m) != (s, n) for a, m in calls)]
-    assert sorted(top) == _subtrees(n_segments, 4 * workers)
+    assert sorted(top) == _subtrees(n_segments, 4 * workers)[0]
 
 
 # at nfft 2048 and three workers a part's 64 // 3 rows round down to 16

@@ -35,6 +35,7 @@ from lpnqrng.extractor import (codes_to_bits, output_bits_for,
                                unpack_bytes_to_bits)
 from lpnqrng.params import (check_bits, check_count, check_n_samples,
                             check_toeplitz_geometry, delay_index, one_of)
+from lpnqrng.spectral import model_psd
 
 from conftest import monte_carlo_code_histogram
 
@@ -219,6 +220,8 @@ INTEGER_SITES = {
         lambda x: sample_phase_path(1e6, 1e-10, x, seed=0), 4),
     "quantum_noise.k": (lambda x: quantum_noise(_PATH, x, 0.5), 2),
     "estimate_psd.nfft": (lambda x: estimate_psd(_LONG_TRACE, x), 16),
+    "model_psd.nfft": (lambda x: model_psd(SystemParams(9.5e6, 2.5e-9), x),
+                       16),
     "bandwidth_3db.plateau_bins": (lambda x: bandwidth_3db(_PSD, x), 2),
     "ToeplitzSpec.input_bits": (
         lambda x: ToeplitzSpec(x, 4, np.zeros(11, np.uint8)), 8),

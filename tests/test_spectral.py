@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from scipy import signal
 from scipy.ndimage import uniform_filter1d
 
-from lpnqrng import (AdcSpec, SimSettings, _parallel, bandwidth_3db,
+from lpnqrng import (SimSettings, SystemParams, _parallel, bandwidth_3db,
                      estimate_psd, evaluate_point, gaussian_stream)
 from lpnqrng.entropy import forward_variance
 from lpnqrng.errors import EmptyPsdError, InvalidParameterError, TraceTooShortError
+from lpnqrng.optimizer import model_point
 from lpnqrng.simulate import AnalogTrace
-from lpnqrng.spectral import (_WELCH_BLOCK_SAMPLES, PERSIST_BINS, PsdEstimate,
-                              _first_persistent_drop)
+from lpnqrng.spectral import (_WELCH_BLOCK_SAMPLES, PERSIST_BINS, SMOOTH_BINS,
+                              PsdEstimate, _first_persistent_drop,
+                              _moving_average, model_psd)
 
 from conftest import TAU_S, base_params, quantum_trace, white_trace
 
@@ -154,60 +156,50 @@ class TestEstimatePsd:
             estimate_psd(AnalogTrace(x, TAU_S, "quantum"), 1024)
 
 
-def model_psd(linewidth_hz, k, amplitude, nfft, tau_s=TAU_S):
-    """The mean of estimate_psd's one-sided density under the model.
-
-    q[m] = A sin(theta[m + k] - theta[m]) has the autocorrelation
-    R(l) = A^2 exp(-k s2) sinh(s2 (k - |l|)) for |l| <= k and 0 beyond,
-    with s2 = 2 pi linewidth tau_s the variance of one phase step. A
-    Hann-windowed segment's periodogram then has the mean
-    tau_s / sum(w^2) times the transform of R(l) c_w(l), where c_w is the
-    window's autocorrelation; the taps are placed circularly in nfft.
-    """
-    s2 = 2 * np.pi * linewidth_hz * tau_s
-    lags = np.arange(-k, k + 1)
-    r = amplitude**2 * np.exp(-k * s2) * np.sinh(s2 * (k - np.abs(lags)))
-    w = signal.windows.hann(nfft, sym=False)
-    c_w = np.correlate(w, w, "full")  # lag l at index l + nfft - 1
-    taps = np.zeros(nfft)
-    np.add.at(taps, lags % nfft, r * c_w[lags + nfft - 1])
-    density = np.fft.rfft(taps).real * tau_s / np.sum(w**2)
-    density[1:-1] *= 2  # one-sided, as estimate_psd
-    return density
-
-
 class TestModelSpectrum:
     #: the variance of a Welch mean over K Hann segments at 50% overlap is
     #: 1 + 2 (1/6)^2 times that of K independent periodograms
     HANN_HALF_OVERLAP = 1 + 2 * (1 / 6) ** 2
 
-    @pytest.mark.parametrize("seed", [7, 8])
-    @pytest.mark.parametrize("linewidth_hz,delay_s", [
-        (5e6, 1.5e-9), (9.5e6, 2.5e-9), (20e6, 4.5e-9), (40e6, 6.5e-9),
-        (80e6, 10e-9)])
+    # every point of the benchmark's sweep grid at seed 7, and its
+    # diagonal at seed 8; over all 25 points at seeds 7-10 the gap ran
+    # from -3.24% to +3.27%
+    @pytest.mark.parametrize("linewidth_hz,delay_s,seed", [
+        (lw, d, 7) for lw in (5e6, 9.5e6, 20e6, 40e6, 80e6)
+        for d in (1.5e-9, 2.5e-9, 4.5e-9, 6.5e-9, 10e-9)] + [
+        (5e6, 1.5e-9, 8), (9.5e6, 2.5e-9, 8), (20e6, 4.5e-9, 8),
+        (40e6, 6.5e-9, 8), (80e6, 10e-9, 8)])
     def test_sweep_bandwidth_matches_the_closed_form(self, linewidth_hz,
                                                      delay_s, seed):
-        # the diagonal of the benchmark's sweep grid; over all 25 of its
-        # points at seeds 7-10 the gap ran from -3.24% to +3.27%
         sim = SimSettings(seed=seed)
-        exact = model_psd(linewidth_hz, round(delay_s / TAU_S),
-                          AdcSpec().default_amplitude(), sim.nfft)
-        want = bandwidth_3db(PsdEstimate(np.fft.rfftfreq(sim.nfft, TAU_S),
-                                         exact, 1), sim.plateau_bins)
+        want = model_point(linewidth_hz, delay_s, base_params(), sim)
         got = evaluate_point(linewidth_hz, delay_s, base_params(), sim)
         assert not (want.saturated or got.saturated)
         assert got.b_es_hz == pytest.approx(want.b_es_hz, rel=0.04)
+        assert got.h_min_bits == want.h_min_bits
+
+    def test_zero_linewidth_saturates_on_both_routes(self):
+        # no phase diffusion: q is zero, and so is its spectrum
+        sim = SimSettings(seed=7)
+        for route in (model_point, evaluate_point):
+            point = route(0.0, 2.5e-9, base_params(), sim)
+            assert point.saturated
+            assert point.b_es_hz == pytest.approx(FS / 2.0)
+            assert point.h_min_bits == 0.0
 
     @pytest.mark.parametrize("linewidth_hz,delay_s", [
         (9.5e6, 2.5e-9), (40e6, 1.5e-9), (5e6, 10e-9), (80e6, 6.5e-9)])
     def test_welch_mean_matches_the_closed_form(self, linewidth_hz, delay_s):
-        k = round(delay_s / TAU_S)
-        amplitude, nfft = AdcSpec().default_amplitude(), 1024
+        design = SystemParams(linewidth_hz, delay_s, sample_period_s=TAU_S)
+        k, amplitude, nfft = design.delay_samples, design.amplitude, 1024
         psds = [estimate_psd(quantum_trace(linewidth_hz, k, 2**20, seed), nfft)
                 for seed in (11, 12, 13, 14)]
         n_segments = sum(p.n_segments for p in psds)
         mean = np.mean([p.power for p in psds], axis=0)
-        expected = model_psd(linewidth_hz, k, amplitude, nfft)
+        model = model_psd(design, nfft)
+        assert model.n_segments == 0  # an expectation, not an average
+        assert np.array_equal(model.freqs, psds[0].freqs)
+        expected = model.power
         # the global mean removal biases DC only
         z = ((mean / expected - 1)[1:]
              * np.sqrt(n_segments / self.HANN_HALF_OVERLAP))
@@ -217,6 +209,17 @@ class TestModelSpectrum:
         sigma_d2 = 2 * np.pi * linewidth_hz * k * TAU_S
         assert total == pytest.approx(forward_variance(sigma_d2, amplitude),
                                       rel=1e-12)
+
+    def test_large_phase_variance_is_white_noise(self):
+        # sigma_d2 = 6283 rad**2: exp(-D(k)) underflows to 0 and sinh(D(k))
+        # overflows, so the closed form must not take them apart
+        design = SystemParams(100e9, 10e-9, sample_period_s=TAU_S)
+        model = model_psd(design, 1024)
+        sigma_d2 = 2 * np.pi * 100e9 * design.delay_samples * TAU_S
+        assert np.all(np.isfinite(model.power))
+        assert model.power.sum() * model.df_hz == pytest.approx(
+            forward_variance(sigma_d2, design.amplitude), rel=1e-12)
+        assert bandwidth_3db(model).saturated
 
 
 class TestPsdMemory:
@@ -327,6 +330,16 @@ class TestBandwidth3db:
     def test_persistence_scan_matches_the_loop(self, pattern):
         below = np.array(pattern)
         assert _first_persistent_drop(below) == self.first_drop_by_loop(below)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    @example(n=4097, seed=0)  # a default spectrum's bins
+    def test_smoother_is_uniform_filter1d_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        power = rng.random(n) * 10.0 ** rng.uniform(-12, 12, n)
+        assert np.array_equal(
+            _moving_average(power),
+            uniform_filter1d(power, size=SMOOTH_BINS, mode="nearest"))
 
     def test_plateau_bins_validation(self):
         with pytest.raises(InvalidParameterError):
