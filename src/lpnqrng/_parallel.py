@@ -20,8 +20,8 @@ machine, the stages alternated call by call:
 
     stage                                   size           1      2
     gaussian_stream                         2**22        149     97
-    interference inside evaluate_point      2**22      64-71  39-52
-    interference (quantum_noise)            2**23     102-122 67-71
+    interference inside evaluate_point      2**22      48-58  31-32
+    interference (quantum_noise)            2**23     106-118 69-81
     estimate_psd, nfft 8192                 2**23        196    111
     code_histogram inside lab_trace's op    2**23       19.2   14.2
     Toeplitz FFT kernel, 65536 -> 60000     2**20 codes 197-211 112-133
@@ -38,9 +38,16 @@ The FFT row times ``_fft_hash`` on the packed bytes of 2**20 8-bit
 codes, three runs of 15 alternated calls; two workers were faster in
 10, 15 and 15 of them.
 
-``quantize`` runs on the calling thread: its parts took 68.1 ms at two
-workers against 42.8 at one for 2**23 samples, slower in 12 of 12
-calls.
+The interference rows were measured with 2**15-sample chunks
+(``simulate._CHUNK``), in two runs of 15 and 30 alternated calls; two
+workers were faster in every call.
+
+``quantize`` runs on the calling thread. With 2**13-sample chunks its
+parts took 68.1 ms at two workers against 42.8 at one for 2**23
+samples, slower in 12 of 12 calls. With 2**15-sample chunks they took
+25.9 ms against 25.3 (30 alternated calls, two workers slower in 13)
+and 28.3 against 28.8 (15 calls, slower in 8): no faster, so a second
+thread is not worth its code.
 """
 from __future__ import annotations
 

@@ -181,9 +181,9 @@ _TABLE_BYTES = 1 << 19
 #: would otherwise be a second copy of the output
 _UNPACK_ROWS = 1 << 8
 
-#: bits per chunk of runs_test's flip count. A flag per bit of the whole
-#: stream, 7.4 MB for the 4096 blocks of a 2**20-code trace, took 4.8
-#: ms with its page faults where the chunks take 0.8-1.0
+#: bits per chunk of runs_test's counts of ones and flips. A flag per
+#: bit of the whole stream, 7.4 MB for the 4096 blocks of a 2**20-code
+#: trace, took 4.8 ms with its page faults where the chunks take 0.8-1.0
 _RUNS_CHUNK = 1 << 18
 
 #: codes per chunk of codes_to_bits, which unpacks each chunk's whole
@@ -493,16 +493,19 @@ def runs_test(bits: np.ndarray) -> float:
     """
     arr = _as_bit_array(bits, 100)
     n = arr.size
-    pi = np.count_nonzero(arr) / n
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        return 0.0
-    # bit flips counted a chunk at a time, through one reused buffer
+    # the ones and the bit flips counted a chunk at a time, while the
+    # chunk is in cache, the flips through one reused buffer
     flips = np.empty(min(_RUNS_CHUNK, n - 1), dtype=bool)
+    ones = int(arr[-1])
     v = 1
     for a in range(0, n - 1, _RUNS_CHUNK):
         b = min(a + _RUNS_CHUNK, n - 1)
+        ones += np.count_nonzero(arr[a:b])
         v += np.count_nonzero(np.not_equal(arr[a + 1:b + 1], arr[a:b],
                                            out=flips[:b - a]))
+    pi = ones / n
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+        return 0.0
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return float(erfc(num / den))

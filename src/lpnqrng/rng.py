@@ -11,6 +11,12 @@ stream to variates simple enough to restate in one sentence:
 
 The variates are computed in cache-sized blocks of the stream, in place
 in the output array; the formula, and so every variate, is unchanged.
+A caller that wants N(0, s**2) variates passes ``scale=s``: each block
+is multiplied by s while it is still in cache, which gives the bytes of
+``gaussian_stream(seed, n) * s`` without a second pass over the array.
+A caller that passes ``out`` (a float64 array of n elements, a view
+included) gets the variates written there, and ``out`` returned, so a
+phase path is drawn straight into its own buffer.
 The stream is split into at most one part per CPU the process may run
 on, every part starting at a multiple of the block size, and the parts
 run at once. Part p starting at variate ``start`` keys its own
@@ -35,6 +41,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import _parallel
+from .errors import InvalidParameterError
 from .params import check_count, check_seed
 
 _MASK64 = (1 << 64) - 1
@@ -78,25 +85,39 @@ def raw_stream(seed: int, n: int) -> np.ndarray:
     return bitgen.random_raw(check_count("n", n))
 
 
-def gaussian_stream(seed: int, n: int) -> np.ndarray:
-    """n standard normal variates, deterministic in ``seed``.
+def gaussian_stream(seed: int, n: int, *, scale: float = 1.0,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """n standard normal variates times ``scale``, deterministic in
+    ``seed``, in ``out`` (returned) or a new array.
 
     The inverse-CDF construction truncates the support at about
     +-8.2 sigma (the extreme quantiles reachable with 53-bit
     uniforms); the effect on moments is far below statistical
     resolution at any practical sample count. The stream is drawn in
     parts split at multiples of the block size (module docstring).
+    ``scale`` must be >= 0; ``out`` must be a writable float64 array of
+    n elements, and it may be a view.
     """
     seed = check_seed("seed", seed)
-    out = np.empty(check_count("n", n))
-    _parallel.run(lambda a, b: _gaussian_part(seed, a, out[a:b]),
-                  _parallel.split(len(out), _GAUSS_BLOCK))
+    n = check_count("n", n)
+    if not scale >= 0:  # NaN too
+        raise InvalidParameterError(f"scale must be >= 0, got {scale!r}")
+    if out is None:
+        out = np.empty(n)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (n,) and out.flags.writeable):
+        raise InvalidParameterError(
+            f"out must be a writable float64 array of shape ({n},)")
+    _parallel.run(lambda a, b: _gaussian_part(seed, a, scale, out[a:b]),
+                  _parallel.split(n, _GAUSS_BLOCK))
     return out
 
 
-def _gaussian_part(seed: int, start: int, out: np.ndarray) -> None:
-    """Variates start .. start + len(out) of the stream, into ``out``;
-    ``start`` is a multiple of 4, the words per Philox counter step."""
+def _gaussian_part(seed: int, start: int, scale: float,
+                   out: np.ndarray) -> None:
+    """Variates start .. start + len(out) of the stream times ``scale``,
+    into ``out``; ``start`` is a multiple of 4, the words per Philox
+    counter step."""
     bitgen = np.random.Philox(key=seed, counter=start // 4)
     n = len(out)
     for i in range(0, n, _GAUSS_BLOCK):
@@ -106,6 +127,8 @@ def _gaussian_part(seed: int, start: int, out: np.ndarray) -> None:
         np.add(raw, 0.5, out=u)
         u *= 2.0**-53
         ndtri(u, out=u)
+        if scale != 1.0:
+            u *= scale
 
 
 def bit_stream(seed: int, n_bits: int) -> np.ndarray:

@@ -7,12 +7,13 @@ self-interference converts the phase increment over the interferometer
 delay into a voltage A*sin(dtheta), electronic noise adds on top, and
 an idealized ADC maps voltages to signed integer codes.
 
-Each stage has one implementation. ``_steps`` draws the n - 1 scaled
-phase steps in the array that ``gaussian_stream`` returns.
-``sample_phase_path`` sums them into a new path behind theta[0] = 0;
-the route of ``evaluate_point`` and ``lpnqrng simulate``
-(``_quantum_trace``) sums them in place, so its buffer holds
-theta[1 .. n-1]. ``_interfere`` then writes
+Each stage has one implementation. ``_walk`` has ``gaussian_stream``
+draw the n - 1 phase steps, already scaled, straight into the buffer it
+is given, and sums them there in place. ``sample_phase_path`` gives it
+the tail of the new path behind theta[0] = 0, so the path is the only
+n-sample array it holds; the route of ``evaluate_point`` and
+``lpnqrng simulate`` (``_quantum_trace``) gives it a buffer that then
+holds theta[1 .. n-1]. ``_interfere`` then writes
 q[m] = A*sin(theta[m+k] - theta[m]) for a path given as theta[0] and
 theta[1:] into the output array its caller passes, after the caller
 has checked that the path is longer than k (``_check_delay``):
@@ -39,8 +40,27 @@ chunk per part; ``sample_phase_path`` then ``quantum_noise`` hold 2n.
 Its bytes are theirs.
 
 ``quantize`` runs on the calling thread, a cache-sized scratch chunk at
-a time: on two cores a second thread made it slower (module doc of
+a time: on two cores a second thread made it no faster (module doc of
 ``_parallel``).
+
+A chunk (``_CHUNK``) is 2**15 samples. Each chunk costs a handful of
+NumPy calls whose fixed cost does not shrink with the chunk; at 2**13
+samples that cost was about a quarter of ``quantize``'s time. Medians
+of 30 alternated calls on a 2-core x86-64 machine (4 MiB L2 per core),
+ms:
+
+    layer           samples   2**13   2**14   2**15   2**16
+    quantize        2**23      32.1    26.2    23.3    22.4
+    quantize        2**20       5.1     4.1     3.5     3.4
+    quantum_noise   2**23      74.6    73.0    69.9    68.3
+    quantum_noise   2**20       8.5     7.5     8.7     8.6
+
+2**15 was faster than 2**13 in 30 of 30 ``quantize`` calls at both
+sizes, and in 21 and 22 of 30 interference calls. In a second run,
+2**16 was about 5% faster again for ``quantize`` (24 and 27 of 30
+calls) and no faster for the interference (12 and 13 of 30). But at
+2**16 an interference chunk and the two path windows it reads take
+1.5 MiB per part, more than a 1 MiB L2; at 2**15 they take 768 KiB.
 
 All operations are pure: outputs depend only on explicit arguments and
 seeds, and returned traces are immutable.
@@ -55,7 +75,7 @@ import numpy as np
 from . import _parallel
 from .errors import InvalidParameterError, PathTooShortError
 from .params import (AdcSpec, SystemParams, check_count, check_n_samples,
-                     non_negative, one_of, positive)
+                     check_seed, non_negative, one_of, positive)
 from .rng import gaussian_stream
 
 TWO_PI = 2.0 * math.pi
@@ -65,8 +85,10 @@ TWO_PI = 2.0 * math.pi
 _PART_QUANTUM = 2**15
 
 # samples per scratch chunk of _interfere and quantize: the chunk and
-# its operands stay in cache through each pass over it
-_CHUNK = 2**13
+# its operands stay in cache through each pass over it, and each chunk
+# is long enough that the per-call cost of its NumPy calls is small
+# against their work (module docstring)
+_CHUNK = 2**15
 
 LABEL_QUANTUM = "quantum"
 LABEL_MEASURED = "measured"
@@ -155,26 +177,35 @@ def sample_phase_path(linewidth_hz: float, sample_period_s: float,
         64-bit stream seed; same seed and parameters reproduce the
         path bit for bit.
     """
-    steps = _steps(linewidth_hz, sample_period_s, n_samples, seed)
-    out = np.empty(len(steps) + 1)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    return PhasePath(out, sample_period_s)
-
-
-def _steps(linewidth_hz: float, sample_period_s: float, n_samples: int,
-           seed: int) -> np.ndarray:
-    """The n_samples - 1 phase steps of a path, scaled in the array that
-    ``gaussian_stream`` returns; zeros at zero linewidth, where no stream
-    is drawn and so the seed is not checked."""
     n = check_n_samples(n_samples)
+    std = _step_std(linewidth_hz, sample_period_s, seed)
+    path = np.empty(n)
+    path[0] = 0.0
+    _walk(std, seed, path[1:])
+    return PhasePath(path, sample_period_s)
+
+
+def _step_std(linewidth_hz: float, sample_period_s: float,
+              seed: int) -> float:
+    """The standard deviation of a phase step, sqrt(2*pi*linewidth*tau_s).
+    The seed is checked only where a stream is drawn (a step std > 0),
+    before the caller allocates the path."""
     std = math.sqrt(TWO_PI * non_negative("linewidth_hz", linewidth_hz)
                     * positive("sample_period_s", sample_period_s))
+    if std != 0.0:
+        check_seed("seed", seed)
+    return std
+
+
+def _walk(std: float, seed: int, theta: np.ndarray) -> None:
+    """theta[1 .. n-1] of a path, in ``theta``: the cumulative sum of
+    n - 1 steps of ``std`` drawn into it in place; zeros at std 0, where
+    no stream is drawn."""
     if std == 0.0:
-        return np.zeros(n - 1)
-    steps = gaussian_stream(seed, n - 1)
-    steps *= std
-    return steps
+        theta.fill(0.0)
+        return
+    gaussian_stream(seed, len(theta), scale=std, out=theta)
+    np.cumsum(theta, out=theta)
 
 
 def quantum_noise(path: PhasePath, k: int, amplitude: float) -> AnalogTrace:
@@ -242,26 +273,27 @@ def _quantum_trace(design: SystemParams, n_samples: int,
     """quantum_noise(sample_phase_path(design.linewidth_hz,
     design.sample_period_s, n_samples, seed), design.delay_samples,
     design.amplitude), byte for byte, built in one buffer (module
-    docstring). ``SystemParams`` has checked the design; n_samples and
-    then the path length are checked here, before any variate is drawn,
-    and the draw checks the seed."""
+    docstring). ``SystemParams`` has checked the design; n_samples, the
+    path length and then the seed are checked here, before the buffer
+    is allocated."""
     k = design.delay_samples
-    _check_delay(check_n_samples(n_samples), k)
-    theta = _steps(design.linewidth_hz, design.sample_period_s, n_samples,
-                   seed)
-    np.cumsum(theta, out=theta)
+    n = check_n_samples(n_samples)
+    _check_delay(n, k)
+    theta = np.empty(n - 1)
+    _walk(_step_std(design.linewidth_hz, design.sample_period_s, seed),
+          seed, theta)
     q = _interfere(np.zeros(1), theta, k, design.amplitude, theta[k - 1:])
     return AnalogTrace(q, design.sample_period_s, LABEL_QUANTUM)
 
 
 def add_electronic_noise(trace: AnalogTrace, sigma_ele: float,
                          seed: int) -> AnalogTrace:
-    """Measured signal M = Q + C with i.i.d. zero-mean Gaussian C."""
+    """Measured signal M = Q + C with i.i.d. zero-mean Gaussian C, drawn
+    already scaled into the array that becomes M."""
     if non_negative("sigma_ele", sigma_ele) == 0.0:
         m = trace.samples  # frozen, so the two traces share it
     else:
-        m = gaussian_stream(seed, len(trace))
-        m *= sigma_ele
+        m = gaussian_stream(seed, len(trace), scale=sigma_ele)
         m += trace.samples
     return AnalogTrace(m, trace.sample_period_s, LABEL_MEASURED)
 
@@ -274,7 +306,7 @@ def quantize(trace: AnalogTrace, adc: AdcSpec) -> QuantizedTrace:
     out-of-range inputs, +-inf included, saturating to the end codes. A
     NaN sample has no code and raises InvalidParameterError.
 
-    It runs on the calling thread through one scratch chunk of 2**13
+    It runs on the calling thread through one scratch chunk of 2**15
     samples, so it makes no temporary as long as the trace.
     """
     x = trace.samples

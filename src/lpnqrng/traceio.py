@@ -1,7 +1,9 @@
 """Trace files: raw sample data plus a JSON metadata sidecar.
 
 Analog traces are finite little-endian IEEE-754 float64; code traces are
-little-endian int16 regardless of ADC resolution. Each data file
+little-endian int16 regardless of ADC resolution. A data file is exactly
+n_samples items long: a file with a partial item at its end, or one
+item more or fewer, is refused. Each data file
 ``<path>`` is described by ``<path>.meta.json`` recording the sampling
 period, label or ADC spec, the generating system parameters, and the
 seed, so any trace on disk can be re-simulated or re-analyzed without
@@ -10,6 +12,8 @@ out-of-band knowledge.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,10 @@ from .simulate import LABELS, AnalogTrace, QuantizedTrace
 FORMAT_TAG = "lpnqrng-trace/1"
 _ANALOG_DTYPE = "<f8"
 _CODES_DTYPE = "<i2"
+# samples per read of an analog data file: each chunk is checked while
+# it is in cache, where a check after the read would scan the whole
+# trace again
+_READ_CHUNK = 2**17
 
 
 def _sidecar(path: Path) -> Path:
@@ -44,14 +52,16 @@ def _write(path: str | Path, data: np.ndarray, dtype: str,
     _sidecar(path).write_text(text)
 
 
-def _read(path: str | Path, kind: str, dtype: str,
+def _read(path: str | Path, kind: str, dtype: str, finite: bool = False,
           **converters) -> tuple[np.ndarray, list, dict]:
     """A ``kind`` trace's raw data, its sample period and other sidecar
     values (each read by its converter), and the sidecar, checked once.
 
     A sidecar that is missing, is not a FORMAT_TAG JSON object, or lacks
     a value or holds one its converter rejects raises MissingMetadataError;
-    a trace of another kind or length raises InvalidParameterError.
+    a trace of another kind, or a data file that is not n_samples items
+    long to the byte, raises InvalidParameterError, as does a NaN or
+    infinite sample where the data must be ``finite`` (``_load``).
     """
     path = Path(path)
     side = _sidecar(path)
@@ -78,11 +88,35 @@ def _read(path: str | Path, kind: str, dtype: str,
             raise MissingMetadataError(
                 f"{side}: {key!r} is missing or malformed ({exc!r})") from exc
     n_samples, *values = values
-    data = np.fromfile(path, dtype=dtype)
-    if len(data) != n_samples:
-        raise InvalidParameterError(
-            f"{path}: expected {n_samples} samples, found {len(data)}")
-    return data, values, meta
+    return _load(path, n_samples, np.dtype(dtype), finite), values, meta
+
+
+def _load(path: Path, n: int, dtype: np.dtype, finite: bool) -> np.ndarray:
+    """The n items of the data file at ``path``, read into one array: a
+    chunk at a time when they must be ``finite``, so each chunk is
+    checked while it is still in cache, and in one read otherwise. The
+    file's size is compared with n items first, so a partial trailing
+    item is refused; a file that ends early while it is read raises too,
+    so no unwritten element is returned."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != n * dtype.itemsize:
+            raise InvalidParameterError(
+                f"{path}: expected {n} samples ({n * dtype.itemsize} "
+                f"bytes), found {size} bytes")
+        data = np.empty(n, dtype)
+        step = _READ_CHUNK if finite else max(n, 1)
+        for a in range(0, n, step):
+            chunk = data[a:a + step]
+            if f.readinto(chunk.view(np.uint8)) != chunk.nbytes:
+                raise InvalidParameterError(
+                    f"{path}: the file ended while its {n} samples were read")
+            # min and max are NaN or infinite if any sample is
+            if finite and not (math.isfinite(chunk.min())
+                               and math.isfinite(chunk.max())):
+                raise InvalidParameterError(
+                    f"{path}: a sample is NaN or infinite")
+    return data
 
 
 def write_analog_trace(path: str | Path, trace: AnalogTrace,
@@ -94,11 +128,8 @@ def write_analog_trace(path: str | Path, trace: AnalogTrace,
 
 def read_analog_trace(path: str | Path) -> tuple[AnalogTrace, dict]:
     samples, (sample_period_s, label), meta = _read(
-        path, "analog", _ANALOG_DTYPE,
+        path, "analog", _ANALOG_DTYPE, finite=True,
         label=lambda v: one_of("trace label", v, LABELS))
-    # min and max are NaN or infinite if any sample is; no full-size temporary
-    if len(samples) and not np.isfinite([samples.min(), samples.max()]).all():
-        raise InvalidParameterError(f"{path}: a sample is NaN or infinite")
     return AnalogTrace(samples, sample_period_s, label), meta
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lpnqrng import (AdcSpec, SystemParams, derive_seed, extractor,
-                     gaussian_stream, quantize, quantum_noise,
+from lpnqrng import (AdcSpec, SystemParams, _parallel, derive_seed,
+                     extractor, gaussian_stream, quantize, quantum_noise,
                      sample_phase_path)
 from lpnqrng.entropy import code_histogram
 from lpnqrng.params import check_count, non_negative, positive
@@ -16,6 +16,9 @@ TAU_S = 1e-10
 #: own derived seed, so this size is part of the histogram's stream
 _MC_CHUNK = 2**22
 
+#: worker counts a threaded layer must give the same bytes at
+WORKER_COUNTS = (1, 2, 3)
+
 
 @pytest.fixture(scope="session")
 def adc8() -> AdcSpec:
@@ -25,6 +28,19 @@ def adc8() -> AdcSpec:
 @pytest.fixture(scope="session")
 def default_amplitude(adc8) -> float:
     return adc8.default_amplitude()
+
+
+def set_workers(monkeypatch, n):
+    monkeypatch.setattr(_parallel, "workers", lambda: n)
+
+
+def per_worker_count(monkeypatch, fn):
+    """fn() once for each of WORKER_COUNTS."""
+    results = []
+    for n in WORKER_COUNTS:
+        set_workers(monkeypatch, n)
+        results.append(fn())
+    return results
 
 
 def base_params(tau_s: float = TAU_S) -> SystemParams:

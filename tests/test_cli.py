@@ -308,6 +308,25 @@ class TestPsd:
         assert str(path) in one_error_line(capsys, "invalid-parameter")
         assert not (tmp_path / "psd.csv").exists()
 
+    @pytest.mark.parametrize("command", ["psd", "entropy"])
+    def test_trailing_partial_sample(self, tmp_path, capsys, adc8, command):
+        # the data file is one byte longer than its sidecar's n_samples
+        if command == "psd":
+            path = tmp_path / "m.f64"
+            write_analog_trace(path, AnalogTrace(
+                0.1 * gaussian_stream(8, 2**12), 1e-10, "measured"))
+            argv = ["psd", "--trace", path, "--nfft", 256,
+                    "--out-dir", tmp_path]
+        else:
+            path = tmp_path / "c.i16"
+            write_quantized_trace(path, QuantizedTrace(
+                np.arange(-128, 128, dtype=np.int16), adc8, 1e-10))
+            argv = ["entropy", "--codes", path]
+        with open(path, "ab") as f:
+            f.write(b"\x00")
+        assert run(*argv) == 2
+        assert str(path) in one_error_line(capsys, "invalid-parameter")
+
     @pytest.mark.parametrize("value", [True, "1e-10", 0.0, -1.0, math.nan],
                              ids=["true", "string", "zero", "negative", "nan"])
     @pytest.mark.parametrize("command", ["psd", "entropy"])

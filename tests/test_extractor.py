@@ -552,6 +552,26 @@ class TestSanityStatistics:
                          / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)))
         assert runs_test(bits) == want
 
+    # the ones are counted in the flip loop too, a chunk at a time, and
+    # the last bit on its own; a biased stream takes the prefilter
+    @pytest.mark.parametrize("k,extra", [(k, e) for k in (1, 2, 3)
+                                         for e in (-1, 1)])
+    @pytest.mark.parametrize("biased", [False, True], ids=["fair", "biased"])
+    def test_runs_counts_ones_across_chunk_edges(self, k, extra, biased):
+        n = k * extractor._RUNS_CHUNK + extra
+        bits = bit_stream(50 + k + extra, n)
+        if biased:
+            bits[::7] = 1
+        pi = np.count_nonzero(bits) / n
+        v = 1 + np.count_nonzero(bits[1:] != bits[:-1])
+        if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+            want = 0.0
+        else:
+            want = float(erfc(abs(v - 2.0 * n * pi * (1.0 - pi))
+                              / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi))))
+        assert (want == 0.0) is biased
+        assert runs_test(bits) == want
+
     def test_rows_are_one_stream(self):
         bits = bit_stream(41, 2 * 1000)
         assert runs_test(bits.reshape(2, -1)) == runs_test(bits)

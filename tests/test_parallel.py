@@ -37,29 +37,16 @@ from lpnqrng.errors import InvalidParameterError
 from lpnqrng.extractor import (_BATCH_SAMPLES, _TABLE_BYTES,
                                _TABLE_MAX_LENGTH, codes_to_bits)
 from lpnqrng.rng import _GAUSS_BLOCK, raw_stream
-from lpnqrng.simulate import (_PART_QUANTUM, AnalogTrace, PhasePath,
+from lpnqrng.simulate import (_CHUNK, _PART_QUANTUM, AnalogTrace, PhasePath,
                               QuantizedTrace, _quantum_trace, quantize)
 from lpnqrng.spectral import _subtrees
 
-from conftest import TAU_S, base_params, dense_product
+from conftest import (TAU_S, WORKER_COUNTS, base_params, dense_product,
+                      per_worker_count, set_workers)
 
 B = _GAUSS_BLOCK
-WORKER_COUNTS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parents[1]
 PIPELINE = ROOT / "perfbench" / "pipeline.py"
-
-
-def set_workers(monkeypatch, n):
-    monkeypatch.setattr(_parallel, "workers", lambda: n)
-
-
-def per_worker_count(monkeypatch, fn):
-    """fn() once for each worker count."""
-    results = []
-    for n in WORKER_COUNTS:
-        set_workers(monkeypatch, n)
-        results.append(fn())
-    return results
 
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B, 3 * B + 7])
@@ -213,8 +200,12 @@ def test_one_part_welch_starts_no_thread(monkeypatch, workers, n_segments):
 
 
 # parts of code_histogram split at multiples of 2**16 samples: this
-# trace makes three, and many of quantize's 2**13-sample chunks
+# trace makes three, and several of quantize's chunks
 N_CODED = 3 * 2 * _PART_QUANTUM + 77
+
+
+def test_the_coded_trace_spans_several_quantize_chunks():
+    assert N_CODED > 4 * _CHUNK
 
 
 def coded_samples(adc):

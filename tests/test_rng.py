@@ -13,7 +13,7 @@ from lpnqrng.rng import (
 )
 from lpnqrng.simulate import sample_phase_path
 
-from conftest import base_params
+from conftest import WORKER_COUNTS, base_params, per_worker_count, set_workers
 
 B = _GAUSS_BLOCK
 
@@ -160,3 +160,61 @@ def test_numpy_integer_count_draws_the_python_int_stream(kind):
     assert np.array_equal(gaussian_stream(3, kind(5)), gaussian_stream(3, 5))
     assert np.array_equal(raw_stream(3, kind(5)), raw_stream(3, 5))
     assert np.array_equal(bit_stream(3, kind(70)), bit_stream(3, 70))
+
+
+class TestScaleAndOut:
+    """``scale`` multiplies each block in cache and ``out`` takes the
+    variates in place; both give the bytes of the unscaled, fresh draw
+    at every worker count and at the block edges."""
+
+    EDGES = [1, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 3 * B - 1, 3 * B + 1]
+
+    @pytest.mark.parametrize("n", [0] + EDGES)
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 0.0123, 2.5])
+    def test_scale_is_the_scaled_draw(self, monkeypatch, n, scale):
+        want = (gaussian_stream(5, n) * scale).tobytes()
+        for z in per_worker_count(monkeypatch, lambda: gaussian_stream(
+                5, n, scale=scale)):
+            assert z.tobytes() == want
+
+    @pytest.mark.parametrize("n", EDGES)
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_out_is_filled_and_returned(self, monkeypatch, n, scale):
+        want = (gaussian_stream(6, n) * scale).tobytes()
+        buf = np.full(n + 2, -9.0)
+        for workers in WORKER_COUNTS:
+            set_workers(monkeypatch, workers)
+            buf[1:-1] = np.nan
+            view = buf[1:-1]
+            assert gaussian_stream(6, n, scale=scale, out=view) is view
+            assert view.tobytes() == want
+            assert buf[0] == buf[-1] == -9.0  # nothing outside the view
+
+    @pytest.mark.parametrize("out", [
+        np.empty(9), np.empty(11), np.empty(10, np.float32),
+        np.empty(10, np.int64), np.empty((2, 5)), [0.0] * 10],
+        ids=["short", "long", "float32", "int64", "2-d", "list"])
+    def test_an_out_of_another_length_or_dtype_is_refused(self, out):
+        with pytest.raises(InvalidParameterError, match="out must be"):
+            gaussian_stream(1, 10, out=out)
+
+    def test_a_read_only_out_is_refused(self):
+        out = np.zeros(10)
+        out.setflags(write=False)
+        with pytest.raises(InvalidParameterError, match="out must be"):
+            gaussian_stream(1, 10, out=out)
+        assert not out.any()
+
+    @pytest.mark.parametrize("scale", [-1.0, -1e-300, np.nan])
+    def test_a_negative_or_nan_scale_is_refused(self, scale):
+        with pytest.raises(InvalidParameterError, match="scale must be"):
+            gaussian_stream(1, 10, scale=scale)
+
+    def test_every_value_is_checked_before_out_is_written(self):
+        out = np.zeros(4)
+        for call in (lambda: gaussian_stream(-1, 4, scale=2.0, out=out),
+                     lambda: gaussian_stream(1, -4, scale=2.0, out=out),
+                     lambda: gaussian_stream(1, 4, scale=-2.0, out=out)):
+            with pytest.raises(InvalidParameterError):
+                call()
+        assert not out.any()

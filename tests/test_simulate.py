@@ -14,6 +14,7 @@ from lpnqrng import (
     _parallel,
     add_electronic_noise,
     evaluate_point,
+    gaussian_stream,
     quantize,
     quantum_noise,
     sample_phase_path,
@@ -27,10 +28,12 @@ from lpnqrng.errors import (
     PathTooShortError,
 )
 from lpnqrng.params import delay_index
+from lpnqrng.rng import _GAUSS_BLOCK
 from lpnqrng.simulate import (AnalogTrace, PhasePath, QuantizedTrace,
                               _quantum_trace, quantize_value)
 
-from conftest import base_params, chunk_se_of_variance, quantum_trace
+from conftest import (base_params, chunk_se_of_variance, per_worker_count,
+                      quantum_trace)
 
 TWO_PI = 2.0 * math.pi
 
@@ -273,6 +276,66 @@ class TestElectronicNoise:
         m1 = add_electronic_noise(q, 0.02, seed=6)
         m2 = add_electronic_noise(q, 0.02, seed=6)
         assert np.array_equal(m1.samples, m2.samples)
+
+
+B = _GAUSS_BLOCK
+
+
+class TestDrawnInPlace:
+    """The phase path and the electronic noise are drawn already scaled
+    into the arrays that hold them; each is the formula of separate
+    draw, scale and sum passes, byte for byte, at every worker count
+    and at the draw's block edges (n - 1 steps or n variates)."""
+
+    EDGES = [2, B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 2, 3 * B - 1, 3 * B + 2]
+    STD = math.sqrt(TWO_PI * 9.5e6 * 1e-10)
+
+    def path_formula(self, n, seed):
+        steps = gaussian_stream(seed, n - 1)
+        steps = steps * self.STD
+        out = np.empty(n)
+        out[0] = 0.0
+        np.cumsum(steps, out=out[1:])
+        return out
+
+    @pytest.mark.parametrize("n", EDGES)
+    def test_phase_path(self, monkeypatch, n):
+        want = self.path_formula(n, 4).tobytes()
+        for path in per_worker_count(monkeypatch, lambda: sample_phase_path(
+                9.5e6, 1e-10, n, 4)):
+            assert path.samples.tobytes() == want
+
+    @pytest.mark.parametrize("n", [n for n in EDGES if n > 6])
+    def test_quantum_trace(self, monkeypatch, n):
+        theta = self.path_formula(n, 4)
+        want = (0.5 * np.sin(theta[5:] - theta[:-5])).tobytes()
+        design = SystemParams(9.5e6, 5e-10, amplitude=0.5)
+        for q in per_worker_count(monkeypatch, lambda: _quantum_trace(
+                design, n, 4)):
+            assert q.samples.tobytes() == want
+
+    @pytest.mark.parametrize("n", [1] + EDGES)
+    def test_electronic_noise(self, monkeypatch, n):
+        q = AnalogTrace(gaussian_stream(2, n), 1e-10, "quantum")
+        noise = gaussian_stream(9, n)
+        noise = noise * 0.03
+        noise += q.samples
+        for m in per_worker_count(monkeypatch, lambda: add_electronic_noise(
+                q, 0.03, 9)):
+            assert m.samples.tobytes() == noise.tobytes()
+
+    def test_the_path_is_the_only_array_it_holds(self):
+        # steps drawn into the path's tail: one n-sample array, where a
+        # separate steps array made two
+        n = 2**20
+        sample_phase_path(9.5e6, 1e-10, 2**12, 1)  # warm caches
+        tracemalloc.start()
+        try:
+            path = sample_phase_path(9.5e6, 1e-10, n, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.samples.nbytes, peak / path.samples.nbytes
 
 
 class TestQuantize:

@@ -4,13 +4,14 @@ import struct
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpnqrng import AdcSpec, LpnError, SystemParams
+from lpnqrng import AdcSpec, LpnError, SystemParams, gaussian_stream, traceio
 from lpnqrng.errors import InvalidParameterError, MissingMetadataError
 from lpnqrng.simulate import AnalogTrace, QuantizedTrace
 from lpnqrng.traceio import (
@@ -208,3 +209,77 @@ def test_fuzzed_sidecar_raises_only_package_errors(tmp_path_factory, kind):
         assert trace.sample_period_s > 0 and math.isfinite(trace.sample_period_s)
 
     check()
+
+
+@pytest.mark.parametrize("kind,extra", [("analog", 3), ("codes", 1)])
+def test_a_partial_trailing_sample_is_refused(tmp_path, adc8, kind, extra):
+    # a reader that drops the partial sample would return 4 or 3 samples
+    path = tmp_path / "trace"
+    if kind == "analog":
+        write_analog_trace(path, AnalogTrace(np.arange(4.0), 1e-10, "quantum"))
+        read = read_analog_trace
+    else:
+        write_quantized_trace(path, QuantizedTrace(
+            np.array([1, -1, 0], np.int16), adc8, 1e-10))
+        read = read_quantized_trace
+    with open(path, "ab") as f:
+        f.write(b"\x07" * extra)
+    with pytest.raises(InvalidParameterError, match="bytes"):
+        read(path)
+
+
+class TestChunkedRead:
+    """An analog data file is read into one array a chunk of _READ_CHUNK
+    samples at a time, and each chunk's finite check runs as it is read;
+    a code file is read in one call."""
+
+    C = traceio._READ_CHUNK
+    LENGTHS = [0, 1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_round_trip_at_chunk_edges(self, tmp_path, adc8, n):
+        samples = gaussian_stream(n, n)
+        codes = np.clip(np.round(40 * samples), -128, 127).astype(np.int16)
+        write_analog_trace(tmp_path / "a", AnalogTrace(samples, 1e-10,
+                                                       "measured"))
+        write_quantized_trace(tmp_path / "c",
+                              QuantizedTrace(codes, adc8, 1e-10))
+        back, _ = read_analog_trace(tmp_path / "a")
+        assert back.samples.tobytes() == samples.tobytes()
+        back, _ = read_quantized_trace(tmp_path / "c")
+        assert back.codes.tobytes() == codes.tobytes()
+
+    @pytest.mark.parametrize("at", [0, C - 1, C, 2 * C, 2 * C + 1],
+                             ids=["first", "chunk-end", "chunk-start",
+                                  "last-chunk", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_in_any_chunk_is_refused(self, tmp_path, at,
+                                                         value):
+        samples = gaussian_stream(3, 2 * self.C + 2)
+        samples[at] = value
+        path = tmp_path / "a"
+        write_analog_trace(path, AnalogTrace(samples, 1e-10, "measured"))
+        with pytest.raises(InvalidParameterError,
+                           match="a sample is NaN or infinite"):
+            read_analog_trace(path)
+
+    @pytest.mark.parametrize("kind", ["analog", "codes"])
+    @pytest.mark.parametrize("n", [C + 1, 2 * C])
+    def test_a_file_that_shrinks_while_read_raises(self, tmp_path, adc8,
+                                                   monkeypatch, kind, n):
+        # the size check passed on the full file; the read finds it one
+        # sample short in the last chunk and returns no part-filled trace
+        path = tmp_path / "trace"
+        if kind == "analog":
+            write_analog_trace(path, AnalogTrace(np.ones(n), 1e-10, "quantum"))
+            read = read_analog_trace
+        else:
+            write_quantized_trace(path, QuantizedTrace(
+                np.ones(n, np.int16), adc8, 1e-10))
+            read = read_quantized_trace
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-size // n])
+        monkeypatch.setattr(traceio.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(InvalidParameterError, match="file ended"):
+            read(path)
